@@ -68,10 +68,12 @@ class CliConfig:
             env = os.environ.get("EBS_THREADS")
             threads = int(env) if env else (os.cpu_count() or 1)
         cache = getattr(args, "cache", None) or os.environ.get("EBS_CACHE") or None
+        node_budget = getattr(args, "node_budget", None)
+        time_budget = getattr(args, "time_budget", None)
         cfg = cls(
             threads=threads,
-            node_budget=getattr(args, "node_budget", None) or DEFAULT_NODE_BUDGET,
-            time_budget_s=getattr(args, "time_budget", None) or int(DEFAULT_TIME_BUDGET_S),
+            node_budget=DEFAULT_NODE_BUDGET if node_budget is None else node_budget,
+            time_budget_s=int(DEFAULT_TIME_BUDGET_S) if time_budget is None else time_budget,
             cache_path=cache,
             output="json" if getattr(args, "json", False) else "text",
         )
@@ -133,7 +135,27 @@ def _cache_read(path: str) -> dict:
         return {}
 
 
+def _cache_write(path: str, store: dict) -> None:
+    """Replace the cache file in one step, so that a reader never sees a
+    half-written store: write a temp file beside it, then rename it over."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(store, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> dict:
+    """The result of compute(), through the cache when one is configured.
+
+    The key ignores the budget, so a result flagged davenport-inexact (the
+    Davenport constant left as an interval, which a larger budget may
+    resolve) is returned but never stored.
+    """
     if cfg.cache_path is None:
         return compute()
     store = _cache_read(cfg.cache_path)
@@ -142,10 +164,10 @@ def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> 
     if isinstance(entry, dict) and entry.get("version") == __version__:
         return entry["result"]
     result = compute()
+    if "davenport-inexact" in result.get("flags", ()):
+        return result
     store[key] = {"version": __version__, "result": result}
-    with open(cfg.cache_path, "w", encoding="utf-8") as fh:
-        json.dump(store, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _cache_write(cfg.cache_path, store)
     return result
 
 

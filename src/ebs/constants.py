@@ -167,7 +167,7 @@ def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, GroupSeq, int]:
     stack: list[int] = []
     labels = engine.labels
 
-    def dfs(states: set[int], start: int) -> None:
+    def dfs(states: int, start: int) -> None:
         nonlocal best_len, best_stack
         for ai in range(start, len(labels)):
             meter.tick()
@@ -181,7 +181,7 @@ def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, GroupSeq, int]:
             dfs(new, ai)
             stack.pop()
 
-    dfs(set(), 0)
+    dfs(0, 0)
     witness = GroupSeq(tuple(labels[ai] for ai in best_stack))
     return best_len + 1, witness, meter.nodes
 
@@ -422,7 +422,7 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
 # ---------------------------------------------------------------------------
 # brute force
 
-def _dfs_exists(engine: ReachEngine, states: set[int], start: int, remaining: int,
+def _dfs_exists(engine: ReachEngine, states: int, start: int, remaining: int,
                 meter: SearchMeter) -> bool:
     if remaining == 0:
         return True
@@ -442,7 +442,7 @@ def _exists_task(engine: ReachEngine, length: int, first_idx: int, budget: Budge
     alphabet[first_idx] exist?  Returns (found, nodes)."""
     meter = SearchMeter(budget)
     meter.tick()
-    states = engine.apply(set(), first_idx)
+    states = engine.apply(0, first_idx)
     if states is None:
         return False, meter.nodes
     found = _dfs_exists(engine, states, first_idx, length - 1, meter)
@@ -454,7 +454,7 @@ def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter,
     if length == 0:
         return True
     if pool is None:
-        return _dfs_exists(engine, set(), 0, length, meter)
+        return _dfs_exists(engine, 0, 0, length, meter)
     futures = [
         pool.submit(_exists_task, engine, length, i, budget)
         for i in range(len(engine.labels))

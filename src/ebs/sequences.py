@@ -6,8 +6,13 @@ order.  The central fact: a nonempty sequence sums to the idempotent exactly
 when, in every coordinate, its raw index total reaches cap_i = ceil(k_i/n_i)*n_i
 and is divisible by n_i.  Because the criterion only sees totals through
 "capped" canonical indices, the set of subset-sum states of a sequence stays
-bounded by prod(cap_i + n_i - 1) regardless of sequence length; ReachSet and
-ReachEngine exploit that.
+bounded by prod(cap_i + n_i - 1) regardless of sequence length.
+
+The one-shot predicates and ReachSet keep those states as tuples.  The
+search engine, ReachEngine, packs each state into one integer and a whole
+reach set into one int bitset; it adds an element by a few masked shifts
+(one per distinct packed displacement) and rejects it with one AND against
+the preimage of the target state.
 """
 
 from __future__ import annotations
@@ -403,28 +408,111 @@ def format_seq(t: Seq) -> str:
 # ---------------------------------------------------------------------------
 # packed search engine
 
-def _profiles_iter(sizes):
-    return itertools.product(*(range(1, sz + 1) for sz in sizes))
+def _digit_mask(digits, stride: int, size: int, num_states: int) -> int:
+    """Bitset of the packed states whose digit in one coordinate (given by
+    its stride and digit count) lies in `digits`.
+
+    The coordinate's digits repeat with period stride * size across the
+    packed space, so the mask is one period's block times a comb with a bit
+    at the start of every period; the block is narrower than the period, so
+    the product has no carries.
+    """
+    block = 0
+    run = (1 << stride) - 1
+    for d in digits:
+        block |= run << (d * stride)
+    period = stride * size
+    comb = ((1 << num_states) - 1) // ((1 << period) - 1)
+    return block * comb
 
 
 class ReachEngine:
-    """Precomputed packed-state transition tables for exhaustive searches.
+    """Precomputed bitset translations for exhaustive free-sequence searches.
 
-    States pack the per-coordinate capped canonical sums (semigroup flavor)
-    or residues (group flavor) into one integer via mixed-radix encoding.
-    apply() advances a whole reach set by one alphabet element and returns
-    None as soon as the target (idempotent / zero) state appears, which is
-    the pruning signal for free-sequence enumeration.
+    A state packs the per-coordinate digits (capped canonical sum minus one
+    in the semigroup flavor, residue in the group flavor) into one integer
+    by mixed-radix encoding, the last coordinate least significant.  A reach
+    set is one Python int: bit p is set when packed state p is reachable,
+    and the empty set is 0.
+
+    Adding an alphabet element moves every digit of a coordinate by a fixed
+    displacement, except where the sum saturates or wraps.  So translating a
+    reach set by an element is a union of masked shifts: the element's
+    pieces are (mask, shift) pairs, one per distinct packed displacement,
+    each the product of per-coordinate digit groups (built once per
+    coordinate and value).  The element's preimage mask pre holds the states
+    that adding it carries onto the target (the idempotent, or zero): the
+    AND of the per-coordinate masks of digits that land on the target digit.
+
+    apply() returns None as soon as the target becomes reachable, which is
+    the pruning signal for free-sequence enumeration; that test is one AND
+    with pre and comes before any shifting.
     """
 
-    __slots__ = ("labels", "num_states", "target", "init", "trans")
+    __slots__ = ("labels", "num_states", "target", "steps")
 
-    def __init__(self, labels, num_states, target, init, trans):
+    def __init__(self, labels, num_states, target, steps):
         self.labels = labels  # alphabet, in search order
         self.num_states = num_states
-        self.target = target
-        self.init = init      # packed singleton state per alphabet element
-        self.trans = trans    # trans[a][p] = packed successor
+        self.target = target  # packed target state
+        # per element: None if the element alone is the target, else
+        # (pre, own state bit, left-shift pieces, right-shift pieces)
+        self.steps = steps
+
+    @classmethod
+    def _build(cls, labels, sizes, target, single, step) -> "ReachEngine":
+        """Engine over `labels` whose coordinate i has sizes[i] digits.
+
+        single(i, v) is the digit of coordinate value v on its own, step(i,
+        v, d) the digit reached from digit d by adding v, and target the
+        target digit per coordinate.
+        """
+        strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        num_states = math.prod(sizes)
+        tgt = sum(t * st for t, st in zip(target, strides))
+        groups: dict[tuple[int, int], tuple[list[tuple[int, int]], int]] = {}
+
+        def coord_groups(i: int, v: int):
+            """Digit groups of adding v in coordinate i: (mask, shift) per
+            displacement, and the mask of digits landing on the target."""
+            hit = groups.get((i, v))
+            if hit is None:
+                stride, size = strides[i], sizes[i]
+                by_shift: dict[int, list[int]] = {}
+                onto = []
+                for d in range(size):
+                    e = step(i, v, d)
+                    by_shift.setdefault((e - d) * stride, []).append(d)
+                    if e == target[i]:
+                        onto.append(d)
+                hit = groups[(i, v)] = (
+                    [(_digit_mask(ds, stride, size, num_states), shift)
+                     for shift, ds in by_shift.items()],
+                    _digit_mask(onto, stride, size, num_states))
+            return hit
+
+        steps = []
+        for a in labels:
+            own = sum(single(i, v) * st for i, (v, st) in enumerate(zip(a, strides)))
+            if own == tgt:
+                steps.append(None)
+                continue
+            per_coord = [coord_groups(i, v) for i, v in enumerate(a)]
+            pre = -1
+            for _, onto in per_coord:
+                pre &= onto
+            merged: dict[int, int] = {}
+            for combo in itertools.product(*(pieces for pieces, _ in per_coord)):
+                mask, shift = -1, 0
+                for m, sh in combo:
+                    mask &= m
+                    shift += sh
+                merged[shift] = merged.get(shift, 0) | mask
+            # a zero shift only re-adds states already in the set
+            up = tuple((m, sh) for sh, m in merged.items() if sh > 0)
+            down = tuple((m, -sh) for sh, m in merged.items() if sh < 0)
+            steps.append((pre, 1 << own, up, down))
+        return cls(tuple(labels), num_states, tgt, steps)
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
@@ -432,36 +520,13 @@ class ReachEngine:
         if alphabet is None:
             e = s.caps
             alphabet = [a for a in s.elements() if a != e]
-        alphabet = sorted(alphabet)
-        sizes = [c.cap + c.n - 1 for c in coords]
-        num_states = math.prod(sizes)
-        strides = [0] * len(sizes)
-        acc = 1
-        for i in range(len(sizes) - 1, -1, -1):
-            strides[i] = acc
-            acc *= sizes[i]
-
-        def pack(profile):
-            return sum((v - 1) * st for v, st in zip(profile, strides))
-
-        target = pack(s.caps)
-        # per-coordinate successor tables: coord_step[i][a_v] maps a capped
-        # state value to its successor under adding index a_v
-        init = []
-        trans = []
-        coord_vals = [range(1, sz + 1) for sz in sizes]
-        for a in alphabet:
-            init.append(pack(tuple(_capped(c.cap, c.n, v) for c, v in zip(coords, a))))
-            steps = [
-                {v: _capped(c.cap, c.n, v + av) for v in coord_vals[i]}
-                for i, (c, av) in enumerate(zip(coords, a))
-            ]
-            table = [0] * num_states
-            for profile in _profiles_iter(sizes):
-                p = pack(profile)
-                table[p] = pack(tuple(st[v] for st, v in zip(steps, profile)))
-            trans.append(table)
-        return cls(tuple(alphabet), num_states, target, init, trans)
+        return cls._build(
+            sorted(alphabet),
+            [c.cap + c.n - 1 for c in coords],
+            [c.cap - 1 for c in coords],
+            lambda i, v: v - 1,  # an index never exceeds k + n - 1 <= cap + n - 1
+            lambda i, v, d: _capped(coords[i].cap, coords[i].n, d + 1 + v) - 1,
+        )
 
     @classmethod
     def for_group(cls, g: GroupSpec, alphabet: Sequence[tuple[int, ...]] | None = None) -> "ReachEngine":
@@ -469,42 +534,26 @@ class ReachEngine:
         zero = (0,) * len(periods)
         if alphabet is None:
             alphabet = [a for a in g.elements() if a != zero]
-        alphabet = sorted(alphabet)
-        num_states = math.prod(periods)
-        strides = [0] * len(periods)
-        acc = 1
-        for i in range(len(periods) - 1, -1, -1):
-            strides[i] = acc
-            acc *= periods[i]
+        return cls._build(
+            sorted(alphabet),
+            list(periods),
+            list(zero),
+            lambda i, v: v,
+            lambda i, v, d: (d + v) % periods[i],
+        )
 
-        def pack(res):
-            return sum(v * st for v, st in zip(res, strides))
-
-        target = pack(zero)
-        init = []
-        trans = []
-        for a in alphabet:
-            init.append(pack(a))
-            table = [0] * num_states
-            for res in g.elements():
-                p = pack(res)
-                table[p] = pack(tuple((x + r) % n for x, r, n in zip(res, a, periods)))
-            trans.append(table)
-        return cls(tuple(alphabet), num_states, target, init, trans)
-
-    def apply(self, states: set[int], ai: int) -> set[int] | None:
-        """Reach states after appending alphabet element ai, or None if the
+    def apply(self, states: int, ai: int) -> int | None:
+        """Reach set after appending alphabet element ai, or None if the
         target state becomes reachable."""
-        tgt = self.target
-        x = self.init[ai]
-        if x == tgt:
+        step = self.steps[ai]
+        if step is None:
             return None
-        table = self.trans[ai]
-        out = set(states)
-        out.add(x)
-        for p in states:
-            q = table[p]
-            if q == tgt:
-                return None
-            out.add(q)
+        pre, own, up, down = step
+        if states & pre:
+            return None
+        out = states | own
+        for m, sh in up:
+            out |= (states & m) << sh
+        for m, sh in down:
+            out |= (states & m) >> sh
         return out

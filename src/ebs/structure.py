@@ -17,12 +17,13 @@ import time
 from dataclasses import dataclass
 
 from .config import SUBSET_SUM_BOUND, Budget, SearchMeter
-from .constants import BRUTE, THM61, ConstResult
+from .constants import BRUTE, THM61, ConstResult, _ms
 from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
     GroupSeq,
     Seq,
+    _capped,
     is_idempotent_sum_free,
     is_minimal_idempotent_sum,
 )
@@ -315,10 +316,6 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
 # ---------------------------------------------------------------------------
 # lhat and l
 
-def _capped1(cap: int, n: int, v: int) -> int:
-    return v if v <= cap + n - 1 else cap + (v - cap) % n
-
-
 def _free_ints(c: CyclicSpec, vals) -> bool:
     cap, n = c.cap, c.n
     states: set[int] = set()
@@ -327,7 +324,7 @@ def _free_ints(c: CyclicSpec, vals) -> bool:
             return False
         fresh = {v}
         for p in states:
-            q = _capped1(cap, n, p + v)
+            q = _capped(cap, n, p + v)
             if q == cap:
                 return False
             fresh.add(q)
@@ -406,7 +403,7 @@ def _lhat_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
             bad = a == cap
             if not bad:
                 for p in states:
-                    qv = _capped1(cap, n, p + a)
+                    qv = _capped(cap, n, p + a)
                     if qv == cap:
                         bad = True
                         break
@@ -462,7 +459,7 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
             bad = a == cap
             if not bad:
                 for p in states:
-                    qv = _capped1(cap, n, p + a)
+                    qv = _capped(cap, n, p + a)
                     if qv == cap:
                         bad = True
                         break
@@ -515,10 +512,6 @@ def l_const(c: CyclicSpec, method: str = "formula", budget: Budget | None = None
     """Least length beyond which every minimal idempotent-sum sequence over
     C(k;n) has minimal-mode structure."""
     return _structure_const(c, "l", method, budget)
-
-
-def _ms(t0: float) -> int:
-    return int((time.monotonic() - t0) * 1000)
 
 
 # ---------------------------------------------------------------------------

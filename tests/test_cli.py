@@ -130,6 +130,22 @@ class TestCache:
         assert code == 0 and json.loads(out)["value"] == 4
         assert "cache" in err
 
+    def test_budget_degraded_result_not_cached(self, capsys, tmp_path):
+        # a tiny budget leaves D(Z2+Z2+Z6) as an interval; a later call with
+        # the default budget must compute the exact value, not reuse it
+        cache = str(tmp_path / "cache.json")
+        argv = ("const", "eb", "--spec", "C(2;2)xC(1;2)xC(1;6)", "--cache", cache,
+                "--json")
+        code, out, _ = run(capsys, *argv, "--node-budget", "50")
+        degraded = json.loads(out)
+        assert code == 0 and degraded["value"] is None
+        assert degraded["flags"] == ["davenport-inexact"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["value"] == 8
+        store = json.loads(open(cache).read())
+        assert store["C(2;2)xC(1;2)xC(1;6)|eb|formula"]["result"]["value"] == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
     def test_env_cache_used(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.json"
         monkeypatch.setenv("EBS_CACHE", str(cache))
@@ -267,9 +283,12 @@ class TestUsage:
         assert code == 1
 
     def test_nonpositive_budget(self, capsys):
-        code, _, err = run(capsys, "const", "eb", "--spec", "C(2;2)",
-                           "--node-budget", "-5")
-        assert code == 1
+        for flag, value in (("--node-budget", "-5"), ("--node-budget", "0"),
+                            ("--time-budget", "0")):
+            code, _, err = run(capsys, "const", "eb", "--spec", "C(2;2)",
+                               flag, value)
+            assert code == 1, (flag, value)
+            assert "budgets must be positive" in err
 
 
 class TestCliConfig:

@@ -189,7 +189,7 @@ class TestGroupSide:
         labels = engine.labels
         for r in range(1, 4):
             for combo in itertools.combinations_with_replacement(range(len(labels)), r):
-                states: set[int] = set()
+                states = 0
                 hit = False
                 for ai in combo:
                     nxt = engine.apply(states, ai)
@@ -199,6 +199,41 @@ class TestGroupSide:
                     states = nxt
                 t = GroupSeq(tuple(labels[ai] for ai in combo))
                 assert hit == (not is_zero_sum_free(g, t))
+
+
+class TestReachEngine:
+    """The bitset engine against the one-shot predicate: walking a multiset
+    through apply() from the empty set 0 hits None exactly when the
+    multiset is not idempotent-sum free."""
+
+    @pytest.mark.parametrize("label", [
+        "C(3;2)", "C(4;1)", "C(3;2)xC(2;1)", "C(1;2)xC(2;2)xC(1;3)",
+    ])
+    def test_for_spec_matches_predicate(self, label):
+        s = parse_spec(label)
+        engine = ReachEngine.for_spec(s)
+        labels = engine.labels
+        assert idempotent(s) not in labels
+        for r in range(1, 5):
+            for combo in itertools.combinations_with_replacement(range(len(labels)), r):
+                states = 0
+                hit = False
+                for ai in combo:
+                    nxt = engine.apply(states, ai)
+                    if nxt is None:
+                        hit = True
+                        break
+                    assert nxt & states == states and nxt.bit_length() <= engine.num_states
+                    states = nxt
+                t = Seq(tuple(labels[ai] for ai in combo))
+                assert hit == (not is_idempotent_sum_free(s, t)), t
+
+    def test_idempotent_label_rejected_alone(self):
+        s = parse_spec("C(3;2)xC(1;3)")
+        engine = ReachEngine.for_spec(s, alphabet=[idempotent(s), (1, 1)])
+        ai = engine.labels.index(idempotent(s))
+        assert engine.apply(0, ai) is None
+        assert engine.apply(0, engine.labels.index((1, 1))) == 1 << 0
 
 
 class TestPsiBridge:
