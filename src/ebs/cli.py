@@ -416,7 +416,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        print(f"error: budget exceeded: {exc} (nodes {exc.nodes}, elapsed {exc.elapsed_ms} ms)",
+              file=sys.stderr)
         return 2
 
 

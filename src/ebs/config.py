@@ -18,11 +18,13 @@ class Budget:
     """Resource limits for brute-force searches.
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
-    is wall clock; state_cap bounds the number of distinct reachable
-    subset-sum states a single search may materialize.  threads > 1 fans the
-    exhaustive refutation round of a search out to a process pool; each worker
-    enforces node_budget locally, so a parallel run can overshoot the global
-    node budget by at most a factor of the worker count.
+    is wall clock from the start of a search, its setup included; state_cap
+    bounds the number of distinct reachable subset-sum states a single search
+    may materialize.  threads > 1 fans each probe of a search out to a process
+    pool, one task per first element.  The node budget is global: task counts
+    are added in alphabet order up to the first hit, exactly as the serial
+    search counts, so node counts and budget verdicts are the same at every
+    thread count.
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET

@@ -10,6 +10,7 @@ otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -265,8 +266,11 @@ def eb_bounds(s: ProductSpec, budget: Budget | None = None) -> EbBounds:
     end feeds the lower bound and its upper end the upper bound, and the
     result is flagged davenport-inexact.
     """
-    budget = budget or Budget()
-    d_res = _resolve_davenport(group_of(s), budget)
+    return _eb_bounds(s, _resolve_davenport(group_of(s), budget or Budget()))
+
+
+def _eb_bounds(s: ProductSpec, d_res: ConstResult) -> EbBounds:
+    """eb_bounds given the resolved D(G_S)."""
     maxterm = _max_nil_term(s)
     max_q1 = max(c.cap // c.n - 1 for c in s.coords)
     r1_sum = sum(c.n - 1 for c in s.coords if c.n > 1)
@@ -352,7 +356,13 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     both directions: a failed existence condition refutes the upper-bound
     formula and caps the interval strictly below it).
     """
-    budget = budget or Budget()
+    return _eb_exact(s, budget or Budget(), None)
+
+
+def _eb_exact(s: ProductSpec, budget: Budget, d_res: ConstResult | None) -> ConstResult:
+    """eb_exact, resolving D(G_S) only when d_res is None.  D is resolved at
+    most once per top-level call: the reduced spec has the same group, so the
+    recursion and the bounds reuse it."""
     t0 = time.monotonic()
     coords = s.coords
     r = len(coords)
@@ -361,7 +371,8 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
         return ConstResult("erdos_burgess", v, v, v, COR31_R1, "formula", elapsed_ms=_ms(t0))
 
     maxterm = _max_nil_term(s)
-    d_res = _resolve_davenport(group_of(s), budget)
+    if d_res is None:
+        d_res = _resolve_davenport(group_of(s), budget)
     d_val = d_res.value
 
     nil = [c for c in coords if c.n == 1]
@@ -373,7 +384,7 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
                                elapsed_ms=_ms(t0))
         s2 = _reduced_spec(s)
         if s2 != s:
-            inner = eb_exact(s2, budget)
+            inner = _eb_exact(s2, budget, d_res)
             return ConstResult(
                 inner.quantity, inner.value, inner.lower, inner.upper, inner.rule,
                 "formula", elapsed_ms=_ms(t0), flags=inner.flags,
@@ -404,7 +415,7 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
                 v = maxterm + d_val
                 return ConstResult("erdos_burgess", v, v, v, THM31_III, "formula",
                                    elapsed_ms=_ms(t0))
-            bounds = eb_bounds(s, budget)
+            bounds = _eb_bounds(s, d_res)
             hi = maxterm + d_val - 1
             pinned = bounds.lower if bounds.lower == hi else None
             return ConstResult(
@@ -413,7 +424,7 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
                 flags=("formula-refuted",),
             )
 
-    bounds = eb_bounds(s, budget)
+    bounds = _eb_bounds(s, d_res)
     pinned = bounds.lower if bounds.lower == bounds.upper else None
     return ConstResult("erdos_burgess", pinned, bounds.lower, bounds.upper, THM31_BOUNDS,
                        "formula", elapsed_ms=_ms(t0), flags=bounds.flags)
@@ -437,9 +448,20 @@ def _dfs_exists(engine: ReachEngine, states: int, start: int, remaining: int,
     return False
 
 
-def _exists_task(engine: ReachEngine, length: int, first_idx: int, budget: Budget):
+# The search engine of a pool worker process, set once per worker by
+# _init_worker so that tasks need not carry it.
+_worker_engine: ReachEngine | None = None
+
+
+def _init_worker(engine: ReachEngine) -> None:
+    global _worker_engine
+    _worker_engine = engine
+
+
+def _exists_task(length: int, first_idx: int, budget: Budget):
     """Worker: does a free sequence of the given length starting with
     alphabet[first_idx] exist?  Returns (found, nodes)."""
+    engine = _worker_engine
     meter = SearchMeter(budget)
     meter.tick()
     states = engine.apply(0, first_idx)
@@ -449,25 +471,47 @@ def _exists_task(engine: ReachEngine, length: int, first_idx: int, budget: Budge
     return found, meter.nodes
 
 
-def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter,
-                 budget: Budget, pool) -> bool:
+def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> bool:
+    """Does a free sequence of the given length exist?
+
+    With a pool, one task per first element; the results are read in
+    alphabet order and counted up to the first hit, so the nodes counted and
+    the budget verdict are those of the serial search at any thread count.
+    """
     if length == 0:
         return True
     if pool is None:
         return _dfs_exists(engine, 0, 0, length, meter)
-    futures = [
-        pool.submit(_exists_task, engine, length, i, budget)
-        for i in range(len(engine.labels))
-    ]
-    found = False
-    for f in futures:
-        hit, nodes = f.result()
-        meter.nodes += nodes
-        found = found or hit
-    if meter.nodes > budget.node_budget * max(budget.threads, 1):
-        raise BudgetExceeded("node budget exhausted across workers", nodes=meter.nodes)
+    budget = meter.budget
     meter.check_time()
-    return found
+    # A task stops once it alone has spent what is left of the budget; the
+    # serial search would have run out there too.
+    left = dataclasses.replace(
+        budget,
+        node_budget=budget.node_budget - meter.nodes,
+        time_budget_s=budget.time_budget_s - (time.monotonic() - meter.started),
+    )
+    futures = [pool.submit(_exists_task, length, i, left)
+               for i in range(len(engine.labels))]
+    try:
+        for f in futures:
+            try:
+                hit, nodes = f.result()
+            except BudgetExceeded as exc:
+                # Account the task's nodes, so that the error names the
+                # whole budget and reports the total.
+                meter.tick(exc.nodes)
+                meter.check_time()
+                raise BudgetExceeded(str(exc), nodes=meter.nodes,
+                                     elapsed_ms=meter.elapsed_ms()) from None
+            meter.tick(nodes)
+            meter.check_time()
+            if hit:
+                return True
+        return False
+    finally:
+        for f in futures:
+            f.cancel()
 
 
 def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
@@ -477,19 +521,22 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     Enumerates non-decreasing sequences over the non-idempotent elements,
     carrying the capped subset-sum reach set and pruning any extension that
     realizes the idempotent profile.  Termination is guaranteed by the proven
-    upper bound; exceeding it raises an internal error.
+    upper bound; exceeding it raises an internal error.  The time budget
+    covers the bounds and the engine build as well as the search.
     """
     budget = budget or Budget()
-    t0 = time.monotonic()
+    meter = SearchMeter(budget)
     bounds = eb_bounds(s, budget)
     engine = ReachEngine.for_spec(s)
     if engine.num_states > budget.state_cap:
-        raise BudgetExceeded(f"state count {engine.num_states} over cap {budget.state_cap}")
-    meter = SearchMeter(budget)
+        raise BudgetExceeded(f"state count {engine.num_states} over cap {budget.state_cap}",
+                             elapsed_ms=meter.elapsed_ms())
+    meter.check_time()
     pool = None
     try:
         if budget.threads > 1 and len(engine.labels) > 1:
-            pool = ProcessPoolExecutor(max_workers=budget.threads)
+            pool = ProcessPoolExecutor(max_workers=budget.threads,
+                                       initializer=_init_worker, initargs=(engine,))
         longest = bounds.lower - 1
         while True:
             probe = longest + 1
@@ -498,19 +545,19 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
                     f"internal error: free sequence of length {longest} found above "
                     f"the proven upper bound {bounds.upper} for {format_spec(s)}"
                 )
-            if not _exists_free(engine, probe, meter, budget, pool):
+            if not _exists_free(engine, probe, meter, pool):
                 value = probe
                 break
             longest = probe
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     if not bounds.lower <= value <= bounds.upper:
         raise RuntimeError(
             f"internal error: brute value {value} outside bounds {bounds} for {format_spec(s)}"
         )
     return ConstResult("erdos_burgess", value, value, value, BRUTE, "brute",
-                       nodes=meter.nodes, elapsed_ms=_ms(t0))
+                       nodes=meter.nodes, elapsed_ms=meter.elapsed_ms())
 
 
 def erdos_burgess(s: ProductSpec, method: str = "formula",

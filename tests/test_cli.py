@@ -52,6 +52,14 @@ class TestConstCommands:
                            "--method", "brute", "--node-budget", "100")
         assert code == 2 and "budget" in err
 
+    def test_budget_exit_reports_progress(self, capsys):
+        for threads in ("1", "2"):
+            code, _, err = run(capsys, "const", "eb", "--spec", "C(30;1)xC(1;29)",
+                               "--method", "brute", "--node-budget", "100",
+                               "--threads", threads)
+            assert code == 2
+            assert "nodes 101, elapsed" in err
+
     def test_davenport_brute(self, capsys):
         code, out, _ = run(capsys, "const", "davenport", "--group", "2,2",
                            "--method", "brute")

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from ebs import constants
 from ebs.config import Budget
 from ebs.constants import (
     BRUTE,
@@ -202,13 +205,63 @@ class TestEbBruteforce:
         with pytest.raises(BudgetExceeded):
             eb_bruteforce(parse_spec("C(30;1)xC(1;29)"), Budget(node_budget=500))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_budget_is_global(self, threads):
+        # 16,465 nodes in all; the budget runs out in the last probe.
+        with pytest.raises(BudgetExceeded) as info:
+            eb_bruteforce(parse_spec("C(1;2)xC(7;3)"),
+                          Budget(node_budget=16000, threads=threads))
+        assert info.value.nodes > 16000
+        assert "node budget 16000 exhausted" in str(info.value)
+
+    def test_time_budget_covers_setup(self, monkeypatch):
+        resolve = constants._resolve_davenport
+
+        def slow_resolve(g, budget):
+            time.sleep(0.2)
+            return resolve(g, budget)
+
+        monkeypatch.setattr(constants, "_resolve_davenport", slow_resolve)
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(time_budget_s=0.1))
+
     def test_thread_determinism(self):
-        s = parse_spec("C(3;2)xC(1;4)")
-        serial = eb_bruteforce(s, Budget(threads=1))
-        par_a = eb_bruteforce(s, Budget(threads=2))
-        par_b = eb_bruteforce(s, Budget(threads=2))
-        assert serial.value == par_a.value == par_b.value == 7
-        assert par_a.nodes == par_b.nodes
+        # The last two find free sequences while probing, so a pool that
+        # counted the tasks after the first hit would report more nodes.
+        for label, value, nodes in [("C(3;2)xC(1;4)", 7, 8039),
+                                    ("C(1;2)xC(7;3)", 12, 16465),
+                                    ("C(1;3)xC(7;2)", 12, 70565)]:
+            s = parse_spec(label)
+            serial = eb_bruteforce(s, Budget(threads=1))
+            par = eb_bruteforce(s, Budget(threads=2))
+            assert serial.value == par.value == value
+            assert serial.nodes == par.nodes == nodes
+
+
+class TestDavenportOnce:
+    """An inexact formula D falls back to brute force; a top-level call
+    makes that fallback once, however many rules and bounds use D."""
+
+    @pytest.fixture
+    def brute_calls(self, monkeypatch):
+        calls = []
+        brute = constants._davenport_brute
+
+        def counted(g, budget):
+            calls.append(g)
+            return brute(g, budget)
+
+        monkeypatch.setattr(constants, "_davenport_brute", counted)
+        return calls
+
+    @pytest.mark.parametrize("label", [
+        "C(1;6)xC(1;6)xC(1;6)",
+        "C(1;2)xC(1;2)xC(1;6)xC(3;1)xC(2;1)",
+    ])
+    def test_eb_exact(self, brute_calls, label):
+        r = eb_exact(parse_spec(label), Budget(node_budget=1000))
+        assert "davenport-inexact" in r.flags
+        assert len(brute_calls) == 1
 
 
 class TestErdosBurgess:
