@@ -36,21 +36,24 @@ class Budget:
 class SearchMeter:
     """Mutable node/time counter checked periodically inside search loops."""
 
-    __slots__ = ("budget", "nodes", "started", "_check_mask")
+    __slots__ = ("budget", "nodes", "started", "_check_mask", "_limit")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.nodes = 0
         self.started = time.monotonic()
+        # Budget is frozen, so the node limit can be read once here instead of
+        # through two attribute lookups on every tick.
+        self._limit = budget.node_budget
         # Wall-clock checks are amortized: only every 4096th tick looks at the
         # clock, so per-node overhead stays a couple of integer ops.
         self._check_mask = 0xFFF
 
     def tick(self, count: int = 1) -> None:
         self.nodes += count
-        if self.nodes > self.budget.node_budget:
+        if self.nodes > self._limit:
             raise BudgetExceeded(
-                f"node budget {self.budget.node_budget} exhausted",
+                f"node budget {self._limit} exhausted",
                 nodes=self.nodes,
                 elapsed_ms=self.elapsed_ms(),
             )

@@ -28,8 +28,7 @@ from .semigroup import (
 )
 from .sequences import GroupSeq, ReachEngine, Seq
 
-# rule tags (fixed enumeration; unreachable tags stay defined for interface
-# stability)
+# rule tags (fixed enumeration)
 THM31_II_EQ = "THM31_II_EQ"
 THM31_III = "THM31_III"
 THM31_III_REFUTED = "THM31_III_REFUTED"
@@ -37,7 +36,6 @@ THM31_BOUNDS = "THM31_BOUNDS"
 COR31_R1 = "COR31_R1"
 COR31_DIV = "COR31_DIV"
 COR31_PPOW = "COR31_PPOW"
-THM41_I = "THM41_I"
 THM41_II = "THM41_II"
 THM32_REDUCE = "THM32_REDUCE"
 THM_D_RANK2 = "THM_D_RANK2"

@@ -8,11 +8,15 @@ and is divisible by n_i.  Because the criterion only sees totals through
 "capped" canonical indices, the set of subset-sum states of a sequence stays
 bounded by prod(cap_i + n_i - 1) regardless of sequence length.
 
-The one-shot predicates and ReachSet keep those states as tuples.  The
-search engine, ReachEngine, packs each state into one integer and a whole
-reach set into one int bitset; it adds an element by a few masked shifts
-(one per distinct packed displacement) and rejects it with one AND against
-the preimage of the target state.
+The search engine, ReachEngine, packs each state into one integer and a
+whole reach set into one int bitset; it adds an element by a few masked
+shifts (one per distinct packed displacement) and rejects it with one AND
+against the preimage of the target state.  Every exhaustive search runs on
+it: the Erdos-Burgess and Davenport searches, and the lhat/l searches of
+the structure module (arity 1).  The one-shot predicates and ReachSet keep
+tuple sets on purpose: they grow with the states actually reached (at most
+2^len - 1), a bitset with the whole packed space (12 terms over
+C(100;100)^3 reach at most 4,095 of its 7,880,599 states).
 """
 
 from __future__ import annotations
@@ -66,9 +70,6 @@ class Seq:
     @property
     def is_empty(self) -> bool:
         return not self.terms
-
-    def distinct(self) -> tuple[Element, ...]:
-        return tuple(dict.fromkeys(self.terms))
 
     def with_term(self, t) -> "Seq":
         return Seq(self.terms + (_as_term(t),))
@@ -274,17 +275,33 @@ def is_idempotent_sum_free(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STAT
 def is_minimal_idempotent_sum(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff t is an idempotent sum and no proper nonempty subsequence is.
 
-    Dropping one copy of each distinct term suffices: any proper idempotent
-    subsequence survives in at least one of those reductions.
+    One walk keeps, for each reachable state, the fewest terms that reach it;
+    t is minimal exactly when the idempotent needs all len(t) terms.
     """
     if t.is_empty:
         raise SpecError("the empty sequence has no sum")
     if not is_idempotent_sum(s, t):
         return False
-    for d in t.distinct():
-        if not is_idempotent_sum_free(s, t.remove_one(d), state_cap):
+    target = s.caps
+    coords = s.coords
+    size = len(t)
+    unreached = size + 1  # more terms than any subsequence has
+    fewest: dict[tuple[int, ...], int] = {}
+    for pos, term in enumerate(t, start=1):
+        check_element(s, term)
+        fresh = {tuple(_capped(c.cap, c.n, v) for c, v in zip(coords, term)): 1}
+        for p, m in fewest.items():
+            q = tuple(_capped(c.cap, c.n, x + v) for c, x, v in zip(coords, p, term))
+            if m + 1 < fresh.get(q, unreached):
+                fresh[q] = m + 1
+        for q, m in fresh.items():
+            if m < fewest.get(q, unreached):
+                fewest[q] = m
+        if len(fewest) > state_cap:
+            raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
+        if pos < size and target in fewest:
             return False
-    return True
+    return fewest[target] == size
 
 
 def idempotent_witness(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> Seq | None:

@@ -22,8 +22,8 @@ from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
     GroupSeq,
+    ReachEngine,
     Seq,
-    _capped,
     is_idempotent_sum_free,
     is_minimal_idempotent_sum,
 )
@@ -316,32 +316,29 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
 # ---------------------------------------------------------------------------
 # lhat and l
 
-def _free_ints(c: CyclicSpec, vals) -> bool:
-    cap, n = c.cap, c.n
-    states: set[int] = set()
-    for v in vals:
-        if v == cap:
+def _free_ints(engine: ReachEngine, idxs) -> bool:
+    """Is the sequence of alphabet elements idxs idempotent-sum free?"""
+    states = 0
+    for ai in idxs:
+        states = engine.apply(states, ai)
+        if states is None:
             return False
-        fresh = {v}
-        for p in states:
-            q = _capped(cap, n, p + v)
-            if q == cap:
-                return False
-            fresh.add(q)
-        states |= fresh
     return True
 
 
-def _search_alphabet(c: CyclicSpec) -> list[int]:
-    """Index values enumerated by the brute searches.
+def _search_engine(c: CyclicSpec) -> tuple[list[int], ReachEngine]:
+    """Index values enumerated by the brute searches, ascending, and their
+    arity-1 engine (cap + n - 1 states).
 
     For k <= n freeness and both structure predicates depend on residues
     only, so one representative per nonzero residue class suffices; for
     k > n magnitudes matter and every non-idempotent element is used.
     """
     if c.k <= c.n:
-        return list(range(1, c.n))
-    return [v for v in range(1, c.size + 1) if v != c.cap]
+        alphabet = list(range(1, c.n))
+    else:
+        alphabet = [v for v in range(1, c.size + 1) if v != c.cap]
+    return alphabet, ReachEngine.for_spec(c.as_product(), [(a,) for a in alphabet])
 
 
 def _lhat_formula(c: CyclicSpec) -> tuple[int | None, int, int]:
@@ -388,35 +385,26 @@ def _lhat_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
     1 when every free sequence is structured, 0 for the trivial semigroup."""
     if c.k == 1 and c.n == 1:
         return 0, 0
-    alphabet = _search_alphabet(c)
     meter = SearchMeter(budget)
-    cap, n = c.cap, c.n
+    alphabet, engine = _search_engine(c)
+    apply, tick = engine.apply, meter.tick
     worst = 0
     stack: list[int] = []
 
-    def extend(states: set[int], start: int) -> None:
+    def extend(states: int, start: int) -> None:
         nonlocal worst
         for ai in range(start, len(alphabet)):
-            a = alphabet[ai]
-            meter.tick()
-            fresh = {a}
-            bad = a == cap
-            if not bad:
-                for p in states:
-                    qv = _capped(cap, n, p + a)
-                    if qv == cap:
-                        bad = True
-                        break
-                    fresh.add(qv)
-            if bad:
+            tick()
+            nxt = apply(states, ai)
+            if nxt is None:
                 continue
-            stack.append(a)
+            stack.append(alphabet[ai])
             if len(stack) > worst and not _structured_free(c, stack):
                 worst = len(stack)
-            extend(states | fresh, ai)
+            extend(nxt, ai)
             stack.pop()
 
-    extend(set(), 0)
+    extend(0, 0)
     return (worst + 1 if worst else 1), meter.nodes
 
 
@@ -429,49 +417,41 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
     idempotent singleton is the only minimal sequence containing the
     idempotent and is checked separately.
     """
-    alphabet = _search_alphabet(c)
     meter = SearchMeter(budget)
+    alphabet, engine = _search_engine(c)
+    apply, tick = engine.apply, meter.tick
     cap, n = c.cap, c.n
     worst = 0
     if not _structured_minimal(c, [cap]):
         worst = 1
-    stack: list[int] = []
+    stack: list[int] = []  # alphabet indices of the free prefix
 
-    def consider(candidate: list[int], total: int) -> None:
+    def consider(candidate: list[int]) -> None:
         nonlocal worst
-        if total < cap or total % n != 0:
-            return
-        if len(candidate) <= worst:
-            return
         for x in dict.fromkeys(candidate):
             rest = list(candidate)
             rest.remove(x)
-            if not _free_ints(c, rest):
+            if not _free_ints(engine, rest):
                 return
-        if not _structured_minimal(c, candidate):
+        vals = [alphabet[i] for i in candidate]
+        if not _structured_minimal(c, vals):
             worst = len(candidate)
 
-    def extend(states: set[int], start: int, total: int) -> None:
+    def extend(states: int, start: int, total: int) -> None:
         for ai in range(start, len(alphabet)):
-            a = alphabet[ai]
-            meter.tick()
-            fresh = {a}
-            bad = a == cap
-            if not bad:
-                for p in states:
-                    qv = _capped(cap, n, p + a)
-                    if qv == cap:
-                        bad = True
-                        break
-                    fresh.add(qv)
-            if bad:
-                consider(stack + [a], total + a)
+            tick()
+            nxt = apply(states, ai)
+            if nxt is None:
+                # only an idempotent sum longer than the worst so far matters
+                t = total + alphabet[ai]
+                if t % n == 0 and t >= cap and len(stack) >= worst:
+                    consider(stack + [ai])
                 continue
-            stack.append(a)
-            extend(states | fresh, ai, total + a)
+            stack.append(ai)
+            extend(nxt, ai, total + alphabet[ai])
             stack.pop()
 
-    extend(set(), 0, 0)
+    extend(0, 0, 0)
     return worst + 1, meter.nodes
 
 

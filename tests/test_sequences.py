@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from ebs.errors import SeqFileError, SpecError
+from ebs.errors import BudgetExceeded, SeqFileError, SpecError
 from ebs.semigroup import GroupSpec, ProductSpec, idempotent, parse_spec
 from ebs.sequences import (
     GroupSeq,
@@ -123,6 +124,8 @@ class TestReachAgainstOracle:
         s, t = sp
         pairs = coord_pairs(s)
         assert is_idempotent_sum_free(s, t) == oracle.naive_is_free(pairs, t.terms)
+        if not t.is_empty:
+            assert is_minimal_idempotent_sum(s, t) == oracle.naive_is_minimal(pairs, t.terms)
 
     @given(seq_strategy())
     @settings(max_examples=150, deadline=None)
@@ -143,6 +146,38 @@ class TestReachAgainstOracle:
         by_sat = {st[0].saturated: st[0] for st in states}
         assert by_sat[False].value == 3 and by_sat[False].residue == 1
         assert by_sat[True].value is None and by_sat[True].residue == 0
+
+
+class TestStateCap:
+    """state_cap bounds the states a walk actually reaches, not the packed
+    space of the spec."""
+
+    def test_tiny_cap_raises(self):
+        # ten ones over C(10;1) reach 1, 2, ..., 10; only all ten hit the idempotent
+        s = parse_spec("C(10;1)")
+        t = Seq.of(*[1] * 10)
+        for predicate in (is_idempotent_sum_free, is_minimal_idempotent_sum, idempotent_witness):
+            with pytest.raises(BudgetExceeded):
+                predicate(s, t, state_cap=2)
+
+    def test_reached_states_not_packed_space(self):
+        # 199^3 = 7,880,599 packed states; 12 terms reach at most 2^12 - 1 = 4,095
+        s = parse_spec("C(100;100)xC(100;100)xC(100;100)")
+        rng = random.Random(12)
+        head = [(rng.randint(1, 8), rng.randint(1, 199), rng.randint(1, 199))
+                for _ in range(11)]
+        totals = [sum(col) for col in zip(*head)]
+        # the first coordinate totals exactly 100 = cap, so no proper
+        # subsequence reaches it; the others are topped up to a multiple of 100
+        last = (100 - totals[0],) + tuple(100 - v % 100 for v in totals[1:])
+        minimal = Seq(tuple(head) + (last,))
+        # a first-coordinate total below 100 keeps every subsequence short of cap
+        free = Seq(tuple(head) + ((rng.randint(1, 8), 1, 1),))
+        assert is_idempotent_sum_free(s, free, state_cap=5000)
+        assert idempotent_witness(s, free, state_cap=5000) is None
+        assert is_minimal_idempotent_sum(s, minimal, state_cap=5000)
+        assert idempotent_witness(s, minimal, state_cap=5000) == minimal
+        assert not is_idempotent_sum_free(s, minimal, state_cap=5000)
 
 
 class TestWitness:

@@ -240,6 +240,16 @@ L_TABLE = [
 ]
 
 
+BRUTE_PINS = [
+    # (k, n, lhat brute, l brute, nodes of each search): values and node
+    # counts stay fixed whatever the search uses underneath
+    (16, 7, 14, 15, 104258),
+    (1, 16, 9, 10, 31554),
+    (9, 4, 7, 7, 2319),
+    (15, 6, 10, 10, 37983),
+]
+
+
 class TestLhatAndL:
     @pytest.mark.parametrize("k,n,value,lower,upper,brute", LHAT_TABLE)
     def test_lhat_frozen(self, k, n, value, lower, upper, brute):
@@ -256,6 +266,11 @@ class TestLhatAndL:
         assert (f.value, f.lower, f.upper, f.rule) == (value, lower, upper, THM61)
         b = l_const(c, "brute")
         assert (b.value, b.rule) == (brute, BRUTE)
+
+    @pytest.mark.parametrize("k,n,lhat_value,l_value,nodes", BRUTE_PINS)
+    def test_brute_values_and_nodes_pinned(self, k, n, lhat_value, l_value, nodes):
+        lh, l = lhat(CyclicSpec(k, n), "brute"), l_const(CyclicSpec(k, n), "brute")
+        assert (lh.value, lh.nodes, l.value, l.nodes) == (lhat_value, nodes, l_value, nodes)
 
     def test_published_table_gap_is_flagged(self):
         # the closed form disagrees with exhaustive search at n = 5 and 7
