@@ -34,31 +34,41 @@ class Budget:
 
 
 class SearchMeter:
-    """Mutable node/time counter checked periodically inside search loops."""
+    """Mutable node/time counter checked periodically inside search loops.
 
-    __slots__ = ("budget", "nodes", "started", "_check_mask", "_limit")
+    tick(k) hands over a batch of k nodes and ends as k single ticks would:
+    past the limit it reports limit + 1 nodes, and across a multiple of 4096
+    it checks the clock.
+    """
+
+    __slots__ = ("budget", "nodes", "started", "_limit")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.nodes = 0
         self.started = time.monotonic()
-        # Budget is frozen, so the node limit can be read once here instead of
-        # through two attribute lookups on every tick.
+        # Budget is frozen, so the node limit can be read once here.
         self._limit = budget.node_budget
-        # Wall-clock checks are amortized: only every 4096th tick looks at the
-        # clock, so per-node overhead stays a couple of integer ops.
-        self._check_mask = 0xFFF
 
     def tick(self, count: int = 1) -> None:
+        before = self.nodes
         self.nodes += count
         if self.nodes > self._limit:
+            self.nodes = self._limit + 1
             raise BudgetExceeded(
                 f"node budget {self._limit} exhausted",
                 nodes=self.nodes,
                 elapsed_ms=self.elapsed_ms(),
             )
-        if (self.nodes & self._check_mask) == 0:
+        # Wall-clock checks are amortized: only every 4096th node looks at
+        # the clock.
+        if before >> 12 != self.nodes >> 12:
             self.check_time()
+
+    def next_check(self) -> int:
+        """The node count at which a batching search must next call tick:
+        the next multiple of 4096, or the first count over the limit."""
+        return min(((self.nodes >> 12) + 1) << 12, self._limit + 1)
 
     def check_time(self) -> None:
         if time.monotonic() - self.started > self.budget.time_budget_s:

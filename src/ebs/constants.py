@@ -26,7 +26,7 @@ from .semigroup import (
     format_spec,
     group_of,
 )
-from .sequences import GroupSeq, ReachEngine, Seq
+from .sequences import GroupSeq, ReachEngine, Seq, search_free
 
 # rule tags (fixed enumeration)
 THM31_II_EQ = "THM31_II_EQ"
@@ -161,28 +161,15 @@ def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, GroupSeq, int]:
     if engine.num_states > budget.state_cap:
         raise BudgetExceeded(f"group state count {engine.num_states} over cap")
     meter = SearchMeter(budget)
-    best_len = 0
-    best_stack: tuple[int, ...] = ()
-    stack: list[int] = []
-    labels = engine.labels
+    best: list[int] = []
 
-    def dfs(states: int, start: int) -> None:
-        nonlocal best_len, best_stack
-        for ai in range(start, len(labels)):
-            meter.tick()
-            new = engine.apply(states, ai)
-            if new is None:
-                continue
-            stack.append(ai)
-            if len(stack) > best_len:
-                best_len = len(stack)
-                best_stack = tuple(stack)
-            dfs(new, ai)
-            stack.pop()
+    def on_free(stack: list[int]) -> None:
+        if len(stack) > len(best):
+            best[:] = stack
 
-    dfs(0, 0)
-    witness = GroupSeq(tuple(labels[ai] for ai in best_stack))
-    return best_len + 1, witness, meter.nodes
+    search_free(engine, meter, on_free=on_free)
+    witness = GroupSeq(tuple(engine.labels[ai] for ai in best))
+    return len(best) + 1, witness, meter.nodes
 
 
 def davenport(g: GroupSpec, method: str = "formula", budget: Budget | None = None) -> ConstResult:
@@ -431,21 +418,6 @@ def _eb_exact(s: ProductSpec, budget: Budget, d_res: ConstResult | None) -> Cons
 # ---------------------------------------------------------------------------
 # brute force
 
-def _dfs_exists(engine: ReachEngine, states: int, start: int, remaining: int,
-                meter: SearchMeter) -> bool:
-    if remaining == 0:
-        return True
-    apply = engine.apply
-    for ai in range(start, len(engine.labels)):
-        meter.tick()
-        new = apply(states, ai)
-        if new is None:
-            continue
-        if _dfs_exists(engine, new, ai, remaining - 1, meter):
-            return True
-    return False
-
-
 # The search engine of a pool worker process, set once per worker by
 # _init_worker so that tasks need not carry it.
 _worker_engine: ReachEngine | None = None
@@ -465,7 +437,7 @@ def _exists_task(length: int, first_idx: int, budget: Budget):
     states = engine.apply(0, first_idx)
     if states is None:
         return False, meter.nodes
-    found = _dfs_exists(engine, states, first_idx, length - 1, meter)
+    found = search_free(engine, meter, length - 1, states, first_idx)
     return found, meter.nodes
 
 
@@ -476,10 +448,8 @@ def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> 
     alphabet order and counted up to the first hit, so the nodes counted and
     the budget verdict are those of the serial search at any thread count.
     """
-    if length == 0:
-        return True
-    if pool is None:
-        return _dfs_exists(engine, 0, 0, length, meter)
+    if pool is None or length == 0:
+        return search_free(engine, meter, length)
     budget = meter.budget
     meter.check_time()
     # A task stops once it alone has spent what is left of the budget; the

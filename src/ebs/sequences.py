@@ -11,11 +11,14 @@ bounded by prod(cap_i + n_i - 1) regardless of sequence length.
 The search engine, ReachEngine, packs each state into one integer and a
 whole reach set into one int bitset; it adds an element by a few masked
 shifts (one per distinct packed displacement) and rejects it with one AND
-against the preimage of the target state.  Every exhaustive search runs on
-it: the Erdos-Burgess and Davenport searches, and the lhat/l searches of
-the structure module (arity 1).  The one-shot predicates and ReachSet keep
-tuple sets on purpose: they grow with the states actually reached (at most
-2^len - 1), a bitset with the whole packed space (12 terms over
+against the preimage of the target state.  One depth-first kernel,
+search_free, runs every exhaustive search on it: the Erdos-Burgess and
+Davenport searches, and the lhat/l searches of the structure module (arity
+1).  It applies the shifts inline from flat per-element lists, hands each
+node the elements its ancestors did not reject, and counts the nodes of the
+plain one-candidate-at-a-time search by arithmetic.  The one-shot predicates
+keep tuple sets on purpose: they grow with the states actually reached (at
+most 2^len - 1), a bitset with the whole packed space (12 terms over
 C(100;100)^3 reach at most 4,095 of its 7,880,599 states).
 """
 
@@ -24,9 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .config import DEFAULT_STATE_CAP
+from .config import DEFAULT_STATE_CAP, SearchMeter
 from .errors import BudgetExceeded, SeqFileError, SpecError
 from .semigroup import (
     CyclicSpec,
@@ -174,15 +177,6 @@ def is_idempotent_sum(s: ProductSpec, t: Seq) -> bool:
 # ---------------------------------------------------------------------------
 # subset-sum reachability
 
-class CoordState(NamedTuple):
-    """One coordinate of a reach state: exact value below cap, residue-only
-    at or above it."""
-
-    saturated: bool
-    value: int | None
-    residue: int
-
-
 def _capped(cap: int, n: int, v: int) -> int:
     """Canonical index of a running sum v inside C(cap; n)."""
     if v <= cap + n - 1:
@@ -190,79 +184,20 @@ def _capped(cap: int, n: int, v: int) -> int:
     return cap + (v - cap) % n
 
 
-class ReachSet:
-    """The capped subset-sum states of all nonempty subsequences of a Seq.
-
-    States are stored as tuples of capped canonical sums, one per coordinate;
-    the idempotent condition holds for some subsequence iff the all-caps
-    profile is present.
-    """
-
-    __slots__ = ("spec", "_profiles")
-
-    def __init__(self, spec: ProductSpec, profiles: frozenset[tuple[int, ...]] = frozenset()):
-        self.spec = spec
-        self._profiles = frozenset(profiles)
-
-    @property
-    def profiles(self) -> frozenset[tuple[int, ...]]:
-        return self._profiles
-
-    @property
-    def states(self) -> frozenset[tuple[CoordState, ...]]:
-        out = []
-        for p in self._profiles:
-            coords = []
-            for v, c in zip(p, self.spec.coords):
-                if v >= c.cap:
-                    coords.append(CoordState(True, None, v % c.n))
-                else:
-                    coords.append(CoordState(False, v, v % c.n))
-            out.append(tuple(coords))
-        return frozenset(out)
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def contains_idempotent(self) -> bool:
-        return self.spec.caps in self._profiles
-
-    def extend(self, a: Element, state_cap: int = DEFAULT_STATE_CAP) -> "ReachSet":
-        """States of t.with_term(a) from the states of t."""
-        check_element(self.spec, a)
-        coords = self.spec.coords
-        single = tuple(_capped(c.cap, c.n, v) for c, v in zip(coords, a))
-        new = set(self._profiles)
-        new.add(single)
-        for p in self._profiles:
-            new.add(tuple(_capped(c.cap, c.n, x + v) for c, x, v in zip(coords, p, a)))
-        if len(new) > state_cap:
-            raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
-        return ReachSet(self.spec, frozenset(new))
-
-
-def reach(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> ReachSet:
-    """Subset-sum states of every nonempty subsequence of t."""
-    out = ReachSet(s)
-    for term in t:
-        out = out.extend(term, state_cap)
-    return out
-
-
 def is_idempotent_sum_free(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff no nonempty subsequence sums to the idempotent.  The empty
     sequence is free by convention."""
     target = s.caps
-    coords = s.coords
+    cn = [(c.cap, c.n) for c in s.coords]  # read once, not once per state
     profiles: set[tuple[int, ...]] = set()
     for term in t:
         check_element(s, term)
-        single = tuple(_capped(c.cap, c.n, v) for c, v in zip(coords, term))
+        single = tuple(_capped(cap, n, v) for (cap, n), v in zip(cn, term))
         if single == target:
             return False
         fresh = {single}
         for p in profiles:
-            q = tuple(_capped(c.cap, c.n, x + v) for c, x, v in zip(coords, p, term))
+            q = tuple(_capped(cap, n, x + v) for (cap, n), x, v in zip(cn, p, term))
             if q == target:
                 return False
             fresh.add(q)
@@ -283,15 +218,15 @@ def is_minimal_idempotent_sum(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_S
     if not is_idempotent_sum(s, t):
         return False
     target = s.caps
-    coords = s.coords
+    cn = [(c.cap, c.n) for c in s.coords]  # read once, not once per state
     size = len(t)
     unreached = size + 1  # more terms than any subsequence has
     fewest: dict[tuple[int, ...], int] = {}
     for pos, term in enumerate(t, start=1):
         check_element(s, term)
-        fresh = {tuple(_capped(c.cap, c.n, v) for c, v in zip(coords, term)): 1}
+        fresh = {tuple(_capped(cap, n, v) for (cap, n), v in zip(cn, term)): 1}
         for p, m in fewest.items():
-            q = tuple(_capped(c.cap, c.n, x + v) for c, x, v in zip(coords, p, term))
+            q = tuple(_capped(cap, n, x + v) for (cap, n), x, v in zip(cn, p, term))
             if m + 1 < fresh.get(q, unreached):
                 fresh[q] = m + 1
         for q, m in fresh.items():
@@ -312,18 +247,18 @@ def idempotent_witness(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CA
     is a valid subsequence.
     """
     target = s.caps
-    coords = s.coords
+    cn = [(c.cap, c.n) for c in s.coords]  # read once, not once per state
     # state -> (term position, predecessor state or None)
     seen: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
     terms = t.terms
     for pos, term in enumerate(terms):
         check_element(s, term)
         fresh: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
-        single = tuple(_capped(c.cap, c.n, v) for c, v in zip(coords, term))
+        single = tuple(_capped(cap, n, v) for (cap, n), v in zip(cn, term))
         if single not in seen:
             fresh[single] = (pos, None)
         for p, _ in seen.items():
-            q = tuple(_capped(c.cap, c.n, x + v) for c, x, v in zip(coords, p, term))
+            q = tuple(_capped(cap, n, x + v) for (cap, n), x, v in zip(cn, p, term))
             if q not in seen and q not in fresh:
                 fresh[q] = (pos, p)
         seen.update(fresh)
@@ -461,20 +396,20 @@ class ReachEngine:
     that adding it carries onto the target (the idempotent, or zero): the
     AND of the per-coordinate masks of digits that land on the target digit.
 
-    apply() returns None as soon as the target becomes reachable, which is
-    the pruning signal for free-sequence enumeration; that test is one AND
-    with pre and comes before any shifting.
+    Flat lists indexed by alphabet position hold each element's pre, own
+    (its own state bit) and shift pieces up and down.  Bit num_states stands
+    for the empty sum: no mask holds it, so no shift moves it, and it is in
+    the pre of an element that alone is the target.  So (states | empty) &
+    pre[ai] is nonzero exactly when appending ai makes the target reachable;
+    apply() then returns None, the pruning signal, before any shifting.
     """
 
-    __slots__ = ("labels", "num_states", "target", "steps")
+    __slots__ = ("labels", "num_states", "pre", "own", "up", "down")
 
-    def __init__(self, labels, num_states, target, steps):
+    def __init__(self, labels, num_states, pre, own, up, down):
         self.labels = labels  # alphabet, in search order
         self.num_states = num_states
-        self.target = target  # packed target state
-        # per element: None if the element alone is the target, else
-        # (pre, own state bit, left-shift pieces, right-shift pieces)
-        self.steps = steps
+        self.pre, self.own, self.up, self.down = pre, own, up, down
 
     @classmethod
     def _build(cls, labels, sizes, target, single, step) -> "ReachEngine":
@@ -508,16 +443,14 @@ class ReachEngine:
                     _digit_mask(onto, stride, size, num_states))
             return hit
 
-        steps = []
+        empty = 1 << num_states
+        pre, own, up, down = [], [], [], []
         for a in labels:
-            own = sum(single(i, v) * st for i, (v, st) in enumerate(zip(a, strides)))
-            if own == tgt:
-                steps.append(None)
-                continue
+            at = sum(single(i, v) * st for i, (v, st) in enumerate(zip(a, strides)))
             per_coord = [coord_groups(i, v) for i, v in enumerate(a)]
-            pre = -1
+            lands = -1
             for _, onto in per_coord:
-                pre &= onto
+                lands &= onto
             merged: dict[int, int] = {}
             for combo in itertools.product(*(pieces for pieces, _ in per_coord)):
                 mask, shift = -1, 0
@@ -526,10 +459,11 @@ class ReachEngine:
                     shift += sh
                 merged[shift] = merged.get(shift, 0) | mask
             # a zero shift only re-adds states already in the set
-            up = tuple((m, sh) for sh, m in merged.items() if sh > 0)
-            down = tuple((m, -sh) for sh, m in merged.items() if sh < 0)
-            steps.append((pre, 1 << own, up, down))
-        return cls(tuple(labels), num_states, tgt, steps)
+            pre.append(lands | empty if at == tgt else lands)
+            own.append(1 << at)
+            up.append(tuple((m, sh) for sh, m in merged.items() if sh > 0))
+            down.append(tuple((m, -sh) for sh, m in merged.items() if sh < 0))
+        return cls(tuple(labels), num_states, pre, own, up, down)
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
@@ -562,15 +496,109 @@ class ReachEngine:
     def apply(self, states: int, ai: int) -> int | None:
         """Reach set after appending alphabet element ai, or None if the
         target state becomes reachable."""
-        step = self.steps[ai]
-        if step is None:
+        if (states | 1 << self.num_states) & self.pre[ai]:
             return None
-        pre, own, up, down = step
-        if states & pre:
-            return None
-        out = states | own
-        for m, sh in up:
+        out = states | self.own[ai]
+        for m, sh in self.up[ai]:
             out |= (states & m) << sh
-        for m, sh in down:
+        for m, sh in self.down[ai]:
             out |= (states & m) >> sh
         return out
+
+
+def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
+                states: int = 0, start: int = 0, on_free=None, on_reject=None) -> bool:
+    """Depth-first search over the non-decreasing free extensions of a
+    sequence with reach set `states` by alphabet elements from `start` on.
+
+    With a length: does a free extension by that many elements exist?  It
+    stops at the first.  Without: visit every free extension, calling
+    on_free(stack) at each (stack: the alphabet indices added, reused) and,
+    if given, on_reject(stack, rejected) at each node with the elements from
+    its start on that would make it not free.
+
+    A node hands its children only the elements it does not reject: reach
+    sets grow along a path, so a rejected element stays rejected below.
+    Nodes are counted by arithmetic as the search that tries one element at
+    a time counts them: a node entered at start costs n - start, or
+    hit - start + 1 if it stops at a hit.  The count is handed to the meter
+    when it reaches meter.next_check() and at the end.
+    """
+    pre, own, up, down = engine.pre, engine.own, engine.up, engine.down
+    n = len(pre)
+    count = meter.nodes
+    mark = meter.next_check()
+    stack: list[int] = []
+
+    def settle():
+        nonlocal mark
+        meter.tick(count - meter.nodes)
+        mark = meter.next_check()
+
+    def exists(S, live, start, left):
+        # a node with left >= 2 elements still to add; live holds the
+        # elements from start on that it does not reject
+        nonlocal count
+        nxt = start  # first element whose attempt is not yet counted
+        for j, b in enumerate(live):
+            out = S | own[b]
+            for m, sh in up[b]:
+                out |= (S & m) << sh
+            for m, sh in down[b]:
+                out |= (S & m) >> sh
+            if left == 2:
+                # the child is a last-level node: it stops at its first survivor
+                for c in live[j:]:
+                    if not out & pre[c]:
+                        count += c + 2 - nxt
+                        return True
+            else:
+                kids = [c for c in live[j:] if not out & pre[c]]
+                if kids:
+                    count += b + 1 - nxt
+                    nxt = b + 1
+                    if count >= mark:
+                        settle()
+                    if exists(out, kids, b, left - 1):
+                        return True
+                    continue
+            # the child rejects every element from b on
+            count += n + 1 - nxt
+            nxt = b + 1
+        count += n - nxt
+        if count >= mark:
+            settle()
+        return False
+
+    def enumerate_free(S, live, start):
+        nonlocal count
+        count += n - start
+        if count >= mark:
+            settle()
+        if on_reject is not None:
+            on_reject(stack, [b for b in range(start, n) if S & pre[b]])
+        for j, b in enumerate(live):
+            out = S | own[b]
+            for m, sh in up[b]:
+                out |= (S & m) << sh
+            for m, sh in down[b]:
+                out |= (S & m) >> sh
+            stack.append(b)
+            on_free(stack)
+            enumerate_free(out, [c for c in live[j:] if not out & pre[c]], b)
+            stack.pop()
+
+    S = states | 1 << engine.num_states
+    found = True
+    live = [b for b in range(start, n) if not S & pre[b]]
+    if length is None:
+        enumerate_free(S, live, start)
+    elif length:
+        if length > 1:
+            found = exists(S, live, start, length)
+        else:  # a last-level node stops at its first survivor
+            found = bool(live)
+            count += (live[0] + 1 if live else n) - start
+    # a hit returns without a check; this one settles it
+    meter.tick(count - meter.nodes)
+    return found

@@ -26,6 +26,7 @@ from .sequences import (
     Seq,
     is_idempotent_sum_free,
     is_minimal_idempotent_sum,
+    search_free,
 )
 
 BEHAVING_I = "BEHAVING_I"
@@ -387,24 +388,14 @@ def _lhat_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
         return 0, 0
     meter = SearchMeter(budget)
     alphabet, engine = _search_engine(c)
-    apply, tick = engine.apply, meter.tick
     worst = 0
-    stack: list[int] = []
 
-    def extend(states: int, start: int) -> None:
+    def on_free(stack: list[int]) -> None:
         nonlocal worst
-        for ai in range(start, len(alphabet)):
-            tick()
-            nxt = apply(states, ai)
-            if nxt is None:
-                continue
-            stack.append(alphabet[ai])
-            if len(stack) > worst and not _structured_free(c, stack):
-                worst = len(stack)
-            extend(nxt, ai)
-            stack.pop()
+        if len(stack) > worst and not _structured_free(c, [alphabet[i] for i in stack]):
+            worst = len(stack)
 
-    extend(0, 0)
+    search_free(engine, meter, on_free=on_free)
     return (worst + 1 if worst else 1), meter.nodes
 
 
@@ -419,12 +410,14 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
     """
     meter = SearchMeter(budget)
     alphabet, engine = _search_engine(c)
-    apply, tick = engine.apply, meter.tick
     cap, n = c.cap, c.n
     worst = 0
     if not _structured_minimal(c, [cap]):
         worst = 1
-    stack: list[int] = []  # alphabet indices of the free prefix
+    totals = {0: 0}  # depth -> index total of the free prefix at that depth
+
+    def on_free(stack: list[int]) -> None:
+        totals[len(stack)] = totals[len(stack) - 1] + alphabet[stack[-1]]
 
     def consider(candidate: list[int]) -> None:
         nonlocal worst
@@ -433,25 +426,18 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
             rest.remove(x)
             if not _free_ints(engine, rest):
                 return
-        vals = [alphabet[i] for i in candidate]
-        if not _structured_minimal(c, vals):
+        if not _structured_minimal(c, [alphabet[i] for i in candidate]):
             worst = len(candidate)
 
-    def extend(states: int, start: int, total: int) -> None:
-        for ai in range(start, len(alphabet)):
-            tick()
-            nxt = apply(states, ai)
-            if nxt is None:
-                # only an idempotent sum longer than the worst so far matters
-                t = total + alphabet[ai]
-                if t % n == 0 and t >= cap and len(stack) >= worst:
-                    consider(stack + [ai])
-                continue
-            stack.append(ai)
-            extend(nxt, ai, total + alphabet[ai])
-            stack.pop()
+    def on_reject(stack: list[int], rejected: list[int]) -> None:
+        total = totals[len(stack)]
+        for ai in rejected:
+            # only an idempotent sum longer than the worst so far matters
+            t = total + alphabet[ai]
+            if t % n == 0 and t >= cap and len(stack) >= worst:
+                consider(stack + [ai])
 
-    extend(0, 0, 0)
+    search_free(engine, meter, on_free=on_free, on_reject=on_reject)
     return worst + 1, meter.nodes
 
 

@@ -72,24 +72,57 @@ def naive_zero_sum_free(moduli, terms) -> bool:
 
 
 def naive_davenport(moduli) -> int:
-    """1 + the longest zero-sum free length, by plain DFS over non-decreasing
-    sequences of nonzero elements."""
+    """1 + the longest zero-sum free length."""
+    return naive_davenport_search(moduli)[0]
+
+
+def naive_davenport_search(moduli):
+    """(D, nodes, witness) by plain DFS over non-decreasing sequences of
+    nonzero elements: one node per attempted element, and the witness is
+    the first longest zero-sum free sequence met."""
     elements = [
         t for t in itertools.product(*(range(m) for m in moduli))
         if any(t)
     ]
-    best = 0
+    best = []
+    nodes = 0
 
     def extend(seq, start):
-        nonlocal best
-        best = max(best, len(seq))
+        nonlocal best, nodes
+        if len(seq) > len(best):
+            best = seq
         for i in range(start, len(elements)):
+            nodes += 1
             cand = seq + [elements[i]]
             if naive_zero_sum_free(moduli, cand):
                 extend(cand, i)
 
     extend([], 0)
-    return best + 1
+    return len(best) + 1, nodes, tuple(best)
+
+
+def naive_free_search(coords, length):
+    """(found, nodes): does a non-decreasing idempotent-sum free sequence of
+    the given length exist over the non-idempotent elements (in tuple
+    order)?  Plain DFS that stops at the first one, one node per attempted
+    element."""
+    e = idempotent_of(coords)
+    elements = [t for t in itertools.product(*(range(1, k + n) for k, n in coords))
+                if t != e]
+    nodes = 0
+
+    def extend(seq, start, left):
+        nonlocal nodes
+        if left == 0:
+            return True
+        for i in range(start, len(elements)):
+            nodes += 1
+            cand = seq + [elements[i]]
+            if naive_is_free(coords, cand) and extend(cand, i, left - 1):
+                return True
+        return False
+
+    return extend([], 0, length), nodes
 
 
 def enumerate_zsf(n: int, length: int):

@@ -114,6 +114,17 @@ class TestDavenport:
         assert len(witness) == 4
         assert is_zero_sum_free(g, witness)
 
+    @pytest.mark.parametrize("periods", [(2, 4), (3, 3)])
+    def test_search_matches_naive_dfs(self, periods):
+        value, witness, nodes = _davenport_brute(GroupSpec(periods), Budget())
+        assert (value, nodes, witness.terms) == oracle.naive_davenport_search(periods)
+
+    def test_z3_cubed_witness_pinned(self):
+        value, witness, nodes = _davenport_brute(GroupSpec((3, 3, 3)), Budget())
+        assert (value, nodes) == (7, 729892)
+        assert witness.terms == ((0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0),
+                                 (1, 0, 0), (1, 0, 0))
+
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):
             davenport(GroupSpec((7, 7)), "brute", Budget(node_budget=10))
@@ -207,12 +218,23 @@ class TestEbBruteforce:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_budget_is_global(self, threads):
-        # 16,465 nodes in all; the budget runs out in the last probe.
-        with pytest.raises(BudgetExceeded) as info:
-            eb_bruteforce(parse_spec("C(1;2)xC(7;3)"),
-                          Budget(node_budget=16000, threads=threads))
-        assert info.value.nodes > 16000
-        assert "node budget 16000 exhausted" in str(info.value)
+        # 16,465 nodes in all; the budget runs out in the last probe.  At
+        # any thread count the error reports where a one-node-at-a-time
+        # search raises: one node over the limit.
+        for limit in (10000, 16000):
+            with pytest.raises(BudgetExceeded) as info:
+                eb_bruteforce(parse_spec("C(1;2)xC(7;3)"),
+                              Budget(node_budget=limit, threads=threads))
+            assert info.value.nodes == limit + 1
+            assert f"node budget {limit} exhausted" in str(info.value)
+
+    def test_time_budget_checked_during_search(self):
+        # About 24 M nodes: a search that counts its nodes in batches must
+        # still look at the clock.
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            eb_bruteforce(parse_spec("C(5;5)xC(1;5)"), Budget(time_budget_s=0.3))
+        assert time.monotonic() - t0 < 3
 
     def test_time_budget_covers_setup(self, monkeypatch):
         resolve = constants._resolve_davenport

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from ebs.config import Budget, SearchMeter
+from ebs.constants import davenport, eb_bruteforce
 from ebs.errors import BudgetExceeded, SeqFileError, SpecError
-from ebs.semigroup import GroupSpec, ProductSpec, idempotent, parse_spec
+from ebs.semigroup import CyclicSpec, GroupSpec, ProductSpec, idempotent, parse_spec
 from ebs.sequences import (
     GroupSeq,
     ReachEngine,
@@ -23,10 +25,11 @@ from ebs.sequences import (
     is_zero_sum_free,
     parse_seq_lines,
     psi,
-    reach,
+    search_free,
     sigma,
     sum_profile,
 )
+from ebs.structure import l_const, lhat
 
 SWEEP_SPECS = [
     "C(2;1)", "C(1;2)", "C(3;2)", "C(2;3)", "C(4;1)", "C(1;4)",
@@ -129,23 +132,12 @@ class TestReachAgainstOracle:
 
     @given(seq_strategy())
     @settings(max_examples=150, deadline=None)
-    def test_reach_monotone_and_consistent(self, sp):
+    def test_free_is_monotone(self, sp):
+        # if t minus a term is not free, then t is not free
         s, t = sp
-        r = reach(s, t)
-        assert r.contains_idempotent() == (not is_idempotent_sum_free(s, t))
-        if not t.is_empty:
-            shorter = reach(s, t.remove_one(t.terms[0]))
-            assert shorter.profiles <= r.profiles
-
-    def test_states_fields(self):
-        s = parse_spec("C(3;2)")
-        r = reach(s, Seq.of(3, 3))
-        # profiles: 3 and 3+3=6 capped into [1, cap+n-1] = [1,5]
-        assert r.profiles == frozenset({(3,), (4,)})
-        states = r.states
-        by_sat = {st[0].saturated: st[0] for st in states}
-        assert by_sat[False].value == 3 and by_sat[False].residue == 1
-        assert by_sat[True].value is None and by_sat[True].residue == 0
+        for x in set(t.terms):
+            if not is_idempotent_sum_free(s, t.remove_one(x)):
+                assert not is_idempotent_sum_free(s, t)
 
 
 class TestStateCap:
@@ -269,6 +261,38 @@ class TestReachEngine:
         ai = engine.labels.index(idempotent(s))
         assert engine.apply(0, ai) is None
         assert engine.apply(0, engine.labels.index((1, 1))) == 1 << 0
+
+
+class TestSearchKernel:
+    """search_free against a plain DFS that tries one element at a time, and
+    its batched node counts against the budget."""
+
+    @pytest.mark.parametrize("label", ["C(3;2)xC(1;4)", "C(1;2)xC(1;3)", "C(2;2)xC(2;2)"])
+    def test_exists_matches_naive_dfs(self, label):
+        s = parse_spec(label)
+        engine = ReachEngine.for_spec(s)
+        value = eb_bruteforce(s).value
+        for length in range(1, value + 1):
+            meter = SearchMeter(Budget())
+            found = search_free(engine, meter, length)
+            assert (found, meter.nodes) == oracle.naive_free_search(coord_pairs(s), length)
+            assert found == (length < value)
+
+    # (search, total nodes); each total is above 4097
+    SEARCHES = [
+        (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039),
+        (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406),
+        (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983),
+        (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983),
+    ]
+
+    @pytest.mark.parametrize("run,total", SEARCHES, ids=["eb", "davenport", "lhat", "l"])
+    def test_budget_error_is_one_over_the_limit(self, run, total):
+        for limit in (1, 4095, 4096, 4097, total - 1):
+            with pytest.raises(BudgetExceeded) as info:
+                run(Budget(node_budget=limit))
+            assert info.value.nodes == limit + 1
+        assert run(Budget(node_budget=total)).nodes == total
 
 
 class TestPsiBridge:
