@@ -3,7 +3,11 @@
 Subcommands mirror the library: spec parsing, constants (with an optional
 JSON result cache), sequence predicates, structure tools, and batch
 explorers.  Exit codes: 0 success, 1 usage or input error, 2 budget
-exhausted.
+exhausted, 3 an explore report with soundness bugs or anomalies.
+
+Only config, errors and semigroup are imported up front; each handler
+imports the library layers it runs, so that a short command such as
+--version, spec parse or a cache hit starts without the search code.
 """
 
 from __future__ import annotations
@@ -16,27 +20,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .config import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET_S, Budget
-from .constants import davenport, erdos_burgess, explore_conjecture, invariant_factors
 from .errors import BudgetExceeded, PreconditionError, SeqFileError, SpecError
 from .semigroup import GroupSpec, element_count, format_spec, idempotent, parse_spec
-from .sequences import (
-    format_seq,
-    idempotent_witness,
-    is_idempotent_sum,
-    is_idempotent_sum_free,
-    is_minimal_idempotent_sum,
-    read_seq_file,
-)
-from .structure import (
-    IntSeq,
-    behaving_bound_classify,
-    classify_free_sequence,
-    is_behaving,
-    l_const,
-    lhat,
-    savchev_chen,
-    structure_gap_report,
-)
 
 
 class _UsageError(Exception):
@@ -66,7 +51,7 @@ class CliConfig:
         threads = getattr(args, "threads", None)
         if threads is None:
             env = os.environ.get("EBS_THREADS")
-            threads = int(env) if env else (os.cpu_count() or 1)
+            threads = _env_threads(env) if env else (os.cpu_count() or 1)
         cache = getattr(args, "cache", None) or os.environ.get("EBS_CACHE") or None
         node_budget = getattr(args, "node_budget", None)
         time_budget = getattr(args, "time_budget", None)
@@ -87,6 +72,16 @@ class CliConfig:
             time_budget_s=float(self.time_budget_s),
             threads=self.threads,
         )
+
+
+def _env_threads(env: str) -> int:
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise SpecError(f"EBS_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _parse_group(text: str) -> GroupSpec:
@@ -130,7 +125,7 @@ def _cache_read(path: str) -> dict:
         return data if isinstance(data, dict) else {}
     except FileNotFoundError:
         return {}
-    except json.JSONDecodeError:
+    except (OSError, ValueError):
         print(f"warning: ignoring unreadable cache {path}", file=sys.stderr)
         return {}
 
@@ -167,7 +162,12 @@ def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> 
     if "davenport-inexact" in result.get("flags", ()):
         return result
     store[key] = {"version": __version__, "result": result}
-    _cache_write(cfg.cache_path, store)
+    try:
+        _cache_write(cfg.cache_path, store)
+    except OSError as exc:
+        # the result is still good; only reuse is lost
+        print(f"warning: could not write cache {cfg.cache_path}: {exc.strerror or exc}",
+              file=sys.stderr)
     return result
 
 
@@ -204,13 +204,13 @@ def _cmd_const(args) -> int:
     quantity = args.quantity
     if quantity == "davenport":
         g = _parse_group(args.group)
-        factors = invariant_factors(g)
         label = "Z(" + ",".join(map(str, g.periods)) + ")"
 
         def compute() -> dict:
-            res = davenport(g, args.method, budget)
-            d = res.to_dict(label)
-            d["invariant_factors"] = list(factors)
+            from .constants import davenport, invariant_factors
+
+            d = davenport(g, args.method, budget).to_dict(label)
+            d["invariant_factors"] = list(invariant_factors(g))
             return d
 
     elif quantity == "eb":
@@ -218,14 +218,18 @@ def _cmd_const(args) -> int:
         label = format_spec(s)
 
         def compute() -> dict:
+            from .constants import erdos_burgess
+
             return erdos_burgess(s, args.method, budget).to_dict(label)
 
     else:
         c = _single_cyclic(args.spec)
         label = format_spec(c.as_product())
-        fn = lhat if quantity == "lhat" else l_const
 
         def compute() -> dict:
+            from .structure import l_const, lhat
+
+            fn = lhat if quantity == "lhat" else l_const
             return fn(c, args.method, budget).to_dict(label)
 
     d = _cached(cfg, label, quantity, args.method, compute)
@@ -234,6 +238,15 @@ def _cmd_const(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    from .sequences import (
+        format_seq,
+        idempotent_witness,
+        is_idempotent_sum,
+        is_idempotent_sum_free,
+        is_minimal_idempotent_sum,
+        read_seq_file,
+    )
+
     cfg = CliConfig.from_args(args)
     s = parse_spec(args.spec)
     t = read_seq_file(s, args.file)
@@ -262,6 +275,15 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_struct(args) -> int:
+    from .sequences import read_seq_file
+    from .structure import (
+        IntSeq,
+        behaving_bound_classify,
+        classify_free_sequence,
+        is_behaving,
+        savchev_chen,
+    )
+
     cfg = CliConfig.from_args(args)
     if args.action == "behaving":
         h = IntSeq(_parse_ints(args.ints))
@@ -306,8 +328,12 @@ def _cmd_explore(args) -> int:
     cfg = CliConfig.from_args(args)
     budget = cfg.budget()
     if args.kind == "conjecture41":
+        from .constants import explore_conjecture
+
         report = explore_conjecture(args.max_k, args.max_n, budget)
     else:
+        from .structure import structure_gap_report
+
         quantity = "lhat" if args.kind == "lhat-gap" else "l"
         report = structure_gap_report(quantity, args.max_k, args.max_n, budget)
     lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in report["rows"])
@@ -318,7 +344,7 @@ def _cmd_explore(args) -> int:
         sys.stdout.write(lines)
     summary = report["summary"]
     print("summary: " + " ".join(f"{k}={summary[k]}" for k in sorted(summary)))
-    return 0
+    return 3 if summary.get("soundness_bugs") or summary.get("anomalies") else 0
 
 
 # ---------------------------------------------------------------------------

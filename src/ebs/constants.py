@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +44,13 @@ D_BOUNDS = "D_BOUNDS"
 BRUTE = "BRUTE"
 
 QUANTITIES = ("davenport", "erdos_burgess", "lhat", "l")
+
+# concurrent.futures.ProcessPoolExecutor, imported by eb_bruteforce when it
+# first builds a pool: it pulls in multiprocessing, which a process that
+# never searches on several threads does not need.  The pool class is read
+# from this attribute, so a subclass bound here (perfbench/tracing.py binds
+# one) is the pool that gets built.
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -492,6 +498,7 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     upper bound; exceeding it raises an internal error.  The time budget
     covers the bounds and the engine build as well as the search.
     """
+    global ProcessPoolExecutor
     budget = budget or Budget()
     meter = SearchMeter(budget)
     bounds = eb_bounds(s, budget)
@@ -503,6 +510,8 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     pool = None
     try:
         if budget.threads > 1 and len(engine.labels) > 1:
+            if ProcessPoolExecutor is None:
+                from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=budget.threads,
                                        initializer=_init_worker, initargs=(engine,))
         longest = bounds.lower - 1

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import SUBSET_SUM_BOUND, Budget, SearchMeter
-from .constants import BRUTE, THM61, ConstResult, _ms
 from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
@@ -28,6 +28,9 @@ from .sequences import (
     is_minimal_idempotent_sum,
     search_free,
 )
+
+if TYPE_CHECKING:
+    from .constants import ConstResult
 
 BEHAVING_I = "BEHAVING_I"
 TWO_POWER_II = "TWO_POWER_II"
@@ -443,6 +446,10 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
 
 def _structure_const(c: CyclicSpec, quantity: str, method: str,
                      budget: Budget | None) -> ConstResult:
+    # imported here, so that the structure tools load without the constants
+    # layer
+    from .constants import BRUTE, THM61, ConstResult, _ms
+
     budget = budget or Budget()
     t0 = time.monotonic()
     formula = _lhat_formula(c) if quantity == "lhat" else _l_formula(c)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ebs.cli import CliConfig, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -154,6 +160,23 @@ class TestCache:
         assert store["C(2;2)xC(1;2)xC(1;6)|eb|formula"]["result"]["value"] == 8
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
+    def test_unwritable_cache_warns_and_prints(self, capsys, tmp_path):
+        cache = tmp_path / "missing" / "c.json"
+        code, out, err = run(capsys, "const", "eb", "--spec", "C(1;2)",
+                             "--cache", str(cache), "--json")
+        assert code == 0 and json.loads(out)["value"] == 2
+        assert err.startswith(f"warning: could not write cache {cache}: ")
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "const", "eb", "--spec", "C(1;2)",
+                             "--cache", str(tmp_path), "--json")
+        assert code == 0 and json.loads(out)["value"] == 2
+        assert "ignoring unreadable cache" in err
+        assert "could not write cache" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_cache_used(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.json"
         monkeypatch.setenv("EBS_CACHE", str(cache))
@@ -275,6 +298,22 @@ class TestExplore:
         assert out_path.read_text() == ""
         assert "rows=0" in out
 
+    @pytest.mark.parametrize("kind,module,fn,key", [
+        ("lhat-gap", "structure", "structure_gap_report", "anomalies"),
+        ("l-gap", "structure", "structure_gap_report", "anomalies"),
+        ("conjecture41", "constants", "explore_conjecture", "soundness_bugs"),
+    ])
+    def test_anomaly_exits_3(self, capsys, monkeypatch, kind, module, fn, key):
+        import importlib
+
+        row = {"k": 3, "n": 2, "anomaly": True}
+        monkeypatch.setattr(importlib.import_module(f"ebs.{module}"), fn,
+                            lambda *args: {"rows": [row], "summary": {"rows": 1, key: 1}})
+        code, out, _ = run(capsys, "explore", kind, "--max-k", "3", "--max-n", "2")
+        assert code == 3
+        assert json.loads(out.splitlines()[0]) == row
+        assert f" {key}=1" in out.splitlines()[-1]
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -298,6 +337,13 @@ class TestUsage:
             assert code == 1, (flag, value)
             assert "budgets must be positive" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_threads(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("EBS_THREADS", value)
+        code, out, err = run(capsys, "spec", "parse", "--spec", "C(1;2)")
+        assert code == 1 and out == ""
+        assert err == f"error: EBS_THREADS must be a positive integer, got {value!r}\n"
+
 
 class TestCliConfig:
     def test_env_threads(self, monkeypatch):
@@ -318,3 +364,57 @@ class TestCliConfig:
         cfg = CliConfig.from_args(Args())
         assert cfg.threads == 2
         assert cfg.budget().threads == 2
+
+
+class TestStartup:
+    """A short command imports only the layers it runs.  Each case runs in a
+    fresh interpreter, because this process has imported everything."""
+
+    HEAVY = {"ebs.constants", "ebs.sequences", "ebs.structure", "concurrent.futures"}
+    PROBE = (
+        "import sys\n"
+        "from ebs.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print('modules:', ' '.join(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("EBS_CACHE", None)
+        env.pop("EBS_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *out, last = proc.stdout.splitlines()
+        assert last.startswith("modules: ")
+        return set(last.split()[1:]) & self.HEAVY, out
+
+    def test_version(self):
+        heavy, out = self.loaded("--version")
+        assert heavy == set() and out == ["ebs 0.1.0"]
+
+    def test_spec_parse(self):
+        heavy, out = self.loaded("spec", "parse", "--spec", "C(3;2)xC(1;4)")
+        assert heavy == set() and out[0] == "spec: C(3;2)xC(1;4)"
+
+    def test_cache_hit(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.json")
+        argv = ("const", "eb", "--spec", "C(3;2)xC(1;4)", "--method", "both",
+                "--cache", cache)
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        heavy, out = self.loaded(*argv)
+        assert heavy.isdisjoint({"ebs.constants", "ebs.structure"})
+        assert out == first.splitlines()
+
+    def test_seq_check(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        f.write_text("3\n3\n")
+        heavy, out = self.loaded("seq", "check", "--spec", "C(3;2)", "--file", str(f),
+                                 "--predicate", "free")
+        assert heavy.isdisjoint({"ebs.constants", "concurrent.futures"})
+        assert "result: false" in out

@@ -259,6 +259,26 @@ class TestEbBruteforce:
             assert serial.value == par.value == value
             assert serial.nodes == par.nodes == nodes
 
+    def test_pool_class_read_from_module(self, monkeypatch):
+        # The pool class is looked up as constants.ProcessPoolExecutor when a
+        # pool is built, so a replacement bound there is the one used.
+        from concurrent.futures import ProcessPoolExecutor
+
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "ProcessPoolExecutor", CountingPool)
+        s = parse_spec("C(3;2)xC(1;4)")
+        serial = eb_bruteforce(s, Budget(threads=1))
+        assert built == []
+        par = eb_bruteforce(s, Budget(threads=2))
+        assert built == [2]
+        assert (par.value, par.nodes) == (serial.value, serial.nodes) == (7, 8039)
+
 
 class TestDavenportOnce:
     """An inexact formula D falls back to brute force; a top-level call
