@@ -13,6 +13,7 @@ imports the library layers it runs, so that a short command such as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -327,21 +328,19 @@ def _cmd_struct(args) -> int:
 def _cmd_explore(args) -> int:
     cfg = CliConfig.from_args(args)
     budget = cfg.budget()
-    if args.kind == "conjecture41":
-        from .constants import explore_conjecture
+    # opened before the search, so that a bad path costs no search time
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.kind == "conjecture41":
+            from .constants import explore_conjecture
 
-        report = explore_conjecture(args.max_k, args.max_n, budget)
-    else:
-        from .structure import structure_gap_report
+            report = explore_conjecture(args.max_k, args.max_n, budget)
+        else:
+            from .structure import structure_gap_report
 
-        quantity = "lhat" if args.kind == "lhat-gap" else "l"
-        report = structure_gap_report(quantity, args.max_k, args.max_n, budget)
-    lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in report["rows"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+            quantity = "lhat" if args.kind == "lhat-gap" else "l"
+            report = structure_gap_report(quantity, args.max_k, args.max_n, budget)
+        fh.write("".join(json.dumps(row, sort_keys=True) + "\n" for row in report["rows"]))
     summary = report["summary"]
     print("summary: " + " ".join(f"{k}={summary[k]}" for k in sorted(summary)))
     return 3 if summary.get("soundness_bugs") or summary.get("anomalies") else 0

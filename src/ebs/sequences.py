@@ -16,10 +16,13 @@ search_free, runs every exhaustive search on it: the Erdos-Burgess and
 Davenport searches, and the lhat/l searches of the structure module (arity
 1).  It applies the shifts inline from flat per-element lists, hands each
 node the elements its ancestors did not reject, and counts the nodes of the
-plain one-candidate-at-a-time search by arithmetic.  The one-shot predicates
-keep tuple sets on purpose: they grow with the states actually reached (at
-most 2^len - 1), a bitset with the whole packed space (12 terms over
-C(100;100)^3 reach at most 4,095 of its 7,880,599 states).
+plain one-candidate-at-a-time search by arithmetic.  Its one callback,
+on_free, sees each free node; rejected elements stay inside the kernel.
+
+The one-shot predicates keep tuple sets on purpose: they grow with the
+states actually reached (at most 2^len - 1), a bitset with the whole packed
+space (12 terms over C(100;100)^3 reach at most 4,095 of its 7,880,599
+states).
 """
 
 from __future__ import annotations
@@ -109,17 +112,6 @@ class GroupSeq:
     @property
     def is_empty(self) -> bool:
         return not self.terms
-
-    def distinct(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(dict.fromkeys(self.terms))
-
-    def remove_one(self, t) -> "GroupSeq":
-        t = _as_term(t)
-        terms = list(self.terms)
-        if t not in terms:
-            raise SpecError(f"term {t} not in sequence")
-        terms.remove(t)
-        return GroupSeq(tuple(terms))
 
 
 def check_group_seq(g: GroupSpec, t: GroupSeq) -> None:
@@ -293,31 +285,27 @@ def is_zero_sum(g: GroupSpec, t: GroupSeq) -> bool:
     return group_sum(g, t) == (0,) * len(g.periods)
 
 
+def _as_semigroup(g: GroupSpec, t: GroupSeq) -> tuple[ProductSpec, Seq]:
+    """t inside C(1;n_1) x ... x C(1;n_r), residue 0 sent to index n_i.
+
+    Every index is at least 1 and congruent to its residue, so a nonempty
+    index total is idempotent (>= n_i and divisible by n_i) exactly when its
+    residue total is 0: zero sums are the idempotent sums.
+    """
+    check_group_seq(g, t)
+    s = ProductSpec(tuple(CyclicSpec(1, n) for n in g.periods))
+    return s, Seq(tuple(tuple(r or n for r, n in zip(term, g.periods)) for term in t))
+
+
 def is_zero_sum_free(g: GroupSpec, t: GroupSeq) -> bool:
     """True iff no nonempty subsequence sums to zero in every coordinate."""
-    check_group_seq(g, t)
-    periods = g.periods
-    zero = (0,) * len(periods)
-    states: set[tuple[int, ...]] = set()
-    for term in t:
-        if term == zero:
-            return False
-        fresh = {term}
-        for p in states:
-            q = tuple((x + r) % n for x, r, n in zip(p, term, periods))
-            if q == zero:
-                return False
-            fresh.add(q)
-        states |= fresh
-    return True
+    return is_idempotent_sum_free(*_as_semigroup(g, t))
 
 
 def is_minimal_zero_sum(g: GroupSpec, t: GroupSeq) -> bool:
-    if t.is_empty:
-        raise SpecError("the empty sequence has no sum")
-    if not is_zero_sum(g, t):
-        return False
-    return all(is_zero_sum_free(g, t.remove_one(d)) for d in t.distinct())
+    """True iff t sums to zero and no proper nonempty subsequence does: one
+    fewest-terms walk, that of is_minimal_idempotent_sum."""
+    return is_minimal_idempotent_sum(*_as_semigroup(g, t))
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +495,13 @@ class ReachEngine:
 
 
 def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
-                states: int = 0, start: int = 0, on_free=None, on_reject=None) -> bool:
+                states: int = 0, start: int = 0, on_free=None) -> bool:
     """Depth-first search over the non-decreasing free extensions of a
     sequence with reach set `states` by alphabet elements from `start` on.
 
     With a length: does a free extension by that many elements exist?  It
     stops at the first.  Without: visit every free extension, calling
-    on_free(stack) at each (stack: the alphabet indices added, reused) and,
-    if given, on_reject(stack, rejected) at each node with the elements from
-    its start on that would make it not free.
+    on_free(stack) at each (stack: the alphabet indices added, reused).
 
     A node hands its children only the elements it does not reject: reach
     sets grow along a path, so a rejected element stays rejected below.
@@ -575,8 +561,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         count += n - start
         if count >= mark:
             settle()
-        if on_reject is not None:
-            on_reject(stack, [b for b in range(start, n) if S & pre[b]])
         for j, b in enumerate(live):
             out = S | own[b]
             for m, sh in up[b]:

@@ -320,16 +320,6 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
 # ---------------------------------------------------------------------------
 # lhat and l
 
-def _free_ints(engine: ReachEngine, idxs) -> bool:
-    """Is the sequence of alphabet elements idxs idempotent-sum free?"""
-    states = 0
-    for ai in idxs:
-        states = engine.apply(states, ai)
-        if states is None:
-            return False
-    return True
-
-
 def _search_engine(c: CyclicSpec) -> tuple[list[int], ReachEngine]:
     """Index values enumerated by the brute searches, ascending, and their
     arity-1 engine (cap + n - 1 states).
@@ -406,41 +396,51 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
     """Max length of a minimal idempotent-sum sequence without minimal-mode
     structure, plus one; at least 1.
 
-    Minimal sequences are exactly free sequences extended by one final
-    element at least as large, filtered by the minimality predicate; the
-    idempotent singleton is the only minimal sequence containing the
-    idempotent and is checked separately.
+    A minimal sequence is a free prefix extended by one final element a at
+    least as large; the idempotent singleton is the only minimal sequence
+    containing the idempotent and is checked separately.  Over index
+    values, with total the sum of the prefix and T = total + a:
+
+    - Candidates by arithmetic: prefix + [a] sums to the idempotent exactly
+      when T >= cap and T = 0 (mod n), so a runs from max(last term,
+      cap - total) up to the largest alphabet value in steps of n.  (At the
+      root no single value qualifies.)
+    - Minimality by one subset-sum bitmask: the prefix is free, so a proper
+      idempotent-sum subsequence must keep a and leave out a nonempty part V
+      of the prefix, and T - sum(V) is idempotent iff sum(V) = 0 (mod n) and
+      sum(V) <= T - cap.  So the candidate is minimal iff no nonempty
+      sub-multiset sum of the prefix is a multiple of n at most T - cap.
+      This also drops a = cap, which is not in the alphabet: V = the whole
+      prefix leaves the idempotent alone.
     """
     meter = SearchMeter(budget)
     alphabet, engine = _search_engine(c)
     cap, n = c.cap, c.n
+    top = alphabet[-1] if alphabet else 0
     worst = 0
     if not _structured_minimal(c, [cap]):
         worst = 1
-    totals = {0: 0}  # depth -> index total of the free prefix at that depth
+    # per depth of the free prefix: its index total and its subset-sum bitmask
+    totals, sums = {0: 0}, {0: 1}
 
     def on_free(stack: list[int]) -> None:
-        totals[len(stack)] = totals[len(stack) - 1] + alphabet[stack[-1]]
-
-    def consider(candidate: list[int]) -> None:
         nonlocal worst
-        for x in dict.fromkeys(candidate):
-            rest = list(candidate)
-            rest.remove(x)
-            if not _free_ints(engine, rest):
+        d = len(stack)
+        v = alphabet[stack[-1]]
+        total = totals[d] = totals[d - 1] + v
+        reach = sums[d] = sums[d - 1] | sums[d - 1] << v
+        # only an idempotent sum longer than the worst so far matters
+        if d < worst:
+            return
+        lo = max(v, cap - total)
+        for a in range(lo + (-total - lo) % n, top + 1, n):
+            if any(reach >> m & 1 for m in range(n, total + a - cap + 1, n)):
+                continue  # not minimal
+            if not _structured_minimal(c, [alphabet[i] for i in stack] + [a]):
+                worst = d + 1
                 return
-        if not _structured_minimal(c, [alphabet[i] for i in candidate]):
-            worst = len(candidate)
 
-    def on_reject(stack: list[int], rejected: list[int]) -> None:
-        total = totals[len(stack)]
-        for ai in rejected:
-            # only an idempotent sum longer than the worst so far matters
-            t = total + alphabet[ai]
-            if t % n == 0 and t >= cap and len(stack) >= worst:
-                consider(stack + [ai])
-
-    search_free(engine, meter, on_free=on_free, on_reject=on_reject)
+    search_free(engine, meter, on_free=on_free)
     return worst + 1, meter.nodes
 
 

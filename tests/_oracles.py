@@ -6,6 +6,7 @@ code with the package's reachability or search machinery.
 """
 
 import itertools
+import math
 
 
 def canon(k: int, n: int, raw: int) -> int:
@@ -71,6 +72,15 @@ def naive_zero_sum_free(moduli, terms) -> bool:
     return True
 
 
+def naive_is_minimal_zero_sum(moduli, terms) -> bool:
+    def zero(sub):
+        return all(sum(t[i] for t in sub) % m == 0 for i, m in enumerate(moduli))
+
+    terms = list(terms)
+    return bool(terms) and zero(terms) and not any(
+        zero(sub) for sub in nonempty_subsets(terms) if len(sub) < len(terms))
+
+
 def naive_davenport(moduli) -> int:
     """1 + the longest zero-sum free length."""
     return naive_davenport_search(moduli)[0]
@@ -123,6 +133,69 @@ def naive_free_search(coords, length):
         return False
 
     return extend([], 0, length), nodes
+
+
+def _units(n: int):
+    return [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+
+
+def _lpr(v: int, n: int) -> int:
+    return (v % n) or n
+
+
+def naive_l(k: int, n: int) -> int:
+    """l over C(k;n): 1 + the longest minimal idempotent-sum sequence without
+    minimal-mode structure (0 if none).  Walks every non-decreasing index
+    sequence over [1, k + n - 1] whose proper prefixes are free; structure
+    is decided from its definition: total exactly cap and behaving for
+    k > n, some unit u with the least positive residues of u^-1 v totalling
+    n for k <= n."""
+    coords = [(k, n)]
+    (cap,) = idempotent_of(coords)
+
+    def structured(vals):
+        if k > n:
+            return sum(vals) == cap and naive_is_behaving(vals)
+        return any(sum(_lpr(pow(u, -1, n) * v, n) for v in vals) == n for u in _units(n))
+
+    worst = 0
+
+    def extend(seq, start):
+        nonlocal worst
+        for v in range(start, k + n):
+            cand = seq + [v]
+            terms = [(x,) for x in cand]
+            if naive_is_minimal(coords, terms):
+                if not structured(cand):
+                    worst = max(worst, len(cand))
+            elif naive_is_free(coords, terms):
+                extend(cand, v)
+
+    extend([], 1)
+    return worst + 1
+
+
+def naive_lhat_small_k(n: int) -> int:
+    """lhat over C(k;n) for k <= n: 1 + the longest zero-sum free sequence
+    over Z_n with no unit multiple behaving with total <= n - 1 (0 if
+    none), and 0 for the trivial semigroup (n = 1)."""
+    if n == 1:
+        return 0
+
+    def structured(residues):
+        for u in _units(n):
+            hs = [_lpr(pow(u, -1, n) * r, n) for r in residues]
+            if sum(hs) <= n - 1 and naive_is_behaving(hs):
+                return True
+        return False
+
+    worst = 0
+    length = 1
+    while seqs := enumerate_zsf(n, length):
+        if not all(structured(t) for t in seqs):
+            worst = length
+        length += 1
+    return worst + 1
 
 
 def enumerate_zsf(n: int, length: int):

@@ -298,6 +298,21 @@ class TestExplore:
         assert out_path.read_text() == ""
         assert "rows=0" in out
 
+    @pytest.mark.parametrize("kind", ["lhat-gap", "l-gap", "conjecture41"])
+    def test_bad_out_path_fails_before_search(self, capsys, monkeypatch, tmp_path, kind):
+        import ebs.constants
+        import ebs.structure
+
+        def searched(*args):
+            raise AssertionError("searched before opening --out")
+
+        monkeypatch.setattr(ebs.structure, "structure_gap_report", searched)
+        monkeypatch.setattr(ebs.constants, "explore_conjecture", searched)
+        code, out, err = run(capsys, "explore", kind, "--max-k", "3", "--max-n", "2",
+                             "--out", str(tmp_path / "missing" / "rows.jsonl"))
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+
     @pytest.mark.parametrize("kind,module,fn,key", [
         ("lhat-gap", "structure", "structure_gap_report", "anomalies"),
         ("l-gap", "structure", "structure_gap_report", "anomalies"),

@@ -210,6 +210,21 @@ class TestGroupSide:
         t = GroupSeq(tuple(terms))
         assert is_zero_sum_free(g, t) == oracle.naive_zero_sum_free(moduli, terms)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_zero_sum_matches_oracle(self, data):
+        moduli = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+        g = GroupSpec(moduli)
+        terms = data.draw(st.lists(
+            st.tuples(*(st.integers(0, m - 1) for m in moduli)),
+            min_size=1, max_size=6))
+        # close the sequence up to a zero sum half the time, so that both
+        # outcomes of the minimality test are drawn
+        if data.draw(st.booleans()):
+            terms.append(tuple(-sum(t[i] for t in terms) % m for i, m in enumerate(moduli)))
+        t = GroupSeq(tuple(terms))
+        assert is_minimal_zero_sum(g, t) == oracle.naive_is_minimal_zero_sum(moduli, terms)
+
     def test_engine_for_group_matches_predicate(self):
         g = GroupSpec((2, 4))
         engine = ReachEngine.for_group(g)

@@ -250,6 +250,41 @@ BRUTE_PINS = [
 ]
 
 
+# the structure_check grid: C(1;n) for n <= 16, and C(k;n) for n <= 7 < k <= 16
+GRID_C1N = {
+    # brute lhat and l of C(1;n) for n = 1, ..., 16
+    "lhat": (0, 1, 1, 2, 1, 4, 3, 5, 5, 6, 6, 7, 7, 8, 8, 9),
+    "l": (1, 1, 1, 1, 1, 5, 1, 6, 6, 7, 7, 8, 8, 9, 9, 10),
+}
+GRID_ROWS = {
+    # n: brute lhat and l of C(k;n) for k = n+1, ..., 16
+    1: ((1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8),
+        (2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9)),
+    2: ((3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9),
+        (3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9)),
+    3: ((4, 4, 4, 6, 6, 6, 7, 7, 7, 9, 9, 9, 10),
+        (4, 4, 4, 7, 7, 7, 7, 7, 7, 10, 10, 10, 10)),
+    4: ((5, 5, 5, 5, 7, 7, 7, 7, 9, 9, 9, 9),
+        (5, 5, 5, 5, 7, 7, 7, 7, 9, 9, 9, 9)),
+    5: ((6, 6, 6, 6, 6, 10, 10, 10, 10, 10, 11),
+        (6, 6, 6, 6, 6, 11, 11, 11, 11, 11, 11)),
+    6: ((7, 7, 7, 7, 7, 7, 10, 10, 10, 10),
+        (7, 7, 7, 7, 7, 7, 10, 10, 10, 10)),
+    7: ((8, 8, 8, 8, 8, 8, 8, 14, 14),
+        (8, 8, 8, 8, 8, 8, 8, 15, 15)),
+}
+GRID_NODES = 873990  # summed over the grid, for each of the two searches
+
+# small C(k;n) in both regimes, each checked against the definition-level
+# oracle in a fraction of a second
+L_ORACLE_SPECS = [
+    (1, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 5), (1, 6), (4, 6), (1, 7),
+    (2, 7), (1, 8), (4, 8), (1, 9), (1, 10),
+    (2, 1), (5, 1), (8, 1), (3, 2), (5, 2), (9, 2), (4, 3), (5, 3), (7, 3),
+    (8, 3), (5, 4), (6, 4), (6, 5), (7, 5), (7, 6),
+]
+
+
 class TestLhatAndL:
     @pytest.mark.parametrize("k,n,value,lower,upper,brute", LHAT_TABLE)
     def test_lhat_frozen(self, k, n, value, lower, upper, brute):
@@ -271,6 +306,30 @@ class TestLhatAndL:
     def test_brute_values_and_nodes_pinned(self, k, n, lhat_value, l_value, nodes):
         lh, l = lhat(CyclicSpec(k, n), "brute"), l_const(CyclicSpec(k, n), "brute")
         assert (lh.value, lh.nodes, l.value, l.nodes) == (lhat_value, nodes, l_value, nodes)
+
+    def test_structure_grid_pinned(self):
+        want = {(1, n): (GRID_C1N["lhat"][n - 1], GRID_C1N["l"][n - 1]) for n in range(1, 17)}
+        for n, (lhats, ls) in GRID_ROWS.items():
+            want.update({(k, n): pair for k, pair in zip(range(n + 1, 17), zip(lhats, ls))})
+        assert len(want) == 100
+        got, nodes = {}, {"lhat": 0, "l": 0}
+        for (k, n) in want:
+            lh, l = lhat(CyclicSpec(k, n), "brute"), l_const(CyclicSpec(k, n), "brute")
+            got[(k, n)] = (lh.value, l.value)
+            nodes["lhat"] += lh.nodes
+            nodes["l"] += l.nodes
+        assert got == want
+        assert nodes == {"lhat": GRID_NODES, "l": GRID_NODES}
+
+    @pytest.mark.parametrize("k,n", L_ORACLE_SPECS)
+    def test_l_brute_matches_naive(self, k, n):
+        assert l_const(CyclicSpec(k, n), "brute").value == oracle.naive_l(k, n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lhat_brute_matches_naive_below_period(self, n):
+        want = oracle.naive_lhat_small_k(n)
+        for k in sorted({1, (n + 1) // 2, n}):
+            assert lhat(CyclicSpec(k, n), "brute").value == want
 
     def test_published_table_gap_is_flagged(self):
         # the closed form disagrees with exhaustive search at n = 5 and 7
