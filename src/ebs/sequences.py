@@ -11,13 +11,17 @@ bounded by prod(cap_i + n_i - 1) regardless of sequence length.
 The search engine, ReachEngine, packs each state into one integer and a
 whole reach set into one int bitset; it adds an element by a few masked
 shifts (one per distinct packed displacement) and rejects it with one AND
-against the preimage of the target state.  One depth-first kernel,
-search_free, runs every exhaustive search on it: the Erdos-Burgess and
-Davenport searches, and the lhat/l searches of the structure module (arity
-1).  It applies the shifts inline from flat per-element lists, hands each
-node the elements its ancestors did not reject, and counts the nodes of the
-plain one-candidate-at-a-time search by arithmetic.  Its one callback,
-on_free, sees each free node; rejected elements stay inside the kernel.
+against the preimage of the target state.  Its pair rows, built on first
+use, hold the preimage of the target under the sum of two elements, so the
+elements a child rejects can be read off its parent's reach set.  One
+depth-first kernel, search_free, runs every exhaustive search on it: the
+Erdos-Burgess and Davenport searches, and the lhat/l searches of the
+structure module (arity 1).  It hands each node the elements its ancestors
+did not reject, finds a child's survivors from the pair row of the child's
+element, applies the shifts inline from flat per-element lists only for
+children with survivors to expand, and counts the nodes of the plain
+one-candidate-at-a-time search by arithmetic.  Its one callback, on_free,
+sees each free node; rejected elements stay inside the kernel.
 
 The one-shot predicates keep tuple sets on purpose: they grow with the
 states actually reached (at most 2^len - 1), a bitset with the whole packed
@@ -366,6 +370,50 @@ def _digit_mask(digits, stride: int, size: int, num_states: int) -> int:
     return block * comb
 
 
+class PairRows(dict):
+    """The pair-preimage rows of a ReachEngine, each built on first use.
+
+    Row b lists pre(b + c) for every alphabet position c: the preimage of
+    the target under adding the sum b + c, with the empty-sum bit when b + c
+    is itself the target.  pre of a packed state is the AND over the
+    coordinates of the onto masks of its digits.  It depends on the state
+    alone, so each is built once (by_state) and shared by every row that
+    holds it.  The sum's state is read off the digit moves of c's value at
+    b's digits, so no move is recomputed.
+    """
+
+    __slots__ = ("digits", "moves", "strides", "sizes", "onto", "by_state")
+
+    def __init__(self, digits, moves, strides, sizes, onto):
+        super().__init__()
+        self.digits = digits  # per coordinate: the digit of each position
+        # per coordinate: the digit moves of each position's value, times
+        # the coordinate's stride
+        self.moves = moves
+        self.strides, self.sizes = strides, sizes
+        self.onto = onto  # per coordinate: the onto mask of each digit
+        self.by_state: dict[int, int] = {}
+
+    def pre_of(self, states: list[int]) -> list[int]:
+        """pre of each packed state in `states`."""
+        by_state = self.by_state
+        for x in set(states).difference(by_state):
+            mask = -1
+            for stride, size, onto in zip(self.strides, self.sizes, self.onto):
+                mask &= onto[x // stride % size]
+            by_state[x] = mask
+        return [by_state[x] for x in states]
+
+    def __missing__(self, b: int) -> list[int]:
+        sums = None
+        for digits, moves in zip(self.digits, self.moves):
+            d = digits[b]
+            col = [m[d] for m in moves]
+            sums = col if sums is None else [x + y for x, y in zip(sums, col)]
+        row = self[b] = self.pre_of(sums)
+        return row
+
+
 class ReachEngine:
     """Precomputed bitset translations for exhaustive free-sequence searches.
 
@@ -382,89 +430,109 @@ class ReachEngine:
     each the product of per-coordinate digit groups (built once per
     coordinate and value).  The element's preimage mask pre holds the states
     that adding it carries onto the target (the idempotent, or zero): the
-    AND of the per-coordinate masks of digits that land on the target digit.
+    AND of the per-coordinate onto masks of its digits, where the onto mask
+    of a digit holds the digits that adding its value carries onto the
+    target digit.
 
     Flat lists indexed by alphabet position hold each element's pre, own
     (its own state bit) and shift pieces up and down.  Bit num_states stands
-    for the empty sum: no mask holds it, so no shift moves it, and it is in
-    the pre of an element that alone is the target.  So (states | empty) &
-    pre[ai] is nonzero exactly when appending ai makes the target reachable;
-    apply() then returns None, the pruning signal, before any shifting.
+    for the empty sum: no mask shifts it, and the onto mask of the target
+    digit holds it, so it survives the AND exactly in the pre of an element
+    that alone is the target.  So (states | empty) & pre[ai] is nonzero
+    exactly when appending ai makes the target reachable; apply() then
+    returns None, the pruning signal, before any shifting.
+
+    pairs[b][c] is pre(b + c), the same AND for the sum of two elements
+    (see PairRows).  It tells which elements a child rejects from its
+    parent's reach set alone: if S (empty bit included) does not reject c,
+    then S + b rejects c exactly when S & pre(b + c) != 0.  A state of S + b
+    is in S, which does not reach the target with c; or it is b, which does
+    when b + c is the target (the empty bit); or it is p + b with p in S,
+    which does when p is in pre(b + c).
     """
 
-    __slots__ = ("labels", "num_states", "pre", "own", "up", "down")
+    __slots__ = ("labels", "num_states", "pre", "own", "up", "down", "pairs")
 
-    def __init__(self, labels, num_states, pre, own, up, down):
+    def __init__(self, labels, num_states, pre, own, up, down, pairs):
         self.labels = labels  # alphabet, in search order
         self.num_states = num_states
         self.pre, self.own, self.up, self.down = pre, own, up, down
+        self.pairs = pairs
 
     @classmethod
-    def _build(cls, labels, sizes, target, single, step) -> "ReachEngine":
+    def _build(cls, labels, sizes, target, single, move, value) -> "ReachEngine":
         """Engine over `labels` whose coordinate i has sizes[i] digits.
 
-        single(i, v) is the digit of coordinate value v on its own, step(i,
-        v, d) the digit reached from digit d by adding v, and target the
-        target digit per coordinate.
+        single(i, v) is the digit of coordinate value v on its own, move(i,
+        v) the list of the digits that each digit moves to by adding v,
+        target the target digit per coordinate, and value(i, e) a value
+        whose move carries the same digits onto the target as adding the
+        sum with digit e does.  (Digit moves are lists, not tuples: freed
+        tuples shorter than 20 stay on CPython's per-size free lists, which
+        held about 1 MB more after a few hundred builds.)
         """
         strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
         num_states = math.prod(sizes)
-        tgt = sum(t * st for t, st in zip(target, strides))
-        groups: dict[tuple[int, int], tuple[list[tuple[int, int]], int]] = {}
-
-        def coord_groups(i: int, v: int):
-            """Digit groups of adding v in coordinate i: (mask, shift) per
-            displacement, and the mask of digits landing on the target."""
-            hit = groups.get((i, v))
-            if hit is None:
-                stride, size = strides[i], sizes[i]
-                by_shift: dict[int, list[int]] = {}
-                onto = []
-                for d in range(size):
-                    e = step(i, v, d)
-                    by_shift.setdefault((e - d) * stride, []).append(d)
-                    if e == target[i]:
-                        onto.append(d)
-                hit = groups[(i, v)] = (
-                    [(_digit_mask(ds, stride, size, num_states), shift)
-                     for shift, ds in by_shift.items()],
-                    _digit_mask(onto, stride, size, num_states))
-            return hit
-
         empty = 1 << num_states
-        pre, own, up, down = [], [], [], []
+        # per coordinate: the digit of each label, the stride-scaled digit
+        # moves of each label's value, the (mask, shift) groups of each
+        # value, and the onto mask of each digit, the target digit's holding
+        # the empty bit
+        digits, moves, groups, onto = [], [], [], []
+        for i, (stride, size, t) in enumerate(zip(strides, sizes, target)):
+            values = {a[i] for a in labels}
+            sums = [value(i, e) for e in range(size)]
+            to = {v: move(i, v) for v in values.union(sums)}
+            masks = [_digit_mask([d for d, f in enumerate(to[v]) if f == t],
+                                 stride, size, num_states) for v in sums]
+            masks[t] |= empty
+            by_value, scaled = {}, {}
+            for v in values:
+                by_shift: dict[int, list[int]] = {}
+                for d, f in enumerate(to[v]):
+                    by_shift.setdefault((f - d) * stride, []).append(d)
+                by_value[v] = [(_digit_mask(ds, stride, size, num_states), shift)
+                               for shift, ds in by_shift.items()]
+                scaled[v] = [f * stride for f in to[v]]
+            digits.append([single(i, a[i]) for a in labels])
+            moves.append([scaled[a[i]] for a in labels])
+            groups.append(by_value)
+            onto.append(masks)
+        pairs = PairRows(digits, moves, strides, sizes, onto)
+
+        at = [sum(ds[ai] * st for ds, st in zip(digits, strides)) for ai in range(len(labels))]
+        up, down = [], []
         for a in labels:
-            at = sum(single(i, v) * st for i, (v, st) in enumerate(zip(a, strides)))
-            per_coord = [coord_groups(i, v) for i, v in enumerate(a)]
-            lands = -1
-            for _, onto in per_coord:
-                lands &= onto
             merged: dict[int, int] = {}
-            for combo in itertools.product(*(pieces for pieces, _ in per_coord)):
+            for combo in itertools.product(*(g[v] for g, v in zip(groups, a))):
                 mask, shift = -1, 0
                 for m, sh in combo:
                     mask &= m
                     shift += sh
                 merged[shift] = merged.get(shift, 0) | mask
             # a zero shift only re-adds states already in the set
-            pre.append(lands | empty if at == tgt else lands)
-            own.append(1 << at)
             up.append(tuple((m, sh) for sh, m in merged.items() if sh > 0))
             down.append(tuple((m, -sh) for sh, m in merged.items() if sh < 0))
-        return cls(tuple(labels), num_states, pre, own, up, down)
+        return cls(tuple(labels), num_states, pairs.pre_of(at), [1 << x for x in at],
+                   up, down, pairs)
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
         coords = s.coords
+        caps = s.caps
         if alphabet is None:
-            e = s.caps
-            alphabet = [a for a in s.elements() if a != e]
+            alphabet = [a for a in s.elements() if a != caps]
+        sizes = [cap + c.n - 1 for cap, c in zip(caps, coords)]
         return cls._build(
             sorted(alphabet),
-            [c.cap + c.n - 1 for c in coords],
-            [c.cap - 1 for c in coords],
+            sizes,
+            [cap - 1 for cap in caps],
             lambda i, v: v - 1,  # an index never exceeds k + n - 1 <= cap + n - 1
-            lambda i, v, d: _capped(coords[i].cap, coords[i].n, d + 1 + v) - 1,
+            lambda i, v: [_capped(caps[i], coords[i].n, d + 1 + v) - 1
+                          for d in range(sizes[i])],
+            # a sum p + x with x >= k reaches cap exactly when it is a
+            # multiple of n, so only x mod n matters there
+            lambda i, e: coords[i].canonical(e + 1),
         )
 
     @classmethod
@@ -478,7 +546,8 @@ class ReachEngine:
             list(periods),
             list(zero),
             lambda i, v: v,
-            lambda i, v, d: (d + v) % periods[i],
+            lambda i, v: [(d + v) % periods[i] for d in range(periods[i])],
+            lambda i, e: e,
         )
 
     def apply(self, states: int, ai: int) -> int | None:
@@ -504,13 +573,16 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     on_free(stack) at each (stack: the alphabet indices added, reused).
 
     A node hands its children only the elements it does not reject: reach
-    sets grow along a path, so a rejected element stays rejected below.
-    Nodes are counted by arithmetic as the search that tries one element at
-    a time counts them: a node entered at start costs n - start, or
-    hit - start + 1 if it stops at a hit.  The count is handed to the meter
-    when it reaches meter.next_check() and at the end.
+    sets grow along a path, so a rejected element stays rejected below.  A
+    child's survivors come from its parent's reach set and the pair row of
+    the child's element (ReachEngine.pairs), so the child's own reach set is
+    shifted only when it has survivors to expand; a last-level child is
+    never shifted.  Nodes are counted by arithmetic as the search that tries
+    one element at a time counts them: a node entered at start costs n -
+    start, or hit - start + 1 if it stops at a hit.  The count is handed to
+    the meter when it reaches meter.next_check() and at the end.
     """
-    pre, own, up, down = engine.pre, engine.own, engine.up, engine.down
+    pre, own, up, down, pairs = engine.pre, engine.own, engine.up, engine.down, engine.pairs
     n = len(pre)
     count = meter.nodes
     mark = meter.next_check()
@@ -527,24 +599,25 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         nonlocal count
         nxt = start  # first element whose attempt is not yet counted
         for j, b in enumerate(live):
-            out = S | own[b]
-            for m, sh in up[b]:
-                out |= (S & m) << sh
-            for m, sh in down[b]:
-                out |= (S & m) >> sh
+            row = pairs[b]
             if left == 2:
                 # the child is a last-level node: it stops at its first survivor
                 for c in live[j:]:
-                    if not out & pre[c]:
+                    if not S & row[c]:
                         count += c + 2 - nxt
                         return True
             else:
-                kids = [c for c in live[j:] if not out & pre[c]]
+                kids = [c for c in live[j:] if not S & row[c]]
                 if kids:
                     count += b + 1 - nxt
                     nxt = b + 1
                     if count >= mark:
                         settle()
+                    out = S | own[b]
+                    for m, sh in up[b]:
+                        out |= (S & m) << sh
+                    for m, sh in down[b]:
+                        out |= (S & m) >> sh
                     if exists(out, kids, b, left - 1):
                         return True
                     continue
@@ -562,27 +635,40 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         if count >= mark:
             settle()
         for j, b in enumerate(live):
-            out = S | own[b]
-            for m, sh in up[b]:
-                out |= (S & m) << sh
-            for m, sh in down[b]:
-                out |= (S & m) >> sh
+            row = pairs[b]
+            kids = [c for c in live[j:] if not S & row[c]]
             stack.append(b)
             on_free(stack)
-            enumerate_free(out, [c for c in live[j:] if not out & pre[c]], b)
+            if kids:
+                out = S | own[b]
+                for m, sh in up[b]:
+                    out |= (S & m) << sh
+                for m, sh in down[b]:
+                    out |= (S & m) >> sh
+                enumerate_free(out, kids, b)
+            else:  # a leaf: it tries and rejects every element from b on
+                count += n - b
+                if count >= mark:
+                    settle()
             stack.pop()
 
     S = states | 1 << engine.num_states
     found = True
     live = [b for b in range(start, n) if not S & pre[b]]
-    if length is None:
-        enumerate_free(S, live, start)
-    elif length:
-        if length > 1:
-            found = exists(S, live, start, length)
-        else:  # a last-level node stops at its first survivor
-            found = bool(live)
-            count += (live[0] + 1 if live else n) - start
+    try:
+        if length is None:
+            enumerate_free(S, live, start)
+        elif length:
+            if length > 1:
+                found = exists(S, live, start, length)
+            else:  # a last-level node stops at its first survivor
+                found = bool(live)
+                count += (live[0] + 1 if live else n) - start
+    finally:
+        # The recursive closures refer to themselves, and the cycle holds
+        # the engine's lists and rows; break it, so that they are freed with
+        # the engine and not at some later cycle collection.
+        exists = enumerate_free = None
     # a hit returns without a check; this one settles it
     meter.tick(count - meter.nodes)
     return found

@@ -374,13 +374,11 @@ def _l_formula(c: CyclicSpec) -> tuple[int | None, int, int]:
     return v, v, v
 
 
-def _lhat_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
-    """Max length of a free sequence without free-mode structure, plus one;
-    1 when every free sequence is structured, 0 for the trivial semigroup."""
-    if c.k == 1 and c.n == 1:
-        return 0, 0
-    meter = SearchMeter(budget)
-    alphabet, engine = _search_engine(c)
+def _lhat_watch(c: CyclicSpec, alphabet: list[int]):
+    """The on_free callback of the lhat search, and a function that reads
+    lhat off the finished walk: the max length of a free sequence without
+    free-mode structure, plus one; 1 when every free sequence is
+    structured, 0 for the trivial semigroup."""
     worst = 0
 
     def on_free(stack: list[int]) -> None:
@@ -388,13 +386,18 @@ def _lhat_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
         if len(stack) > worst and not _structured_free(c, [alphabet[i] for i in stack]):
             worst = len(stack)
 
-    search_free(engine, meter, on_free=on_free)
-    return (worst + 1 if worst else 1), meter.nodes
+    def value() -> int:
+        if c.k == 1 and c.n == 1:
+            return 0
+        return worst + 1 if worst else 1
+
+    return on_free, value
 
 
-def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
-    """Max length of a minimal idempotent-sum sequence without minimal-mode
-    structure, plus one; at least 1.
+def _l_watch(c: CyclicSpec, alphabet: list[int]):
+    """The on_free callback of the l search, and a function that reads l
+    off the finished walk: the max length of a minimal idempotent-sum
+    sequence without minimal-mode structure, plus one; at least 1.
 
     A minimal sequence is a free prefix extended by one final element a at
     least as large; the idempotent singleton is the only minimal sequence
@@ -413,8 +416,6 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
       This also drops a = cap, which is not in the alphabet: V = the whole
       prefix leaves the idempotent alone.
     """
-    meter = SearchMeter(budget)
-    alphabet, engine = _search_engine(c)
     cap, n = c.cap, c.n
     top = alphabet[-1] if alphabet else 0
     worst = 0
@@ -440,8 +441,25 @@ def _l_brute(c: CyclicSpec, budget: Budget) -> tuple[int, int]:
                 worst = d + 1
                 return
 
+    return on_free, lambda: worst + 1
+
+
+def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
+    """Brute values from one walk over the free sequences, one per watch
+    kind (_lhat_watch, _l_watch) in the order given, and the nodes
+    searched."""
+    meter = SearchMeter(budget)
+    alphabet, engine = _search_engine(c)
+    watches = [kind(c, alphabet) for kind in kinds]
+    if len(watches) == 1:
+        on_free = watches[0][0]
+    else:
+        def on_free(stack: list[int]) -> None:
+            for watch, _ in watches:
+                watch(stack)
+
     search_free(engine, meter, on_free=on_free)
-    return worst + 1, meter.nodes
+    return [value() for _, value in watches], meter.nodes
 
 
 def _structure_const(c: CyclicSpec, quantity: str, method: str,
@@ -453,17 +471,17 @@ def _structure_const(c: CyclicSpec, quantity: str, method: str,
     budget = budget or Budget()
     t0 = time.monotonic()
     formula = _lhat_formula(c) if quantity == "lhat" else _l_formula(c)
-    brute_fn = _lhat_brute if quantity == "lhat" else _l_brute
+    watch = _lhat_watch if quantity == "lhat" else _l_watch
     value, lower, upper = formula
     if method == "formula":
         return ConstResult(quantity, value, lower, upper, THM61, "formula",
                            elapsed_ms=_ms(t0))
     if method == "brute":
-        bval, nodes = brute_fn(c, budget)
+        (bval,), nodes = _brute_walk(c, budget, (watch,))
         return ConstResult(quantity, bval, bval, bval, BRUTE, "brute",
                            nodes=nodes, elapsed_ms=_ms(t0))
     if method == "both":
-        bval, nodes = brute_fn(c, budget)
+        (bval,), nodes = _brute_walk(c, budget, (watch,))
         agrees = (value == bval) if value is not None else (lower <= bval <= upper)
         if agrees:
             return ConstResult(quantity, bval, lower, upper, THM61, "both",
@@ -492,6 +510,8 @@ def l_const(c: CyclicSpec, method: str = "formula", budget: Budget | None = None
 
 def _gap_rows(max_k: int, max_n: int, quantity: str, budget: Budget):
     fn = lhat if quantity == "lhat" else l_const
+    # an l row also compares l with lhat, which the same walk finds
+    kinds = (_lhat_watch,) if quantity == "lhat" else (_l_watch, _lhat_watch)
     for n in range(1, max_n + 1):
         for k in range(n + 1, max_k + 1):
             c = CyclicSpec(k, n)
@@ -503,17 +523,16 @@ def _gap_rows(max_k: int, max_n: int, quantity: str, budget: Budget):
                 "upper": f.upper,
             }
             try:
-                b = fn(c, "brute", budget)
+                values, _nodes = _brute_walk(c, budget, kinds)
             except BudgetExceeded as exc:
                 row["skipped"] = str(exc)
                 yield row
                 continue
-            row["brute"] = b.value
-            row["anomaly"] = not (f.lower <= b.value <= f.upper)
+            row["brute"] = values[0]
+            row["anomaly"] = not (f.lower <= values[0] <= f.upper)
             if quantity == "l":
-                lh = lhat(c, "brute", budget)
-                row["lhat_brute"] = lh.value
-                row["le_lhat_plus_1"] = b.value <= lh.value + 1
+                row["lhat_brute"] = values[1]
+                row["le_lhat_plus_1"] = values[0] <= values[1] + 1
                 row["anomaly"] = row["anomaly"] or not row["le_lhat_plus_1"]
             yield row
 

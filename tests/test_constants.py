@@ -1,3 +1,5 @@
+import multiprocessing
+import pickle
 import time
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from ebs import constants
-from ebs.config import Budget
+from ebs.config import Budget, SearchMeter
 from ebs.constants import (
     BRUTE,
     COR31_DIV,
@@ -37,7 +39,7 @@ from ebs.constants import (
 )
 from ebs.errors import BudgetExceeded, SpecError
 from ebs.semigroup import GroupSpec, ProductSpec, parse_spec
-from ebs.sequences import is_idempotent_sum_free, is_zero_sum_free
+from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free, search_free
 
 
 class TestInvariantFactors:
@@ -118,6 +120,14 @@ class TestDavenport:
     def test_search_matches_naive_dfs(self, periods):
         value, witness, nodes = _davenport_brute(GroupSpec(periods), Budget())
         assert (value, nodes, witness.terms) == oracle.naive_davenport_search(periods)
+
+    @pytest.mark.parametrize("periods", [(2, 2, 2), (2, 6)])
+    def test_brute_matches_naive_search(self, periods):
+        g = GroupSpec(periods)
+        value, nodes, witness = oracle.naive_davenport_search(periods)
+        r = davenport(g, "brute")
+        assert (r.value, r.nodes) == (value, nodes)
+        assert _davenport_brute(g, Budget())[1].terms == witness
 
     def test_z3_cubed_witness_pinned(self):
         value, witness, nodes = _davenport_brute(GroupSpec((3, 3, 3)), Budget())
@@ -278,6 +288,33 @@ class TestEbBruteforce:
         par = eb_bruteforce(s, Budget(threads=2))
         assert built == [2]
         assert (par.value, par.nodes) == (serial.value, serial.nodes) == (7, 8039)
+
+    def test_pool_under_spawn(self, monkeypatch):
+        # Workers that start from a fresh interpreter receive the engine
+        # pickled, as under the forkserver default of Python 3.14 on Linux.
+        from concurrent.futures import ProcessPoolExecutor
+
+        class SpawnPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                kwargs["mp_context"] = multiprocessing.get_context("spawn")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "ProcessPoolExecutor", SpawnPool)
+        r = eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(threads=2))
+        assert (r.value, r.nodes) == (7, 8039)
+
+    def test_engine_with_built_rows_survives_pickling(self):
+        def run(engine):
+            meter = SearchMeter(Budget())
+            found = [search_free(engine, meter, length) for length in range(1, 8)]
+            return found, meter.nodes
+
+        engine = ReachEngine.for_spec(parse_spec("C(3;2)xC(1;4)"))
+        first = run(engine)
+        assert first[0] == [True] * 6 + [False]
+        copy = pickle.loads(pickle.dumps(engine))
+        assert dict(copy.pairs) == dict(engine.pairs) and len(copy.pairs) > 1
+        assert run(copy) == first
 
 
 class TestDavenportOnce:

@@ -29,7 +29,7 @@ from ebs.sequences import (
     sigma,
     sum_profile,
 )
-from ebs.structure import l_const, lhat
+from ebs.structure import _search_engine, l_const, lhat
 
 SWEEP_SPECS = [
     "C(2;1)", "C(1;2)", "C(3;2)", "C(2;3)", "C(4;1)", "C(1;4)",
@@ -270,6 +270,49 @@ class TestReachEngine:
                 t = Seq(tuple(labels[ai] for ai in combo))
                 assert hit == (not is_idempotent_sum_free(s, t)), t
 
+    @staticmethod
+    def assert_pair_identity(engine):
+        # for every S reached by <= 3 free elements and every b <= c that S
+        # does not reject, the pair row of b tells whether S + b rejects c
+        n = len(engine.labels)
+        empty = 1 << engine.num_states
+        checked = 0
+        for r in range(4):
+            for combo in itertools.combinations_with_replacement(range(n), r):
+                states = 0
+                for ai in combo:
+                    states = engine.apply(states, ai)
+                    if states is None:
+                        break
+                if states is None:
+                    continue
+                S = states | empty
+                live = [b for b in range(n) if not S & engine.pre[b]]
+                for j, b in enumerate(live):
+                    child = engine.apply(states, b)
+                    for c in live[j:]:
+                        assert bool(S & engine.pairs[b][c]) == (engine.apply(child, c) is None), \
+                            (combo, b, c)
+                        checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("label", [
+        "C(3;2)", "C(5;3)", "C(4;1)", "C(3;2)xC(2;3)", "C(4;2)xC(1;3)",
+        "C(1;2)xC(2;2)xC(1;3)",
+    ])
+    def test_pair_rows_for_spec(self, label):
+        self.assert_pair_identity(ReachEngine.for_spec(parse_spec(label)))
+
+    @pytest.mark.parametrize("periods", [(5,), (2, 4), (2, 2, 3)])
+    def test_pair_rows_for_group(self, periods):
+        self.assert_pair_identity(ReachEngine.for_group(GroupSpec(periods)))
+
+    @pytest.mark.parametrize("k,n", [(1, 6), (2, 5), (4, 4), (3, 7)])
+    def test_pair_rows_structure_engine(self, k, n):
+        # the alphabet stops at n - 1, so b + c can be the idempotent index n
+        _alphabet, engine = _search_engine(CyclicSpec(k, n))
+        self.assert_pair_identity(engine)
+
     def test_idempotent_label_rejected_alone(self):
         s = parse_spec("C(3;2)xC(1;3)")
         engine = ReachEngine.for_spec(s, alphabet=[idempotent(s), (1, 1)])
@@ -282,7 +325,8 @@ class TestSearchKernel:
     """search_free against a plain DFS that tries one element at a time, and
     its batched node counts against the budget."""
 
-    @pytest.mark.parametrize("label", ["C(3;2)xC(1;4)", "C(1;2)xC(1;3)", "C(2;2)xC(2;2)"])
+    @pytest.mark.parametrize("label", ["C(3;2)xC(1;4)", "C(1;2)xC(1;3)", "C(2;2)xC(2;2)",
+                                       "C(3;2)xC(2;3)", "C(1;2)xC(1;2)xC(1;3)"])
     def test_exists_matches_naive_dfs(self, label):
         s = parse_spec(label)
         engine = ReachEngine.for_spec(s)

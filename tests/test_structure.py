@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from ebs import structure
 from ebs.config import Budget
 from ebs.constants import BRUTE, THM61
 from ebs.errors import BudgetExceeded, PreconditionError, SpecError
@@ -384,6 +385,46 @@ class TestGapReport:
     def test_budget_rows_marked_skipped(self):
         report = structure_gap_report("lhat", 9, 1, Budget(node_budget=30))
         assert report["summary"]["skipped"] >= 1
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The search_free calls of the structure module, counted; a walk
+        whose number is listed in `fail` raises a budget error instead."""
+        real = structure.search_free
+        calls = []
+        fail = set()
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) in fail:
+                raise BudgetExceeded("time budget 1s exhausted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(structure, "search_free", counted)
+        return calls, fail
+
+    @pytest.mark.parametrize("quantity", ["lhat", "l"])
+    def test_one_walk_per_row(self, walks, quantity):
+        calls, _ = walks
+        report = structure_gap_report(quantity, 8, 3)
+        assert len(calls) == report["summary"]["rows"] == 18
+        # the rows are those of separate brute searches
+        fn = lhat if quantity == "lhat" else l_const
+        for row in report["rows"]:
+            k, n = map(int, row["spec"][2:-1].split(";"))
+            c = CyclicSpec(k, n)
+            assert row["brute"] == fn(c, "brute").value
+            if quantity == "l":
+                assert row["lhat_brute"] == lhat(c, "brute").value
+                assert row["le_lhat_plus_1"] == (row["brute"] <= row["lhat_brute"] + 1)
+
+    def test_budget_error_skips_only_its_row(self, walks):
+        calls, fail = walks
+        fail.add(2)
+        report = structure_gap_report("l", 5, 1)
+        assert [("skipped" in r) for r in report["rows"]] == [False, True, False, False]
+        assert report["summary"]["skipped"] == 1
+        assert len(calls) == 4
 
 
 class TestStructClassType:
