@@ -243,7 +243,6 @@ def _cmd_seq(args) -> int:
         format_seq,
         idempotent_witness,
         is_idempotent_sum,
-        is_idempotent_sum_free,
         is_minimal_idempotent_sum,
         read_seq_file,
     )
@@ -253,7 +252,9 @@ def _cmd_seq(args) -> int:
     t = read_seq_file(s, args.file)
     predicate = args.predicate
     if predicate == "free":
-        verdict = is_idempotent_sum_free(s, t)
+        # one walk gives both the verdict and the witness printed with it
+        witness = idempotent_witness(s, t)
+        verdict = witness is None
     elif predicate == "idempotent":
         verdict = is_idempotent_sum(s, t)
     else:
@@ -267,7 +268,6 @@ def _cmd_seq(args) -> int:
     lines = [f"{k}: {payload[k]}" for k in ("spec", "predicate", "length")]
     lines.append(f"result: {'true' if verdict else 'false'}")
     if predicate == "free" and not verdict:
-        witness = idempotent_witness(s, t)
         payload["witness"] = [list(term) for term in witness]
         lines.append("witness:")
         lines.extend(format_seq(witness).splitlines())

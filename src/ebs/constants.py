@@ -25,7 +25,7 @@ from .semigroup import (
     format_spec,
     group_of,
 )
-from .sequences import GroupSeq, ReachEngine, Seq, search_free
+from .sequences import ReachEngine, Seq, search_free
 
 # rule tags (fixed enumeration)
 THM31_II_EQ = "THM31_II_EQ"
@@ -160,7 +160,7 @@ def _prime_power_base(m: int) -> int | None:
 # ---------------------------------------------------------------------------
 # Davenport constant
 
-def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, GroupSeq, int]:
+def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, Seq, int]:
     """Exact D(G) = 1 + max zero-sum free length by exhaustive search over
     non-decreasing multisets, plus a longest zero-sum free witness."""
     engine = ReachEngine.for_group(g)
@@ -174,7 +174,7 @@ def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, GroupSeq, int]:
             best[:] = stack
 
     search_free(engine, meter, on_free=on_free)
-    witness = GroupSeq(tuple(engine.labels[ai] for ai in best))
+    witness = Seq(tuple(engine.labels[ai] for ai in best))
     return len(best) + 1, witness, meter.nodes
 
 

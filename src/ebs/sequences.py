@@ -23,10 +23,12 @@ children with survivors to expand, and counts the nodes of the plain
 one-candidate-at-a-time search by arithmetic.  Its one callback, on_free,
 sees each free node; rejected elements stay inside the kernel.
 
-The one-shot predicates keep tuple sets on purpose: they grow with the
-states actually reached (at most 2^len - 1), a bitset with the whole packed
-space (12 terms over C(100;100)^3 reach at most 4,095 of its 7,880,599
-states).
+The one-shot predicates read one walk, _walk, over the capped states of a
+sequence's subsequence sums; a state steps by per-term lookup rows, one per
+coordinate, holding the capped x + v of each index x.  The states are a
+sparse dict of tuples, not a bitset: a dict grows with the states actually
+reached (at most 2^len - 1), a bitset with the whole packed space (12 terms
+over C(100;100)^3 reach at most 4,095 of its 7,880,599 states).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_STATE_CAP, SearchMeter
@@ -59,7 +62,7 @@ def _as_term(t) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Seq:
-    """A multiset of product-semigroup elements, stored sorted."""
+    """A multiset of semigroup elements or group residue vectors, sorted."""
 
     terms: tuple[Element, ...]
 
@@ -94,31 +97,10 @@ class Seq:
         return Seq(tuple(terms))
 
 
-@dataclass(frozen=True)
-class GroupSeq:
-    """A multiset of residue vectors over a GroupSpec."""
-
-    terms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(_as_term(t) for t in self.terms)))
-
-    @classmethod
-    def of(cls, *terms) -> "GroupSeq":
-        return cls(tuple(_as_term(t) for t in terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
+GroupSeq = Seq  # the name of Seq on the group side
 
 
-def check_group_seq(g: GroupSpec, t: GroupSeq) -> None:
+def check_group_seq(g: GroupSpec, t: Seq) -> None:
     for term in t:
         if len(term) != len(g.periods):
             raise SpecError(
@@ -154,11 +136,11 @@ def sigma(s: ProductSpec, t: Seq) -> Element:
     return tuple(c.canonical(v) for c, v in zip(s.coords, profile))
 
 
-def psi(s: ProductSpec, t: Seq) -> GroupSeq:
+def psi(s: ProductSpec, t: Seq) -> Seq:
     """Term-wise reduction of canonical indices mod the coordinate periods."""
     for term in t:
         check_element(s, term)
-    return GroupSeq(tuple(tuple(v % c.n for v, c in zip(term, s.coords)) for term in t))
+    return Seq(tuple(tuple(v % c.n for v, c in zip(term, s.coords)) for term in t))
 
 
 def is_idempotent_sum(s: ProductSpec, t: Seq) -> bool:
@@ -180,101 +162,95 @@ def _capped(cap: int, n: int, v: int) -> int:
     return cap + (v - cap) % n
 
 
+class _Row(dict):
+    """The capped x + v of one coordinate for each index x the walk meets,
+    filled on first use."""
+
+    def __init__(self, cap: int, n: int, v: int):
+        self.cap, self.n, self.v = cap, n, v
+
+    def __missing__(self, x: int) -> int:
+        y = self[x] = _capped(self.cap, self.n, x + self.v)
+        return y
+
+
+def _walk(s: ProductSpec, t: Seq, state_cap: int):
+    """Walk the capped subset-sum states of t one term at a time.
+
+    Returns (fewest, first, hit).  fewest maps each state reached, the empty
+    sum (all zeros) included, to the fewest terms that reach it; first maps
+    each other one to the term position and the state of its first
+    appearance; hit is the position of the first term at which the
+    idempotent is reachable (the walk stops after it, before it checks the
+    state cap), or None."""
+    target = s.caps
+    fewest: dict[tuple[int, ...], int] = {(0,) * s.arity: 0}
+    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    rows: list[dict[int, _Row]] = [{} for _ in target]  # per coordinate, by value
+    for pos, term in enumerate(t.terms):
+        check_element(s, term)
+        step = []
+        for c, by_value, v in zip(s.coords, rows, term):
+            row = by_value.get(v)
+            if row is None:
+                row = by_value[v] = _Row(c.cap, c.n, v)
+            step.append(row)
+        # the states before this term, so that it is added at most once
+        for p, m in list(fewest.items()):
+            q = tuple(map(getitem, step, p))
+            k = fewest.get(q)
+            if k is None:
+                fewest[q] = m + 1
+                first[q] = (pos, p)
+            elif m + 1 < k:
+                fewest[q] = m + 1
+        if target in fewest:
+            return fewest, first, pos
+        if len(fewest) > state_cap + 1:
+            raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
+    return fewest, first, None
+
+
 def is_idempotent_sum_free(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff no nonempty subsequence sums to the idempotent.  The empty
     sequence is free by convention."""
-    target = s.caps
-    cn = [(c.cap, c.n) for c in s.coords]  # read once, not once per state
-    profiles: set[tuple[int, ...]] = set()
-    for term in t:
-        check_element(s, term)
-        single = tuple(_capped(cap, n, v) for (cap, n), v in zip(cn, term))
-        if single == target:
-            return False
-        fresh = {single}
-        for p in profiles:
-            q = tuple(_capped(cap, n, x + v) for (cap, n), x, v in zip(cn, p, term))
-            if q == target:
-                return False
-            fresh.add(q)
-        profiles |= fresh
-        if len(profiles) > state_cap:
-            raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
-    return True
+    return _walk(s, t, state_cap)[2] is None
 
 
 def is_minimal_idempotent_sum(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    """True iff t is an idempotent sum and no proper nonempty subsequence is.
-
-    One walk keeps, for each reachable state, the fewest terms that reach it;
-    t is minimal exactly when the idempotent needs all len(t) terms.
-    """
+    """True iff t is an idempotent sum and no proper nonempty subsequence is:
+    the idempotent is first reachable at the last term, and needs all
+    len(t) terms there."""
     if t.is_empty:
         raise SpecError("the empty sequence has no sum")
     if not is_idempotent_sum(s, t):
         return False
-    target = s.caps
-    cn = [(c.cap, c.n) for c in s.coords]  # read once, not once per state
-    size = len(t)
-    unreached = size + 1  # more terms than any subsequence has
-    fewest: dict[tuple[int, ...], int] = {}
-    for pos, term in enumerate(t, start=1):
-        check_element(s, term)
-        fresh = {tuple(_capped(cap, n, v) for (cap, n), v in zip(cn, term)): 1}
-        for p, m in fewest.items():
-            q = tuple(_capped(cap, n, x + v) for (cap, n), x, v in zip(cn, p, term))
-            if m + 1 < fresh.get(q, unreached):
-                fresh[q] = m + 1
-        for q, m in fresh.items():
-            if m < fewest.get(q, unreached):
-                fewest[q] = m
-        if len(fewest) > state_cap:
-            raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
-        if pos < size and target in fewest:
-            return False
-    return fewest[target] == size
+    fewest, _, hit = _walk(s, t, state_cap)
+    return hit == len(t) - 1 and fewest[s.caps] == len(t)
 
 
 def idempotent_witness(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> Seq | None:
     """Some nonempty subsequence summing to the idempotent, or None.
 
-    Walks a predecessor chain through the first appearance of each state;
-    first appearances have strictly increasing term positions, so the chain
-    is a valid subsequence.
+    Follows the chain of first appearances back from the idempotent; they
+    have strictly increasing term positions, so the chain is a valid
+    subsequence.
     """
-    target = s.caps
-    cn = [(c.cap, c.n) for c in s.coords]  # read once, not once per state
-    # state -> (term position, predecessor state or None)
-    seen: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
-    terms = t.terms
-    for pos, term in enumerate(terms):
-        check_element(s, term)
-        fresh: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
-        single = tuple(_capped(cap, n, v) for (cap, n), v in zip(cn, term))
-        if single not in seen:
-            fresh[single] = (pos, None)
-        for p, _ in seen.items():
-            q = tuple(_capped(cap, n, x + v) for (cap, n), x, v in zip(cn, p, term))
-            if q not in seen and q not in fresh:
-                fresh[q] = (pos, p)
-        seen.update(fresh)
-        if len(seen) > state_cap:
-            raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
-        if target in seen:
-            picked = []
-            state: tuple[int, ...] | None = target
-            while state is not None:
-                at, prev = seen[state]
-                picked.append(terms[at])
-                state = prev
-            return Seq(tuple(picked))
-    return None
+    _, first, hit = _walk(s, t, state_cap)
+    if hit is None:
+        return None
+    picked = []
+    state = s.caps
+    while state in first:
+        pos, state = first[state]
+        picked.append(t.terms[pos])
+    return Seq(tuple(picked))
 
 
 # ---------------------------------------------------------------------------
 # group-side predicates
 
-def group_sum(g: GroupSpec, t: GroupSeq) -> tuple[int, ...]:
+def group_sum(g: GroupSpec, t: Seq) -> tuple[int, ...]:
     check_group_seq(g, t)
     totals = [0] * len(g.periods)
     for term in t:
@@ -283,13 +259,13 @@ def group_sum(g: GroupSpec, t: GroupSeq) -> tuple[int, ...]:
     return tuple(v % n for v, n in zip(totals, g.periods))
 
 
-def is_zero_sum(g: GroupSpec, t: GroupSeq) -> bool:
+def is_zero_sum(g: GroupSpec, t: Seq) -> bool:
     if t.is_empty:
         raise SpecError("the empty sequence has no sum")
     return group_sum(g, t) == (0,) * len(g.periods)
 
 
-def _as_semigroup(g: GroupSpec, t: GroupSeq) -> tuple[ProductSpec, Seq]:
+def _as_semigroup(g: GroupSpec, t: Seq) -> tuple[ProductSpec, Seq]:
     """t inside C(1;n_1) x ... x C(1;n_r), residue 0 sent to index n_i.
 
     Every index is at least 1 and congruent to its residue, so a nonempty
@@ -301,12 +277,12 @@ def _as_semigroup(g: GroupSpec, t: GroupSeq) -> tuple[ProductSpec, Seq]:
     return s, Seq(tuple(tuple(r or n for r, n in zip(term, g.periods)) for term in t))
 
 
-def is_zero_sum_free(g: GroupSpec, t: GroupSeq) -> bool:
+def is_zero_sum_free(g: GroupSpec, t: Seq) -> bool:
     """True iff no nonempty subsequence sums to zero in every coordinate."""
     return is_idempotent_sum_free(*_as_semigroup(g, t))
 
 
-def is_minimal_zero_sum(g: GroupSpec, t: GroupSeq) -> bool:
+def is_minimal_zero_sum(g: GroupSpec, t: Seq) -> bool:
     """True iff t sums to zero and no proper nonempty subsequence does: one
     fewest-terms walk, that of is_minimal_idempotent_sum."""
     return is_minimal_idempotent_sum(*_as_semigroup(g, t))
@@ -403,6 +379,18 @@ class PairRows(dict):
                 mask &= onto[x // stride % size]
             by_state[x] = mask
         return [by_state[x] for x in states]
+
+    def __reduce__(self):
+        # The rows and by_state are caches, and a pickle shares no ints (all
+        # rows of C(30;1)xC(1;29) pickled to 159 MB).  A pickle flags the
+        # built rows instead, one byte per position whatever was searched,
+        # and the copy rebuilds them.
+        built = bytes(b in self for b in range(len(self.digits[0]) if self.digits else 0))
+        return PairRows, (self.digits, self.moves, self.strides, self.sizes, self.onto), built
+
+    def __setstate__(self, built: bytes) -> None:
+        for b in itertools.compress(range(len(built)), built):
+            self.__missing__(b)
 
     def __missing__(self, b: int) -> list[int]:
         sums = None

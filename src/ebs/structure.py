@@ -21,7 +21,6 @@ from .config import SUBSET_SUM_BOUND, Budget, SearchMeter
 from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
-    GroupSeq,
     ReachEngine,
     Seq,
     is_idempotent_sum_free,
@@ -98,6 +97,11 @@ def _sums_mask(vals) -> int:
     return acc
 
 
+def _fills(vals, total: int) -> bool:
+    """True iff the subset sums of vals (total: their sum) fill [0, total]."""
+    return _sums_mask(vals) == (1 << (total + 1)) - 1
+
+
 def subset_sums(h: IntSeq, bound: int = SUBSET_SUM_BOUND) -> frozenset[int]:
     """All nonempty sub-multiset sums, by bitmask dynamic programming."""
     if h.total > bound:
@@ -112,7 +116,7 @@ def is_behaving(h: IntSeq, bound: int = SUBSET_SUM_BOUND) -> bool:
         raise PreconditionError("behaving is undefined for the empty sequence")
     if h.total > bound:
         raise BudgetExceeded(f"subset-sum total {h.total} over bound {bound}")
-    return _sums_mask(h.entries) == (1 << (h.total + 1)) - 1
+    return _fills(h.entries, h.total)
 
 
 def behaving_bound_classify(h: IntSeq) -> str:
@@ -150,8 +154,21 @@ def _lpr(v: int, n: int) -> int:
     return (v % n) or n
 
 
+def _unit_multiple(n: int, vals) -> tuple[int, list[int]] | None:
+    """The least unit u of Z_n for which the least positive residues hs of
+    u^{-1} * vals are behaving with total <= n - 1, as (u, hs); None if
+    there is none."""
+    for u in _units(n):
+        inv = pow(u, -1, n)
+        hs = [_lpr(inv * v, n) for v in vals]
+        total = sum(hs)
+        if total <= n - 1 and _fills(hs, total):
+            return u, hs
+    return None
+
+
 def _residues_of(t) -> list[int]:
-    if isinstance(t, GroupSeq):
+    if isinstance(t, Seq):
         for term in t:
             if len(term) != 1:
                 raise SpecError("expected a rank-one group sequence")
@@ -170,15 +187,11 @@ def savchev_chen(n: int, t) -> tuple[int, IntSeq] | None:
     """
     if n < 2:
         raise PreconditionError(f"modulus must be >= 2, got {n}")
-    residues = [v % n for v in _residues_of(t)]
-    if not residues:
+    residues = _residues_of(t)
+    found = _unit_multiple(n, residues) if residues else None
+    if found is None:
         return None
-    for c in _units(n):
-        inv = pow(c, -1, n)
-        hs = IntSeq(tuple(_lpr(inv * r, n) for r in residues))
-        if hs.total <= n - 1 and is_behaving(hs):
-            return c, hs
-    return None
+    return found[0], IntSeq(tuple(found[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +214,10 @@ def _structured_free(c: CyclicSpec, vals) -> bool:
     """Free-mode structure: behaving index values with total <= cap - 1 when
     k > n; some unit multiple of the residues behaving with total <= n - 1
     when k <= n."""
-    total = sum(vals)
     if c.k > c.n:
-        return total <= c.cap - 1 and _sums_mask(vals) == (1 << (total + 1)) - 1
-    n = c.n
-    for u in _units(n):
-        inv = pow(u, -1, n) if n > 1 else 0
-        hs = [_lpr(inv * v, n) for v in vals]
-        ht = sum(hs)
-        if ht <= n - 1 and _sums_mask(hs) == (1 << (ht + 1)) - 1:
-            return True
-    return False
+        total = sum(vals)
+        return total <= c.cap - 1 and _fills(vals, total)
+    return _unit_multiple(c.n, vals) is not None
 
 
 def _structured_minimal(c: CyclicSpec, vals) -> bool:
@@ -220,7 +226,7 @@ def _structured_minimal(c: CyclicSpec, vals) -> bool:
     residues total exactly n when k <= n."""
     total = sum(vals)
     if c.k > c.n:
-        return total == c.cap and _sums_mask(vals) == (1 << (total + 1)) - 1
+        return total == c.cap and _fills(vals, total)
     n = c.n
     for u in _units(n):
         inv = pow(u, -1, n) if n > 1 else 0
@@ -291,7 +297,7 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
     entries = tuple(sorted(vals))
     total = sum(vals)
     matches = []
-    if total <= c.cap - 1 and _sums_mask(vals) == (1 << (total + 1)) - 1:
+    if total <= c.cap - 1 and _fills(vals, total):
         matches.append(BEHAVING_I)
     if n >= 3 and c.cap % 2 == 1 and entries == (2,) * (x2 // 2 - 1):
         matches.append(TWO_POWER_II)

@@ -202,6 +202,18 @@ class TestSeqCommand:
         assert "witness:" in out
         assert out.count("\n1") >= 3
 
+    def test_free_false_walks_once(self, capsys, tmp_path, monkeypatch):
+        from ebs import sequences
+
+        walks = []
+        walk = sequences._walk
+        monkeypatch.setattr(sequences, "_walk", lambda *a: walks.append(a) or walk(*a))
+        f = tmp_path / "t.seq"
+        f.write_text("1\n1\n1\n")
+        code, out, _ = run(capsys, "seq", "check", "--spec", "C(2;3)",
+                           "--predicate", "free", "--file", str(f))
+        assert code == 0 and "witness:" in out and len(walks) == 1
+
     def test_idempotent_predicate(self, capsys, tmp_path):
         f = tmp_path / "t.seq"
         f.write_text("1\n1\n1\n")

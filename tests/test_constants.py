@@ -316,6 +316,16 @@ class TestEbBruteforce:
         assert dict(copy.pairs) == dict(engine.pairs) and len(copy.pairs) > 1
         assert run(copy) == first
 
+    def test_pickle_leaves_out_built_rows(self):
+        engine = ReachEngine.for_spec(parse_spec("C(4;3)xC(2;5)"))
+        before = len(pickle.dumps(engine))
+        search_free(engine, SearchMeter(Budget()), 5)
+        assert engine.pairs
+        assert len(pickle.dumps(engine)) == before
+        copy = pickle.loads(pickle.dumps(engine))
+        assert dict(copy.pairs) == dict(engine.pairs)
+        assert all(copy.pairs[b] == engine.pairs[b] for b in range(len(engine.labels)))
+
 
 class TestDavenportOnce:
     """An inexact formula D falls back to brute force; a top-level call

@@ -130,6 +130,30 @@ class TestReachAgainstOracle:
         if not t.is_empty:
             assert is_minimal_idempotent_sum(s, t) == oracle.naive_is_minimal(pairs, t.terms)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_and_witness_match_oracle(self, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                                   min_size=1, max_size=3))
+        s = ProductSpec.of(*pairs)
+        terms = data.draw(st.lists(
+            st.tuples(*(st.integers(1, c.size) for c in s.coords)),
+            min_size=1, max_size=5))
+        # close the sequence up to an idempotent sum half the time (random
+        # draws almost never are one), so that the fewest-terms path runs
+        if data.draw(st.booleans()):
+            totals = [sum(col) for col in zip(*terms)]
+            terms.append(tuple((-v) % c.n or c.n if v >= c.cap else c.cap - v
+                               for c, v in zip(s.coords, totals)))
+        t = Seq(tuple(terms))
+        assert is_minimal_idempotent_sum(s, t) == oracle.naive_is_minimal(pairs, terms)
+        w = idempotent_witness(s, t)
+        if oracle.naive_is_free(pairs, terms):
+            assert w is None
+        else:
+            assert w is not None and Counter(w.terms) <= Counter(t.terms)
+            assert is_idempotent_sum(s, w)
+
     @given(seq_strategy())
     @settings(max_examples=150, deadline=None)
     def test_free_is_monotone(self, sp):
@@ -151,6 +175,15 @@ class TestStateCap:
         for predicate in (is_idempotent_sum_free, is_minimal_idempotent_sum, idempotent_witness):
             with pytest.raises(BudgetExceeded):
                 predicate(s, t, state_cap=2)
+
+    def test_hit_checked_before_cap(self):
+        # ten ones reach 10 states, the tenth being the idempotent: a walk
+        # that finds the idempotent answers before it counts the states
+        s = parse_spec("C(10;1)")
+        t = Seq.of(*[1] * 10)
+        assert not is_idempotent_sum_free(s, t, state_cap=9)
+        assert idempotent_witness(s, t, state_cap=9) == t
+        assert is_minimal_idempotent_sum(s, t, state_cap=9)
 
     def test_reached_states_not_packed_space(self):
         # 199^3 = 7,880,599 packed states; 12 terms reach at most 2^12 - 1 = 4,095
@@ -409,6 +442,7 @@ class TestGroupSeqValidation:
         from ebs.sequences import check_group_seq
         g = GroupSpec((2, 3))
         check_group_seq(g, GroupSeq.of((0, 1), (1, 2)))
+        assert GroupSeq is Seq
         with pytest.raises(SpecError):
             check_group_seq(g, GroupSeq.of((2, 0),))
         with pytest.raises(SpecError):
