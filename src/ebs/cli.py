@@ -150,14 +150,16 @@ def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> 
 
     The key ignores the budget, so a result flagged davenport-inexact (the
     Davenport constant left as an interval, which a larger budget may
-    resolve) is returned but never stored.
+    resolve) is returned but never stored.  An entry of another version, or
+    without a result dict, is a miss: it is recomputed and overwritten.
     """
     if cfg.cache_path is None:
         return compute()
     store = _cache_read(cfg.cache_path)
     key = f"{label}|{quantity}|{method}"
     entry = store.get(key)
-    if isinstance(entry, dict) and entry.get("version") == __version__:
+    if (isinstance(entry, dict) and entry.get("version") == __version__
+            and isinstance(entry.get("result"), dict)):
         return entry["result"]
     result = compute()
     if "davenport-inexact" in result.get("flags", ()):

@@ -19,12 +19,13 @@ class Budget:
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
     is wall clock from the start of a search, its setup included; state_cap
-    bounds the number of distinct reachable subset-sum states a single search
-    may materialize.  threads > 1 fans each probe of a search out to a process
-    pool, one task per first element.  The node budget is global: task counts
-    are added in alphabet order up to the first hit, exactly as the serial
-    search counts, so node counts and budget verdicts are the same at every
-    thread count.
+    caps the subset-sum states: the packed space prod(cap_i) of a search
+    engine (|G| for a group), checked before the search starts, and the
+    states a one-shot walk reaches.  threads > 1 fans each probe of a search
+    out to a process pool, one task per first element.  The node budget is
+    global: task counts are added in alphabet order up to the first hit,
+    exactly as the serial search counts, so node counts and budget verdicts
+    are the same at every thread count.
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET

@@ -25,7 +25,7 @@ from .semigroup import (
     format_spec,
     group_of,
 )
-from .sequences import ReachEngine, Seq, search_free
+from .sequences import ReachEngine, Seq, _lift, search_free
 
 # rule tags (fixed enumeration)
 THM31_II_EQ = "THM31_II_EQ"
@@ -600,10 +600,7 @@ def build_lift_witness(s: ProductSpec, budget: Budget | None = None) -> Seq:
     q1 = [c.cap // c.n - 1 for c in s.coords]
     lead = max(q1)
     mu = tuple(c.n for c in s.coords)
-    terms = [mu] * lead
-    for res in witness:
-        terms.append(tuple(v if v >= 1 else c.n for v, c in zip(res, s.coords)))
-    return Seq(tuple(terms))
+    return Seq(tuple([mu] * lead + [_lift(mu, res) for res in witness]))
 
 
 def build_uniform_witness(s: ProductSpec) -> Seq | None:

@@ -4,9 +4,11 @@ predicates.
 A sequence is a finite multiset of elements; no predicate here depends on
 order.  The central fact: a nonempty sequence sums to the idempotent exactly
 when, in every coordinate, its raw index total reaches cap_i = ceil(k_i/n_i)*n_i
-and is divisible by n_i.  Because the criterion only sees totals through
-"capped" canonical indices, the set of subset-sum states of a sequence stays
-bounded by prod(cap_i + n_i - 1) regardless of sequence length.
+and is divisible by n_i.  Past cap_i - n_i only a total's residue mod n_i
+matters, so a total above cap_i wraps into [cap_i - n_i + 1, cap_i] (_capped),
+and the subset-sum states of a sequence stay bounded by prod(cap_i)
+regardless of sequence length.  A group runs as C(1;n_1) x ... x C(1;n_r),
+residue 0 lifted to index n_i (_lift), where the idempotent is the zero sum.
 
 The search engine, ReachEngine, packs each state into one integer and a
 whole reach set into one int bitset; it adds an element by a few masked
@@ -28,7 +30,7 @@ sequence's subsequence sums; a state steps by per-term lookup rows, one per
 coordinate, holding the capped x + v of each index x.  The states are a
 sparse dict of tuples, not a bitset: a dict grows with the states actually
 reached (at most 2^len - 1), a bitset with the whole packed space (12 terms
-over C(100;100)^3 reach at most 4,095 of its 7,880,599 states).
+over C(100;100)^3 reach at most 4,095 of its 1,000,000 states).
 """
 
 from __future__ import annotations
@@ -156,10 +158,15 @@ def is_idempotent_sum(s: ProductSpec, t: Seq) -> bool:
 # subset-sum reachability
 
 def _capped(cap: int, n: int, v: int) -> int:
-    """Canonical index of a running sum v inside C(cap; n)."""
-    if v <= cap + n - 1:
+    """The state of a coordinate total v of C(k;n), cap = ceil(k/n)*n.
+
+    A total is idempotent when it is at least cap and divisible by n.  Past
+    cap - n, the next multiple of n is already at least cap, so only the
+    residue matters: totals above cap wrap into [cap - n + 1, cap], and the
+    state of a sum is the state of its capped parts' sum."""
+    if v <= cap:
         return v
-    return cap + (v - cap) % n
+    return cap - n + 1 + (v - cap - 1) % n
 
 
 class _Row(dict):
@@ -265,6 +272,12 @@ def is_zero_sum(g: GroupSpec, t: Seq) -> bool:
     return group_sum(g, t) == (0,) * len(g.periods)
 
 
+def _lift(periods, residues) -> tuple[int, ...]:
+    """The index of C(1;n_1) x ... x C(1;n_r) in each residue's class:
+    residue 0 goes to n_i."""
+    return tuple(r or n for r, n in zip(residues, periods))
+
+
 def _as_semigroup(g: GroupSpec, t: Seq) -> tuple[ProductSpec, Seq]:
     """t inside C(1;n_1) x ... x C(1;n_r), residue 0 sent to index n_i.
 
@@ -274,7 +287,7 @@ def _as_semigroup(g: GroupSpec, t: Seq) -> tuple[ProductSpec, Seq]:
     """
     check_group_seq(g, t)
     s = ProductSpec(tuple(CyclicSpec(1, n) for n in g.periods))
-    return s, Seq(tuple(tuple(r or n for r, n in zip(term, g.periods)) for term in t))
+    return s, Seq(tuple(_lift(g.periods, term) for term in t))
 
 
 def is_zero_sum_free(g: GroupSpec, t: Seq) -> bool:
@@ -405,22 +418,23 @@ class PairRows(dict):
 class ReachEngine:
     """Precomputed bitset translations for exhaustive free-sequence searches.
 
-    A state packs the per-coordinate digits (capped canonical sum minus one
-    in the semigroup flavor, residue in the group flavor) into one integer
-    by mixed-radix encoding, the last coordinate least significant.  A reach
-    set is one Python int: bit p is set when packed state p is reachable,
-    and the empty set is 0.
+    Coordinate i of a state is a digit d in [0, cap_i), standing for the
+    capped total d + 1 (see _capped); the target digit, the idempotent, is
+    cap_i - 1.  A group runs as C(1;n_1) x ... x C(1;n_r), where cap_i = n_i
+    and the target is the zero sum.  A state packs its digits into one
+    integer by mixed-radix encoding, the last coordinate least significant.
+    A reach set is one Python int: bit p is set when packed state p is
+    reachable, and the empty set is 0.
 
     Adding an alphabet element moves every digit of a coordinate by a fixed
-    displacement, except where the sum saturates or wraps.  So translating a
-    reach set by an element is a union of masked shifts: the element's
-    pieces are (mask, shift) pairs, one per distinct packed displacement,
-    each the product of per-coordinate digit groups (built once per
-    coordinate and value).  The element's preimage mask pre holds the states
-    that adding it carries onto the target (the idempotent, or zero): the
-    AND of the per-coordinate onto masks of its digits, where the onto mask
-    of a digit holds the digits that adding its value carries onto the
-    target digit.
+    displacement, except where the sum wraps.  So translating a reach set by
+    an element is a union of masked shifts: the element's pieces are (mask,
+    shift) pairs, one per distinct packed displacement, each the product of
+    per-coordinate digit groups (built once per coordinate and digit).  The
+    element's preimage mask pre holds the states that adding it carries onto
+    the target: the AND of the per-coordinate onto masks of its digits,
+    where the onto mask of a digit holds the digits that adding its total
+    carries onto the target digit.
 
     Flat lists indexed by alphabet position hold each element's pre, own
     (its own state bit) and shift pieces up and down.  Bit num_states stands
@@ -448,51 +462,49 @@ class ReachEngine:
         self.pairs = pairs
 
     @classmethod
-    def _build(cls, labels, sizes, target, single, move, value) -> "ReachEngine":
-        """Engine over `labels` whose coordinate i has sizes[i] digits.
+    def _build(cls, labels, indices, coords) -> "ReachEngine":
+        """Engine over `labels`, whose semigroup indices are `indices` (one
+        tuple per label), with coords[i] = (cap_i, n_i).
 
-        single(i, v) is the digit of coordinate value v on its own, move(i,
-        v) the list of the digits that each digit moves to by adding v,
-        target the target digit per coordinate, and value(i, e) a value
-        whose move carries the same digits onto the target as adding the
-        sum with digit e does.  (Digit moves are lists, not tuples: freed
-        tuples shorter than 20 stay on CPython's per-size free lists, which
-        held about 1 MB more after a few hundred builds.)
+        (Digit moves are lists, not tuples: freed tuples shorter than 20
+        stay on CPython's per-size free lists, which held about 1 MB more
+        after a few hundred builds.)
         """
+        sizes = [cap for cap, _ in coords]
         strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
         num_states = math.prod(sizes)
         empty = 1 << num_states
         # per coordinate: the digit of each label, the stride-scaled digit
-        # moves of each label's value, the (mask, shift) groups of each
-        # value, and the onto mask of each digit, the target digit's holding
+        # moves of each label's digit, the (mask, shift) groups of each
+        # digit, and the onto mask of each digit, the target digit's holding
         # the empty bit
         digits, moves, groups, onto = [], [], [], []
-        for i, (stride, size, t) in enumerate(zip(strides, sizes, target)):
-            values = {a[i] for a in labels}
-            sums = [value(i, e) for e in range(size)]
-            to = {v: move(i, v) for v in values.union(sums)}
-            masks = [_digit_mask([d for d, f in enumerate(to[v]) if f == t],
-                                 stride, size, num_states) for v in sums]
-            masks[t] |= empty
-            by_value, scaled = {}, {}
-            for v in values:
+        for i, (stride, (cap, n)) in enumerate(zip(strides, coords)):
+            # to[e][d]: the digit that digit d moves to by adding digit e
+            to = [[_capped(cap, n, d + e + 2) - 1 for d in range(cap)] for e in range(cap)]
+            masks = [_digit_mask([d for d, f in enumerate(row) if f == cap - 1],
+                                 stride, cap, num_states) for row in to]
+            masks[-1] |= empty
+            label_digits = [_capped(cap, n, a[i]) - 1 for a in indices]
+            by_digit, scaled = {}, {}
+            for e in set(label_digits):
                 by_shift: dict[int, list[int]] = {}
-                for d, f in enumerate(to[v]):
+                for d, f in enumerate(to[e]):
                     by_shift.setdefault((f - d) * stride, []).append(d)
-                by_value[v] = [(_digit_mask(ds, stride, size, num_states), shift)
+                by_digit[e] = [(_digit_mask(ds, stride, cap, num_states), shift)
                                for shift, ds in by_shift.items()]
-                scaled[v] = [f * stride for f in to[v]]
-            digits.append([single(i, a[i]) for a in labels])
-            moves.append([scaled[a[i]] for a in labels])
-            groups.append(by_value)
+                scaled[e] = [f * stride for f in to[e]]
+            digits.append(label_digits)
+            moves.append([scaled[e] for e in label_digits])
+            groups.append(by_digit)
             onto.append(masks)
         pairs = PairRows(digits, moves, strides, sizes, onto)
 
         at = [sum(ds[ai] * st for ds, st in zip(digits, strides)) for ai in range(len(labels))]
         up, down = [], []
-        for a in labels:
+        for ai in range(len(labels)):
             merged: dict[int, int] = {}
-            for combo in itertools.product(*(g[v] for g, v in zip(groups, a))):
+            for combo in itertools.product(*(g[ds[ai]] for g, ds in zip(groups, digits))):
                 mask, shift = -1, 0
                 for m, sh in combo:
                     mask &= m
@@ -506,37 +518,21 @@ class ReachEngine:
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
-        coords = s.coords
-        caps = s.caps
         if alphabet is None:
-            alphabet = [a for a in s.elements() if a != caps]
-        sizes = [cap + c.n - 1 for cap, c in zip(caps, coords)]
-        return cls._build(
-            sorted(alphabet),
-            sizes,
-            [cap - 1 for cap in caps],
-            lambda i, v: v - 1,  # an index never exceeds k + n - 1 <= cap + n - 1
-            lambda i, v: [_capped(caps[i], coords[i].n, d + 1 + v) - 1
-                          for d in range(sizes[i])],
-            # a sum p + x with x >= k reaches cap exactly when it is a
-            # multiple of n, so only x mod n matters there
-            lambda i, e: coords[i].canonical(e + 1),
-        )
+            alphabet = [a for a in s.elements() if a != s.caps]
+        labels = sorted(alphabet)
+        return cls._build(labels, labels, [(c.cap, c.n) for c in s.coords])
 
     @classmethod
     def for_group(cls, g: GroupSpec, alphabet: Sequence[tuple[int, ...]] | None = None) -> "ReachEngine":
-        periods = g.periods
-        zero = (0,) * len(periods)
+        """Engine over residue labels in residue order, each run as its lift
+        into C(1;n_1) x ... x C(1;n_r)."""
+        zero = (0,) * len(g.periods)
         if alphabet is None:
             alphabet = [a for a in g.elements() if a != zero]
-        return cls._build(
-            sorted(alphabet),
-            list(periods),
-            list(zero),
-            lambda i, v: v,
-            lambda i, v: [(d + v) % periods[i] for d in range(periods[i])],
-            lambda i, e: e,
-        )
+        labels = sorted(alphabet)
+        return cls._build(labels, [_lift(g.periods, a) for a in labels],
+                          [(n, n) for n in g.periods])
 
     def apply(self, states: int, ai: int) -> int | None:
         """Reach set after appending alphabet element ai, or None if the

@@ -328,7 +328,7 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
 
 def _search_engine(c: CyclicSpec) -> tuple[list[int], ReachEngine]:
     """Index values enumerated by the brute searches, ascending, and their
-    arity-1 engine (cap + n - 1 states).
+    arity-1 engine (cap states).
 
     For k <= n freeness and both structure predicates depend on residues
     only, so one representative per nonzero residue class suffices; for

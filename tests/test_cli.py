@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ebs import __version__
 from ebs.cli import CliConfig, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -135,6 +136,15 @@ class TestCache:
                            "--cache", str(cache), "--json")
         assert code == 0 and json.loads(out)["value"] == 4
         assert json.loads(cache.read_text())["C(3;2)|eb|formula"]["version"] != "0.0.0"
+
+    @pytest.mark.parametrize("entry", [{"result": 5}, {}])
+    def test_current_entry_without_result_dict_recomputes(self, capsys, tmp_path, entry):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"C(3;2)|eb|formula": {"version": __version__, **entry}}))
+        code, out, _ = run(capsys, "const", "eb", "--spec", "C(3;2)", "--cache", str(cache))
+        assert code == 0 and "value: 4" in out.splitlines()
+        stored = json.loads(cache.read_text())["C(3;2)|eb|formula"]
+        assert stored["version"] == __version__ and stored["result"]["value"] == 4
 
     def test_corrupt_cache_warns_and_continues(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"

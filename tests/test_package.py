@@ -1,8 +1,15 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import ebs
+import ebs.constants
+import ebs.sequences
+from ebs.semigroup import GroupSpec
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _home(name):
@@ -33,3 +40,35 @@ class TestLazyExports:
         assert getattr(ebs, "main", None) is None
         with pytest.raises(ImportError):
             exec("from ebs import no_such_name", {})
+
+
+class TestBenchmarkTracerHooks:
+    """perfbench/tracing.py wraps ebs functions and the ReachEngine
+    constructors by name, so `run.py --trace 1` breaks when one is renamed."""
+
+    def test_every_hook_is_rebound_and_restored(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        engine = ebs.sequences.ReachEngine
+        hooks = [(mod, name) for _layer, mod, name, _info in tracing.FUNCTIONS]
+        hooks += [(engine, "for_spec"), (engine, "for_group"),
+                  (ebs.constants, "ProcessPoolExecutor")]
+        for obj, name in hooks:
+            assert hasattr(obj, name), name
+        before = {(id(obj), name): vars(obj)[name] for obj, name in hooks}
+        for name in ("for_spec", "for_group"):
+            assert isinstance(vars(engine)[name], classmethod), name
+        # restore() binds the imported pool class, not what the module held
+        monkeypatch.setattr(ebs.constants, "ProcessPoolExecutor", ebs.constants.ProcessPoolExecutor)
+        tracer = tracing.Tracer()
+        try:
+            tracer.patch()
+            rebound = {(id(obj), name) for obj, name, _old in tracer._saved}
+            assert set(before) <= rebound
+            engine.for_group(GroupSpec((2,)))
+            assert [(s[1], s[6]) for s in tracer.spans] == [("engine_build", {"entries": 2})]
+        finally:
+            tracer.restore()
+        for obj, name in hooks[:-1]:
+            assert vars(obj)[name] is before[(id(obj), name)], name

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ from ebs.sequences import (
     GroupSeq,
     ReachEngine,
     Seq,
+    _capped,
     format_seq,
     idempotent_witness,
     is_idempotent_sum,
@@ -164,6 +166,39 @@ class TestReachAgainstOracle:
                 assert not is_idempotent_sum_free(s, t)
 
 
+class TestCappedState:
+    """_capped keeps the idempotent test and commutes with addition, so the
+    walk and the engine may cap every partial sum."""
+
+    CAPS = [(cap, n) for n in range(1, 13) for cap in range(n, 13, n)]
+
+    @pytest.mark.parametrize("cap,n", CAPS)
+    def test_commutes_with_addition(self, cap, n):
+        for t in range(3 * (cap + n) + 1):
+            x = _capped(cap, n, t)
+            assert 0 <= x <= cap
+            assert (x == cap) == (t >= cap and t % n == 0), t
+            for v in range(cap + n + 1):
+                assert _capped(cap, n, x + v) == _capped(cap, n, t + v), (t, v)
+
+    @pytest.mark.parametrize("label", ["C(5;3)", "C(1;4)", "C(5;3)xC(2;2)", "C(4;2)xC(1;3)"])
+    def test_spec_engine_has_cap_states(self, label):
+        s = parse_spec(label)
+        assert ReachEngine.for_spec(s).num_states == math.prod(s.caps)
+
+    @pytest.mark.parametrize("periods", [(5,), (2, 4), (2, 2, 3), (3, 3, 3)])
+    def test_group_engine_has_order_states(self, periods):
+        g = GroupSpec(periods)
+        assert ReachEngine.for_group(g).num_states == g.order
+
+    def test_totals_past_cap_share_a_state(self):
+        # in C(5;3), cap 6: index 7 wraps onto 4, and both leave a residue 1
+        engine = ReachEngine.for_spec(parse_spec("C(5;3)"))
+        own = dict(zip(engine.labels, engine.own))
+        assert own[(4,)] == own[(7,)]
+        assert len(set(engine.own)) == len(engine.labels) - 1
+
+
 class TestStateCap:
     """state_cap bounds the states a walk actually reaches, not the packed
     space of the spec."""
@@ -186,7 +221,7 @@ class TestStateCap:
         assert is_minimal_idempotent_sum(s, t, state_cap=9)
 
     def test_reached_states_not_packed_space(self):
-        # 199^3 = 7,880,599 packed states; 12 terms reach at most 2^12 - 1 = 4,095
+        # 100^3 = 1,000,000 packed states; 12 terms reach at most 2^12 - 1 = 4,095
         s = parse_spec("C(100;100)xC(100;100)xC(100;100)")
         rng = random.Random(12)
         head = [(rng.randint(1, 8), rng.randint(1, 199), rng.randint(1, 199))
@@ -282,7 +317,7 @@ class TestReachEngine:
     multiset is not idempotent-sum free."""
 
     @pytest.mark.parametrize("label", [
-        "C(3;2)", "C(4;1)", "C(3;2)xC(2;1)", "C(1;2)xC(2;2)xC(1;3)",
+        "C(3;2)", "C(4;1)", "C(3;2)xC(2;1)", "C(1;2)xC(2;2)xC(1;3)", "C(5;3)xC(2;2)",
     ])
     def test_for_spec_matches_predicate(self, label):
         s = parse_spec(label)
