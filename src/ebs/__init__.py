@@ -43,51 +43,4 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__all__ = [
-    "Budget",
-    "BudgetExceeded",
-    "ConstResult",
-    "CyclicSpec",
-    "GroupSeq",
-    "GroupSpec",
-    "IntSeq",
-    "PreconditionError",
-    "ProductSpec",
-    "Seq",
-    "SeqFileError",
-    "SpecError",
-    "StructClass",
-    "add",
-    "behaving_bound_classify",
-    "canonical_index",
-    "classify_free_sequence",
-    "davenport",
-    "eb_bounds",
-    "eb_bruteforce",
-    "eb_exact",
-    "element_count",
-    "erdos_burgess",
-    "explore_conjecture",
-    "format_spec",
-    "group_of",
-    "has_structure",
-    "idempotent",
-    "idempotent_witness",
-    "invariant_factors",
-    "is_behaving",
-    "is_idempotent_sum",
-    "is_idempotent_sum_free",
-    "is_minimal_idempotent_sum",
-    "is_minimal_zero_sum",
-    "is_zero_sum_free",
-    "l_const",
-    "lhat",
-    "parse_spec",
-    "psi",
-    "read_seq_file",
-    "reduce_spec",
-    "savchev_chen",
-    "sigma",
-    "structure_gap_report",
-    "subset_sums",
-]
+__all__ = sorted(_EXPORTS)

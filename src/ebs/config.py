@@ -19,10 +19,11 @@ class Budget:
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
     is wall clock from the start of a search, its setup included; state_cap
-    caps the subset-sum states: the packed space prod(cap_i) of a search
-    engine (|G| for a group), checked before the search starts, and the
-    states a one-shot walk reaches.  threads > 1 fans each probe of a search
-    out to a process pool, one task per first element.  The node budget is
+    caps the subset-sum states: the packed space of a search engine
+    (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l), checked
+    before the engine is built, and the states a one-shot walk reaches.
+    threads > 1 fans each probe of a search out to a process pool, one task
+    per first element.  The node budget is
     global: task counts are added in alphabet order up to the first hit,
     exactly as the serial search counts, so node counts and budget verdicts
     are the same at every thread count.
@@ -70,6 +71,16 @@ class SearchMeter:
         """The node count at which a batching search must next call tick:
         the next multiple of 4096, or the first count over the limit."""
         return min(((self.nodes >> 12) + 1) << 12, self._limit + 1)
+
+    def check_states(self, count: int) -> None:
+        """Raise BudgetExceeded if a search over count packed states would
+        pass the state cap; called before its engine is built."""
+        if count > self.budget.state_cap:
+            raise BudgetExceeded(
+                f"state count {count} over cap {self.budget.state_cap}",
+                nodes=self.nodes,
+                elapsed_ms=self.elapsed_ms(),
+            )
 
     def check_time(self) -> None:
         if time.monotonic() - self.started > self.budget.time_budget_s:

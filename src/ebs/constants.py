@@ -163,10 +163,9 @@ def _prime_power_base(m: int) -> int | None:
 def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, Seq, int]:
     """Exact D(G) = 1 + max zero-sum free length by exhaustive search over
     non-decreasing multisets, plus a longest zero-sum free witness."""
-    engine = ReachEngine.for_group(g)
-    if engine.num_states > budget.state_cap:
-        raise BudgetExceeded(f"group state count {engine.num_states} over cap")
     meter = SearchMeter(budget)
+    meter.check_states(g.order)
+    engine = ReachEngine.for_group(g)
     best: list[int] = []
 
     def on_free(stack: list[int]) -> None:
@@ -210,16 +209,7 @@ def davenport(g: GroupSpec, method: str = "formula", budget: Budget | None = Non
     if method == "both":
         f = davenport(g, "formula", budget)
         b = davenport(g, "brute", budget)
-        if f.value is not None and f.value != b.value:
-            raise RuntimeError(
-                f"internal error: Davenport disagreement, formula {f.value} != brute {b.value}"
-            )
-        if not f.lower <= b.value <= (f.upper if f.upper is not None else b.value):
-            raise RuntimeError(
-                f"internal error: brute Davenport {b.value} outside formula bounds "
-                f"[{f.lower}, {f.upper}]"
-            )
-        rule = f.rule if f.value is not None else BRUTE
+        rule = _cross_check("Davenport", f, b)
         return ConstResult("davenport", b.value, b.value, b.value, rule, "both",
                            nodes=b.nodes, elapsed_ms=_ms(t0))
     raise SpecError(f"unknown method {method!r}")
@@ -239,6 +229,20 @@ def _resolve_davenport(g: GroupSpec, budget: Budget) -> ConstResult:
 
 def _ms(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
+
+
+def _cross_check(what: str, f: ConstResult, b: ConstResult) -> str:
+    """The rule of a "both" result from its formula and brute results: the
+    formula's rule when it pins the value, else BRUTE.  A value disagreement
+    or a brute value outside the formula interval is an internal error."""
+    if f.value is not None and f.value != b.value:
+        raise RuntimeError(f"internal error: {what} formula {f.value} != brute {b.value}")
+    if not f.lower <= b.value <= (f.upper if f.upper is not None else b.value):
+        raise RuntimeError(
+            f"internal error: {what} brute {b.value} outside formula bounds "
+            f"[{f.lower}, {f.upper}]"
+        )
+    return f.rule if f.value is not None else BRUTE
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +279,20 @@ def _eb_bounds(s: ProductSpec, d_res: ConstResult) -> EbBounds:
 
 def _reduced_spec(s: ProductSpec) -> ProductSpec:
     """Drop all period-1 coordinates except the first one of maximal index,
-    preserving coordinate order."""
-    nil_positions = [i for i, c in enumerate(s.coords) if c.n == 1]
-    k_max = max(s.coords[i].k for i in nil_positions)
-    keep_nil = next(i for i in nil_positions if s.coords[i].k == k_max)
-    coords = tuple(
-        c for i, c in enumerate(s.coords) if c.n > 1 or i == keep_nil
-    )
-    return ProductSpec(coords)
+    preserving coordinate order; s itself when it has none."""
+    nil = [i for i, c in enumerate(s.coords) if c.n == 1]
+    if not nil:
+        return s
+    keep = max(nil, key=lambda i: s.coords[i].k)  # the first maximal one
+    return ProductSpec(tuple(c for i, c in enumerate(s.coords) if c.n > 1 or i == keep))
+
+
+def _thm32_lead(s: ProductSpec) -> int | None:
+    """Thm 3.2: max{k_i - 1 : n_i = 1} when S has a period-1 coordinate and
+    that maximum reaches max_i (ceil(k_i/n_i) - 1) n_i, so that I(S) is it
+    plus D(G_S); else None."""
+    lead = max((c.k - 1 for c in s.coords if c.n == 1), default=None)
+    return lead if lead is not None and lead >= _max_nil_term(s) else None
 
 
 def reduce_spec(s: ProductSpec, budget: Budget | None = None):
@@ -293,17 +303,18 @@ def reduce_spec(s: ProductSpec, budget: Budget | None = None):
     keeps all period > 1 coordinates plus the single largest-index period-1
     coordinate.  Identity on specs without period-1 coordinates.
     """
-    budget = budget or Budget()
-    nil = [c for c in s.coords if c.n == 1]
-    if not nil:
-        return s
-    k_max = max(c.k for c in nil)
-    if k_max - 1 >= _max_nil_term(s):
-        d_res = _resolve_davenport(group_of(s), budget)
-        if d_res.value is None:
-            raise BudgetExceeded("Davenport constant not exactly resolvable within budget")
-        return k_max - 1 + d_res.value
-    return _reduced_spec(s)
+    lead = _thm32_lead(s)
+    if lead is None:
+        return _reduced_spec(s)
+    d_res = _resolve_davenport(group_of(s), budget or Budget())
+    if d_res.value is None:
+        raise BudgetExceeded("Davenport constant not exactly resolvable within budget")
+    return lead + d_res.value
+
+
+def _thm41_condition_i(c1: CyclicSpec, c2: CyclicSpec) -> bool:
+    """Thm 4.1 (i): one period divides the other."""
+    return c1.n % c2.n == 0 or c2.n % c1.n == 0
 
 
 def _thm41_condition_ii(c1: CyclicSpec, c2: CyclicSpec) -> bool:
@@ -325,17 +336,33 @@ def _coprime_periods(s: ProductSpec) -> bool:
 
 
 def _thm31_iii_condition(s: ProductSpec) -> bool:
+    """Thm 3.1 (iii): some period > 1 coordinate eps attains the max term
+    with ceil(k_eps/n_eps) - 1 divisible by prod_{i != eps} n_i.  (A period-1
+    coordinate attaining it is the case of Thm 3.2.)"""
     maxterm = _max_nil_term(s)
-    r1 = set(s.nontrivial_positions)
-    for eps, c in enumerate(s.coords):
-        if c.cap - c.n != maxterm:
-            continue
-        if eps not in r1:
-            return True
-        rest = math.prod(s.coords[i].n for i in r1 if i != eps)
-        if (c.cap // c.n - 1) % rest == 0:
-            return True
-    return False
+    order = math.prod(c.n for c in s.coords)
+    return any(c.n > 1 and c.cap - c.n == maxterm and (c.cap // c.n - 1) % (order // c.n) == 0
+               for c in s.coords)
+
+
+def _equality_rule(s: ProductSpec, d_val: int) -> str | None:
+    """The first rule that gives I(S) = maxterm + D(G_S), or None:
+    rank-two divisibility, prime-power group order, the rank-two
+    divisibility-of-index case, the D = 1 + sum(n_i - 1) equality case,
+    pairwise-coprime periods."""
+    coords = s.coords
+    if len(coords) == 2 and _thm41_condition_i(*coords):
+        return COR31_DIV
+    order = math.prod(c.n for c in coords)
+    if order > 1 and _prime_power_base(order) is not None:
+        return COR31_PPOW
+    if len(coords) == 2 and _thm41_condition_ii(*coords):
+        return THM41_II
+    if d_val == 1 + sum(c.n - 1 for c in coords):
+        return THM31_II_EQ
+    if _coprime_periods(s) and _thm31_iii_condition(s):
+        return THM31_III
+    return None
 
 
 def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
@@ -346,76 +373,39 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     D = 1 + sum(n_i - 1) equality case; pairwise-coprime periods (applied in
     both directions: a failed existence condition refutes the upper-bound
     formula and caps the interval strictly below it).
+
+    D(G_S) is resolved once.  Where the period-1 reduction gives no value,
+    the rules run on the reduced spec: it keeps every period > 1 coordinate
+    and the period-1 coordinate of largest index, so it has the same group
+    and the same max term.
     """
-    return _eb_exact(s, budget or Budget(), None)
-
-
-def _eb_exact(s: ProductSpec, budget: Budget, d_res: ConstResult | None) -> ConstResult:
-    """eb_exact, resolving D(G_S) only when d_res is None.  D is resolved at
-    most once per top-level call: the reduced spec has the same group, so the
-    recursion and the bounds reuse it."""
     t0 = time.monotonic()
-    coords = s.coords
-    r = len(coords)
-    if r == 1:
-        v = coords[0].cap
+    if len(s.coords) == 1:
+        v = s.coords[0].cap
         return ConstResult("erdos_burgess", v, v, v, COR31_R1, "formula", elapsed_ms=_ms(t0))
 
-    maxterm = _max_nil_term(s)
-    if d_res is None:
-        d_res = _resolve_davenport(group_of(s), budget)
+    d_res = _resolve_davenport(group_of(s), budget or Budget())
     d_val = d_res.value
-
-    nil = [c for c in coords if c.n == 1]
-    if nil:
-        k_max = max(c.k for c in nil)
-        if k_max - 1 >= maxterm and d_val is not None:
-            v = k_max - 1 + d_val
-            return ConstResult("erdos_burgess", v, v, v, THM32_REDUCE, "formula",
-                               elapsed_ms=_ms(t0))
-        s2 = _reduced_spec(s)
-        if s2 != s:
-            inner = _eb_exact(s2, budget, d_res)
-            return ConstResult(
-                inner.quantity, inner.value, inner.lower, inner.upper, inner.rule,
-                "formula", elapsed_ms=_ms(t0), flags=inner.flags,
-            )
+    maxterm = _max_nil_term(s)
+    lead = _thm32_lead(s)
+    if lead is not None and d_val is not None:
+        v = lead + d_val
+        return ConstResult("erdos_burgess", v, v, v, THM32_REDUCE, "formula",
+                           elapsed_ms=_ms(t0))
+    s = _reduced_spec(s)
 
     if d_val is not None:
-        if r == 2:
-            n1, n2 = coords[0].n, coords[1].n
-            if n1 % n2 == 0 or n2 % n1 == 0:
-                v = maxterm + d_val
-                return ConstResult("erdos_burgess", v, v, v, COR31_DIV, "formula",
-                                   elapsed_ms=_ms(t0))
-        order = math.prod(c.n for c in coords)
-        if order > 1 and _prime_power_base(order) is not None:
+        rule = _equality_rule(s, d_val)
+        if rule is not None:
             v = maxterm + d_val
-            return ConstResult("erdos_burgess", v, v, v, COR31_PPOW, "formula",
-                               elapsed_ms=_ms(t0))
-        if r == 2 and _thm41_condition_ii(coords[0], coords[1]):
-            v = maxterm + d_val
-            return ConstResult("erdos_burgess", v, v, v, THM41_II, "formula",
-                               elapsed_ms=_ms(t0))
-        if d_val == 1 + sum(c.n - 1 for c in coords if c.n > 1):
-            v = maxterm + d_val
-            return ConstResult("erdos_burgess", v, v, v, THM31_II_EQ, "formula",
-                               elapsed_ms=_ms(t0))
-        if _coprime_periods(s):
-            if _thm31_iii_condition(s):
-                v = maxterm + d_val
-                return ConstResult("erdos_burgess", v, v, v, THM31_III, "formula",
-                                   elapsed_ms=_ms(t0))
-            bounds = _eb_bounds(s, d_res)
-            hi = maxterm + d_val - 1
-            pinned = bounds.lower if bounds.lower == hi else None
-            return ConstResult(
-                "erdos_burgess", pinned, bounds.lower, hi,
-                THM31_III_REFUTED, "formula", elapsed_ms=_ms(t0),
-                flags=("formula-refuted",),
-            )
+            return ConstResult("erdos_burgess", v, v, v, rule, "formula", elapsed_ms=_ms(t0))
 
     bounds = _eb_bounds(s, d_res)
+    if d_val is not None and _coprime_periods(s):
+        hi = maxterm + d_val - 1
+        pinned = bounds.lower if bounds.lower == hi else None
+        return ConstResult("erdos_burgess", pinned, bounds.lower, hi, THM31_III_REFUTED,
+                           "formula", elapsed_ms=_ms(t0), flags=("formula-refuted",))
     pinned = bounds.lower if bounds.lower == bounds.upper else None
     return ConstResult("erdos_burgess", pinned, bounds.lower, bounds.upper, THM31_BOUNDS,
                        "formula", elapsed_ms=_ms(t0), flags=bounds.flags)
@@ -501,11 +491,9 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     global ProcessPoolExecutor
     budget = budget or Budget()
     meter = SearchMeter(budget)
+    meter.check_states(math.prod(s.caps))
     bounds = eb_bounds(s, budget)
     engine = ReachEngine.for_spec(s)
-    if engine.num_states > budget.state_cap:
-        raise BudgetExceeded(f"state count {engine.num_states} over cap {budget.state_cap}",
-                             elapsed_ms=meter.elapsed_ms())
     meter.check_time()
     pool = None
     try:
@@ -550,16 +538,7 @@ def erdos_burgess(s: ProductSpec, method: str = "formula",
         t0 = time.monotonic()
         f = eb_exact(s, budget)
         b = eb_bruteforce(s, budget)
-        if f.value is not None and f.value != b.value:
-            raise RuntimeError(
-                f"internal error: I({format_spec(s)}) formula {f.value} != brute {b.value}"
-            )
-        if not f.lower <= b.value <= (f.upper if f.upper is not None else b.value):
-            raise RuntimeError(
-                f"internal error: brute I {b.value} outside formula bounds "
-                f"[{f.lower}, {f.upper}] for {format_spec(s)}"
-            )
-        rule = f.rule if f.value is not None else BRUTE
+        rule = _cross_check(f"I({format_spec(s)})", f, b)
         return ConstResult("erdos_burgess", b.value, f.lower,
                            f.upper if f.upper is not None else b.value, rule, "both",
                            nodes=b.nodes, elapsed_ms=_ms(t0), flags=f.flags)
@@ -604,26 +583,13 @@ def build_lift_witness(s: ProductSpec, budget: Budget | None = None) -> Seq:
 
 
 def build_uniform_witness(s: ProductSpec) -> Seq | None:
-    """For pairwise-coprime periods with a period > 1 coordinate attaining
-    the max term and satisfying the divisibility condition: the all-ones
-    element repeated maxterm + prod_{n_i > 1} n_i - 1 times.  None when that
-    case does not apply."""
-    if not _coprime_periods(s):
+    """For pairwise-coprime periods meeting the Thm 3.1 (iii) condition: the
+    all-ones element repeated maxterm + prod_{n_i > 1} n_i - 1 times.  None
+    when that case does not apply."""
+    if not (_coprime_periods(s) and _thm31_iii_condition(s)):
         return None
-    r1 = set(s.nontrivial_positions)
-    if not r1:
-        return None
-    maxterm = _max_nil_term(s)
-    for eps in sorted(r1):
-        c = s.coords[eps]
-        if c.cap - c.n != maxterm:
-            continue
-        rest = math.prod(s.coords[i].n for i in r1 if i != eps)
-        if (c.cap // c.n - 1) % rest == 0:
-            big_n = math.prod(s.coords[i].n for i in r1)
-            ones = (1,) * s.arity
-            return Seq((ones,) * (maxterm + big_n - 1))
-    return None
+    big_n = math.prod(c.n for c in s.coords)
+    return Seq(((1,) * s.arity,) * (_max_nil_term(s) + big_n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +624,8 @@ def explore_conjecture(max_k: int, max_n: int, budget: Budget | None = None) -> 
                 summary["skipped"] += 1
                 rows.append(row)
                 continue
-            cond_i = n1 % n2 == 0 or n2 % n1 == 0
-            cond_ii = _thm41_condition_ii(s.coords[0], s.coords[1])
+            cond_i = _thm41_condition_i(*s.coords)
+            cond_ii = _thm41_condition_ii(*s.coords)
             equality = brute == maxterm + d_val
             row.update(
                 value=brute,

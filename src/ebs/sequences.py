@@ -257,21 +257,6 @@ def idempotent_witness(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CA
 # ---------------------------------------------------------------------------
 # group-side predicates
 
-def group_sum(g: GroupSpec, t: Seq) -> tuple[int, ...]:
-    check_group_seq(g, t)
-    totals = [0] * len(g.periods)
-    for term in t:
-        for i, r in enumerate(term):
-            totals[i] += r
-    return tuple(v % n for v, n in zip(totals, g.periods))
-
-
-def is_zero_sum(g: GroupSpec, t: Seq) -> bool:
-    if t.is_empty:
-        raise SpecError("the empty sequence has no sum")
-    return group_sum(g, t) == (0,) * len(g.periods)
-
-
 def _lift(periods, residues) -> tuple[int, ...]:
     """The index of C(1;n_1) x ... x C(1;n_r) in each residue's class:
     residue 0 goes to n_i."""
@@ -288,6 +273,11 @@ def _as_semigroup(g: GroupSpec, t: Seq) -> tuple[ProductSpec, Seq]:
     check_group_seq(g, t)
     s = ProductSpec(tuple(CyclicSpec(1, n) for n in g.periods))
     return s, Seq(tuple(_lift(g.periods, term) for term in t))
+
+
+def is_zero_sum(g: GroupSpec, t: Seq) -> bool:
+    """True iff the whole nonempty sequence sums to zero."""
+    return is_idempotent_sum(*_as_semigroup(g, t))
 
 
 def is_zero_sum_free(g: GroupSpec, t: Seq) -> bool:

@@ -295,9 +295,8 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
     q = c.cap // c.n
     x2 = (q + 1) * n
     entries = tuple(sorted(vals))
-    total = sum(vals)
     matches = []
-    if total <= c.cap - 1 and _fills(vals, total):
+    if _structured_free(c, vals):
         matches.append(BEHAVING_I)
     if n >= 3 and c.cap % 2 == 1 and entries == (2,) * (x2 // 2 - 1):
         matches.append(TWO_POWER_II)
@@ -455,6 +454,7 @@ def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
     kind (_lhat_watch, _l_watch) in the order given, and the nodes
     searched."""
     meter = SearchMeter(budget)
+    meter.check_states(c.cap)
     alphabet, engine = _search_engine(c)
     watches = [kind(c, alphabet) for kind in kinds]
     if len(watches) == 1:

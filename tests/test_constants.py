@@ -181,6 +181,12 @@ RULE_TABLE = [
     ("C(1;2)xC(1;3)", 6, THM41_II),
     ("C(1;2)xC(1;3)xC(1;5)", 30, THM31_III),
     ("C(1;3)xC(3;2)", 7, THM31_III_REFUTED),
+    # two period-1 coordinates: the rules run on the reduced spec
+    ("C(2;1)xC(3;1)xC(7;2)", 8, COR31_DIV),
+    ("C(2;1)xC(3;1)xC(2;2)xC(9;2)", 11, COR31_PPOW),
+    ("C(2;1)xC(3;1)xC(9;2)xC(1;6)", 15, THM31_II_EQ),
+    ("C(2;1)xC(3;1)xC(1;3)xC(7;2)", 12, THM31_III),
+    ("C(2;1)xC(3;1)xC(2;2)xC(5;3)", 8, THM31_III_REFUTED),
 ]
 
 
@@ -205,6 +211,34 @@ class TestEbExact:
     def test_refuted_wide_interval(self):
         r = eb_exact(parse_spec("C(7;2)xC(1;5)"))
         assert (r.value, r.lower, r.upper) == (None, 13, 15)
+
+
+class TestStateCapBeforeBuild:
+    """A search over more packed states than the cap raises before it
+    builds its engine."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def build(cls, *args):
+            raise AssertionError("engine built for an over-cap search")
+
+        monkeypatch.setattr(ReachEngine, "_build", classmethod(build))
+
+    def test_eb(self, no_build):
+        with pytest.raises(BudgetExceeded, match="state count 9900 over cap 10") as exc:
+            eb_bruteforce(parse_spec("C(100;1)xC(1;99)"), Budget(state_cap=10))
+        assert exc.value.nodes == 0
+
+    def test_davenport(self, no_build):
+        with pytest.raises(BudgetExceeded, match="state count 49 over cap 48"):
+            davenport(GroupSpec((7, 7)), "brute", Budget(state_cap=48))
+
+    def test_cap_is_inclusive(self):
+        # C(3;2)xC(1;4) has 4 * 4 packed states; D(Z2+Z4) has 8
+        assert eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(state_cap=16)).value == 7
+        assert davenport(GroupSpec((2, 4)), "brute", Budget(state_cap=8)).value == 5
+        with pytest.raises(BudgetExceeded, match="over cap 15"):
+            eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(state_cap=15))
 
 
 class TestEbBruteforce:
@@ -351,6 +385,40 @@ class TestDavenportOnce:
         r = eb_exact(parse_spec(label), Budget(node_budget=1000))
         assert "davenport-inexact" in r.flags
         assert len(brute_calls) == 1
+
+
+class TestCrossCheck:
+    """method="both" raises when the brute value contradicts the formula."""
+
+    def test_davenport_value_disagreement(self, monkeypatch):
+        brute = constants._davenport_brute
+
+        def off_by_one(g, budget):
+            value, witness, nodes = brute(g, budget)
+            return value + 1, witness, nodes
+
+        monkeypatch.setattr(constants, "_davenport_brute", off_by_one)
+        with pytest.raises(RuntimeError, match=r"formula 7 != brute 8"):
+            davenport(GroupSpec((2, 6)), "both")
+
+    def test_davenport_outside_interval(self, monkeypatch):
+        # Z2+Z2+Z6: the formula gives only an interval, from 1 + d* = 8
+        monkeypatch.setattr(constants, "_davenport_brute",
+                            lambda g, budget: (7, None, 0))
+        with pytest.raises(RuntimeError, match=r"7 outside formula bounds \[8, "):
+            davenport(GroupSpec((2, 2, 6)), "both")
+
+    def test_eb_value_disagreement(self, monkeypatch):
+        monkeypatch.setattr(constants, "eb_bruteforce", lambda s, budget: ConstResult(
+            "erdos_burgess", 6, 6, 6, BRUTE, "brute"))
+        with pytest.raises(RuntimeError, match=r"I\(C\(3;2\)xC\(1;4\)\) formula 7 != brute 6"):
+            erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "both")
+
+    def test_eb_outside_interval(self, monkeypatch):
+        monkeypatch.setattr(constants, "eb_bruteforce", lambda s, budget: ConstResult(
+            "erdos_burgess", 9, 9, 9, BRUTE, "brute"))
+        with pytest.raises(RuntimeError, match=r"9 outside formula bounds \[7, 8\]"):
+            erdos_burgess(parse_spec("C(1;2)xC(4;3)"), "both")
 
 
 class TestErdosBurgess:

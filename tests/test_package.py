@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ import ebs.constants
 import ebs.sequences
 from ebs.semigroup import GroupSpec
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _home(name):
@@ -72,3 +74,17 @@ class TestBenchmarkTracerHooks:
             tracer.restore()
         for obj, name in hooks[:-1]:
             assert vars(obj)[name] is before[(id(obj), name)], name
+
+
+def test_readme_library_example_runs():
+    """The README's Python block runs, and each line whose comment starts
+    with a number evaluates to that number."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    stated = [(expr, int(value)) for expr, value
+              in re.findall(r"^(\S.*?)\s*#\s*(\d+)\b", block, re.M)]
+    assert [value for _, value in stated] == [7, 7, 5]
+    for expr, value in stated:
+        assert eval(expr, scope) == value, expr

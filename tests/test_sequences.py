@@ -269,6 +269,24 @@ class TestGroupSide:
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
+    def test_zero_sum_matches_residue_sums(self, data):
+        moduli = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+        terms = data.draw(st.lists(
+            st.tuples(*(st.integers(0, m - 1) for m in moduli)),
+            min_size=1, max_size=6))
+        # close the sequence up to a zero sum half the time
+        if data.draw(st.booleans()):
+            terms.append(tuple(-sum(t[i] for t in terms) % m for i, m in enumerate(moduli)))
+        expected = all(sum(t[i] for t in terms) % m == 0 for i, m in enumerate(moduli))
+        assert is_zero_sum(GroupSpec(moduli), GroupSeq(tuple(terms))) == expected
+
+    @pytest.mark.parametrize("moduli", [(6,), (2, 4)])
+    def test_zero_sum_of_empty_sequence_rejected(self, moduli):
+        with pytest.raises(SpecError):
+            is_zero_sum(GroupSpec(moduli), GroupSeq(()))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
     def test_zsf_matches_oracle(self, data):
         moduli = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
         g = GroupSpec(moduli)

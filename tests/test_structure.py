@@ -10,7 +10,7 @@ from ebs.config import Budget
 from ebs.constants import BRUTE, THM61
 from ebs.errors import BudgetExceeded, PreconditionError, SpecError
 from ebs.semigroup import CyclicSpec
-from ebs.sequences import Seq
+from ebs.sequences import ReachEngine, Seq
 from ebs.structure import (
     BEHAVING_I,
     N1_SPLIT_IV,
@@ -360,6 +360,15 @@ class TestLhatAndL:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             lhat(CyclicSpec(14, 1), "brute", Budget(node_budget=50))
+
+    @pytest.mark.parametrize("const", [lhat, l_const])
+    def test_state_cap_checked_before_build(self, monkeypatch, const):
+        def build(cls, *args):
+            raise AssertionError("engine built for an over-cap search")
+
+        monkeypatch.setattr(ReachEngine, "_build", classmethod(build))
+        with pytest.raises(BudgetExceeded, match="state count 2000 over cap 10"):
+            const(CyclicSpec(2000, 1), "brute", Budget(time_budget_s=0.5, state_cap=10))
 
     def test_unknown_method(self):
         with pytest.raises(SpecError):
