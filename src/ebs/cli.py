@@ -17,7 +17,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .config import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET_S, Budget
@@ -37,52 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run configuration; flags win over environment variables."""
-
-    threads: int
-    node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget_s: int = int(DEFAULT_TIME_BUDGET_S)
-    cache_path: str | None = None
-    output: str = "text"
-
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        threads = getattr(args, "threads", None)
-        if threads is None:
-            env = os.environ.get("EBS_THREADS")
-            threads = _env_threads(env) if env else (os.cpu_count() or 1)
-        cache = getattr(args, "cache", None) or os.environ.get("EBS_CACHE") or None
-        node_budget = getattr(args, "node_budget", None)
-        time_budget = getattr(args, "time_budget", None)
-        cfg = cls(
-            threads=threads,
-            node_budget=DEFAULT_NODE_BUDGET if node_budget is None else node_budget,
-            time_budget_s=int(DEFAULT_TIME_BUDGET_S) if time_budget is None else time_budget,
-            cache_path=cache,
-            output="json" if getattr(args, "json", False) else "text",
-        )
-        if cfg.threads < 1 or cfg.node_budget < 1 or cfg.time_budget_s < 1:
-            raise SpecError("threads and budgets must be positive")
-        return cfg
-
-    def budget(self) -> Budget:
-        return Budget(
-            node_budget=self.node_budget,
-            time_budget_s=float(self.time_budget_s),
-            threads=self.threads,
-        )
-
-
-def _env_threads(env: str) -> int:
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise SpecError(f"EBS_THREADS must be a positive integer, got {env!r}")
-    return threads
+def _budget(args) -> Budget:
+    """The search budget of a command; --threads wins over EBS_THREADS,
+    which wins over the CPU count."""
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("EBS_THREADS")
+        threads = os.cpu_count() or 1
+        if env:
+            try:
+                threads = int(env)
+            except ValueError:
+                threads = 0
+            if threads < 1:
+                raise SpecError(f"EBS_THREADS must be a positive integer, got {env!r}")
+    nodes = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
+    seconds = DEFAULT_TIME_BUDGET_S if args.time_budget is None else args.time_budget
+    if threads < 1 or nodes < 1 or seconds < 1:
+        raise SpecError("threads and budgets must be positive")
+    return Budget(node_budget=nodes, time_budget_s=float(seconds), threads=threads)
 
 
 def _parse_group(text: str) -> GroupSpec:
@@ -100,8 +72,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise SpecError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _emit(cfg: CliConfig, payload: dict, text_lines) -> None:
-    if cfg.output == "json":
+def _emit(args, payload: dict, text_lines) -> None:
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -145,7 +117,7 @@ def _cache_write(path: str, store: dict) -> None:
             os.unlink(tmp)
 
 
-def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> dict:
+def _cached(args, label: str, quantity: str, method: str, compute) -> dict:
     """The result of compute(), through the cache when one is configured.
 
     The key ignores the budget, so a result flagged davenport-inexact (the
@@ -153,9 +125,10 @@ def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> 
     resolve) is returned but never stored.  An entry of another version, or
     without a result dict, is a miss: it is recomputed and overwritten.
     """
-    if cfg.cache_path is None:
+    path = args.cache or os.environ.get("EBS_CACHE")
+    if not path:
         return compute()
-    store = _cache_read(cfg.cache_path)
+    store = _cache_read(path)
     key = f"{label}|{quantity}|{method}"
     entry = store.get(key)
     if (isinstance(entry, dict) and entry.get("version") == __version__
@@ -166,10 +139,10 @@ def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> 
         return result
     store[key] = {"version": __version__, "result": result}
     try:
-        _cache_write(cfg.cache_path, store)
+        _cache_write(path, store)
     except OSError as exc:
         # the result is still good; only reuse is lost
-        print(f"warning: could not write cache {cfg.cache_path}: {exc.strerror or exc}",
+        print(f"warning: could not write cache {path}: {exc.strerror or exc}",
               file=sys.stderr)
     return result
 
@@ -177,8 +150,7 @@ def _cached(cfg: CliConfig, label: str, quantity: str, method: str, compute) -> 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_spec(args) -> int:
-    cfg = CliConfig.from_args(args)
+def _cmd_spec(args, budget: Budget) -> int:
     s = parse_spec(args.spec)
     label = format_spec(s)
     if args.action == "format":
@@ -190,7 +162,7 @@ def _cmd_spec(args) -> int:
         "elements": element_count(s),
         "idempotent": list(idempotent(s)),
     }
-    _emit(cfg, payload, _result_lines(payload))
+    _emit(args, payload, _result_lines(payload))
     return 0
 
 
@@ -201,9 +173,7 @@ def _single_cyclic(text: str):
     return s.coords[0]
 
 
-def _cmd_const(args) -> int:
-    cfg = CliConfig.from_args(args)
-    budget = cfg.budget()
+def _cmd_const(args, budget: Budget) -> int:
     quantity = args.quantity
     if quantity == "davenport":
         g = _parse_group(args.group)
@@ -235,12 +205,12 @@ def _cmd_const(args) -> int:
             fn = lhat if quantity == "lhat" else l_const
             return fn(c, args.method, budget).to_dict(label)
 
-    d = _cached(cfg, label, quantity, args.method, compute)
-    _emit(cfg, d, _result_lines(d))
+    d = _cached(args, label, quantity, args.method, compute)
+    _emit(args, d, _result_lines(d))
     return 0
 
 
-def _cmd_seq(args) -> int:
+def _cmd_seq(args, budget: Budget) -> int:
     from .sequences import (
         format_seq,
         idempotent_witness,
@@ -249,7 +219,6 @@ def _cmd_seq(args) -> int:
         read_seq_file,
     )
 
-    cfg = CliConfig.from_args(args)
     s = parse_spec(args.spec)
     t = read_seq_file(s, args.file)
     predicate = args.predicate
@@ -273,11 +242,11 @@ def _cmd_seq(args) -> int:
         payload["witness"] = [list(term) for term in witness]
         lines.append("witness:")
         lines.extend(format_seq(witness).splitlines())
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_struct(args) -> int:
+def _cmd_struct(args, budget: Budget) -> int:
     from .sequences import read_seq_file
     from .structure import (
         IntSeq,
@@ -287,7 +256,6 @@ def _cmd_struct(args) -> int:
         savchev_chen,
     )
 
-    cfg = CliConfig.from_args(args)
     if args.action == "behaving":
         h = IntSeq(_parse_ints(args.ints))
         payload = {
@@ -295,9 +263,9 @@ def _cmd_struct(args) -> int:
             "behaving": is_behaving(h),
             "class": behaving_bound_classify(h),
         }
-        _emit(cfg, payload, [f"ints: {','.join(map(str, h.entries))}",
-                             f"behaving: {str(payload['behaving']).lower()}",
-                             f"class: {payload['class']}"])
+        _emit(args, payload, [f"ints: {','.join(map(str, h.entries))}",
+                              f"behaving: {str(payload['behaving']).lower()}",
+                              f"class: {payload['class']}"])
         return 0
     if args.action == "classify":
         c = _single_cyclic(args.spec)
@@ -308,7 +276,7 @@ def _cmd_struct(args) -> int:
                  f"c: {payload['c']}",
                  f"H: {','.join(map(str, payload['H'])) if payload['H'] else None}",
                  f"threshold_met: {str(payload['threshold_met']).lower()}"]
-        _emit(cfg, payload, lines)
+        _emit(args, payload, lines)
         return 0
     # savchev-chen
     g = _parse_group(args.group)
@@ -318,18 +286,16 @@ def _cmd_struct(args) -> int:
     out = savchev_chen(n, _parse_ints(args.ints))
     if out is None:
         payload = {"modulus": n, "result": None}
-        _emit(cfg, payload, [f"modulus: {n}", "result: none"])
+        _emit(args, payload, [f"modulus: {n}", "result: none"])
         return 0
     c, h = out
     payload = {"modulus": n, "c": c, "H": list(h.entries)}
-    _emit(cfg, payload, [f"modulus: {n}", f"c: {c}",
-                         f"H: {','.join(map(str, h.entries))}"])
+    _emit(args, payload, [f"modulus: {n}", f"c: {c}",
+                          f"H: {','.join(map(str, h.entries))}"])
     return 0
 
 
-def _cmd_explore(args) -> int:
-    cfg = CliConfig.from_args(args)
-    budget = cfg.budget()
+def _cmd_explore(args, budget: Budget) -> int:
     # opened before the search, so that a bad path costs no search time
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -429,17 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecError, SeqFileError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+        return args.handler(args, _budget(args))
+    except (_UsageError, SpecError, SeqFileError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

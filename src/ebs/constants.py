@@ -57,15 +57,13 @@ ProcessPoolExecutor = None
 class ConstResult:
     """Outcome of a constant computation.
 
-    value is None when only the [lower, upper] interval is known; upper is
-    None only for a hypothetical formula with no finite bound (not produced
-    by any current rule).
+    value is None when only the [lower, upper] interval is known.
     """
 
     quantity: str
     value: int | None
     lower: int
-    upper: int | None
+    upper: int
     rule: str | None
     method: str
     nodes: int = 0
@@ -75,12 +73,11 @@ class ConstResult:
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise SpecError(f"unknown quantity {self.quantity!r}")
-        if self.value is not None:
-            if self.value < self.lower or (self.upper is not None and self.value > self.upper):
-                raise RuntimeError(
-                    f"internal error: value {self.value} outside "
-                    f"[{self.lower}, {self.upper}] for {self.quantity}"
-                )
+        if self.value is not None and not self.lower <= self.value <= self.upper:
+            raise RuntimeError(
+                f"internal error: value {self.value} outside "
+                f"[{self.lower}, {self.upper}] for {self.quantity}"
+            )
 
     def to_dict(self, spec_label: str) -> dict:
         out = {
@@ -89,7 +86,7 @@ class ConstResult:
             "method": self.method,
             "value": self.value,
             "lower": self.lower,
-            "upper": self.upper if self.upper is not None else "unbounded-by-formula",
+            "upper": self.upper,
             "rule": self.rule,
             "nodes": self.nodes,
             "elapsed_ms": self.elapsed_ms,
@@ -111,23 +108,16 @@ class EbBounds(NamedTuple):
 def invariant_factors(g: GroupSpec) -> tuple[int, ...]:
     """Invariant factors d_1 | ... | d_r (each > 1) of prod Z_{n_i}.
 
-    Iterated pairwise gcd/lcm normalization; empty tuple for the trivial
-    group.
+    One sweep of pairwise (gcd, lcm) replacement over i < j: once entry i
+    has met every later entry it divides them all, so the entries end as an
+    ascending divisor chain.  Empty tuple for the trivial group.
     """
-    ds = [n for n in g.periods if n > 1]
-    changed = True
-    while changed:
-        changed = False
-        ds.sort()
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                a, b = ds[i], ds[j]
-                if b % a == 0:
-                    continue
-                g0 = math.gcd(a, b)
-                ds[i], ds[j] = g0, a * b // g0
-                changed = True
-    out = tuple(sorted(d for d in ds if d > 1))
+    ds = list(g.periods)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g0 = math.gcd(ds[i], ds[j])
+            ds[i], ds[j] = g0, ds[i] * ds[j] // g0
+    out = tuple(d for d in ds if d > 1)
     for a, b in zip(out, out[1:]):
         if b % a != 0:
             raise RuntimeError("internal error: invariant factor chain broken")
@@ -237,7 +227,7 @@ def _cross_check(what: str, f: ConstResult, b: ConstResult) -> str:
     or a brute value outside the formula interval is an internal error."""
     if f.value is not None and f.value != b.value:
         raise RuntimeError(f"internal error: {what} formula {f.value} != brute {b.value}")
-    if not f.lower <= b.value <= (f.upper if f.upper is not None else b.value):
+    if not f.lower <= b.value <= f.upper:
         raise RuntimeError(
             f"internal error: {what} brute {b.value} outside formula bounds "
             f"[{f.lower}, {f.upper}]"
@@ -270,7 +260,7 @@ def _eb_bounds(s: ProductSpec, d_res: ConstResult) -> EbBounds:
     max_q1 = max(c.cap // c.n - 1 for c in s.coords)
     r1_sum = sum(c.n - 1 for c in s.coords if c.n > 1)
     lower = max(maxterm + 1 + r1_sum, max_q1 + d_res.lower)
-    upper = maxterm + (d_res.upper if d_res.upper is not None else d_res.lower)
+    upper = maxterm + d_res.upper
     if lower > upper:
         raise RuntimeError(f"internal error: bounds crossed, [{lower}, {upper}]")
     flags = ("davenport-inexact",) if d_res.value is None else ()
@@ -430,10 +420,7 @@ def _exists_task(length: int, first_idx: int, budget: Budget):
     engine = _worker_engine
     meter = SearchMeter(budget)
     meter.tick()
-    states = engine.apply(0, first_idx)
-    if states is None:
-        return False, meter.nodes
-    found = search_free(engine, meter, length - 1, states, first_idx)
+    found = search_free(engine, meter, length - 1, engine.apply(0, first_idx), first_idx)
     return found, meter.nodes
 
 
@@ -502,25 +489,17 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
                 from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=budget.threads,
                                        initializer=_init_worker, initargs=(engine,))
-        longest = bounds.lower - 1
-        while True:
-            probe = longest + 1
-            if probe > bounds.upper:
-                raise RuntimeError(
-                    f"internal error: free sequence of length {longest} found above "
-                    f"the proven upper bound {bounds.upper} for {format_spec(s)}"
-                )
-            if not _exists_free(engine, probe, meter, pool):
-                value = probe
+        for value in range(bounds.lower, bounds.upper + 1):
+            if not _exists_free(engine, value, meter, pool):
                 break
-            longest = probe
+        else:
+            raise RuntimeError(
+                f"internal error: free sequence of length {bounds.upper} found above "
+                f"the proven upper bound {bounds.upper} for {format_spec(s)}"
+            )
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    if not bounds.lower <= value <= bounds.upper:
-        raise RuntimeError(
-            f"internal error: brute value {value} outside bounds {bounds} for {format_spec(s)}"
-        )
     return ConstResult("erdos_burgess", value, value, value, BRUTE, "brute",
                        nodes=meter.nodes, elapsed_ms=meter.elapsed_ms())
 
@@ -539,8 +518,7 @@ def erdos_burgess(s: ProductSpec, method: str = "formula",
         f = eb_exact(s, budget)
         b = eb_bruteforce(s, budget)
         rule = _cross_check(f"I({format_spec(s)})", f, b)
-        return ConstResult("erdos_burgess", b.value, f.lower,
-                           f.upper if f.upper is not None else b.value, rule, "both",
+        return ConstResult("erdos_burgess", b.value, f.lower, f.upper, rule, "both",
                            nodes=b.nodes, elapsed_ms=_ms(t0), flags=f.flags)
     raise SpecError(f"unknown method {method!r}")
 

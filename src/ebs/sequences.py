@@ -514,13 +514,11 @@ class ReachEngine:
         return cls._build(labels, labels, [(c.cap, c.n) for c in s.coords])
 
     @classmethod
-    def for_group(cls, g: GroupSpec, alphabet: Sequence[tuple[int, ...]] | None = None) -> "ReachEngine":
-        """Engine over residue labels in residue order, each run as its lift
-        into C(1;n_1) x ... x C(1;n_r)."""
+    def for_group(cls, g: GroupSpec) -> "ReachEngine":
+        """Engine over the nonzero residues in residue order, each run as its
+        lift into C(1;n_1) x ... x C(1;n_r)."""
         zero = (0,) * len(g.periods)
-        if alphabet is None:
-            alphabet = [a for a in g.elements() if a != zero]
-        labels = sorted(alphabet)
+        labels = [a for a in g.elements() if a != zero]
         return cls._build(labels, [_lift(g.periods, a) for a in labels],
                           [(n, n) for n in g.periods])
 

@@ -476,27 +476,25 @@ def _structure_const(c: CyclicSpec, quantity: str, method: str,
 
     budget = budget or Budget()
     t0 = time.monotonic()
-    formula = _lhat_formula(c) if quantity == "lhat" else _l_formula(c)
-    watch = _lhat_watch if quantity == "lhat" else _l_watch
-    value, lower, upper = formula
+    formula, watch = ((_lhat_formula, _lhat_watch) if quantity == "lhat"
+                      else (_l_formula, _l_watch))
+    value, lower, upper = formula(c)
     if method == "formula":
         return ConstResult(quantity, value, lower, upper, THM61, "formula",
                            elapsed_ms=_ms(t0))
+    if method not in ("brute", "both"):
+        raise SpecError(f"unknown method {method!r}")
+    (bval,), nodes = _brute_walk(c, budget, (watch,))
     if method == "brute":
-        (bval,), nodes = _brute_walk(c, budget, (watch,))
         return ConstResult(quantity, bval, bval, bval, BRUTE, "brute",
                            nodes=nodes, elapsed_ms=_ms(t0))
-    if method == "both":
-        (bval,), nodes = _brute_walk(c, budget, (watch,))
-        agrees = (value == bval) if value is not None else (lower <= bval <= upper)
-        if agrees:
-            return ConstResult(quantity, bval, lower, upper, THM61, "both",
-                               nodes=nodes, elapsed_ms=_ms(t0))
-        # a genuine formula/brute gap is data, not an internal error
-        return ConstResult(quantity, bval, bval, bval, BRUTE, "both",
-                           nodes=nodes, elapsed_ms=_ms(t0),
-                           flags=("formula-brute-mismatch",))
-    raise SpecError(f"unknown method {method!r}")
+    if (value == bval) if value is not None else (lower <= bval <= upper):
+        return ConstResult(quantity, bval, lower, upper, THM61, "both",
+                           nodes=nodes, elapsed_ms=_ms(t0))
+    # a genuine formula/brute gap is data, not an internal error
+    return ConstResult(quantity, bval, bval, bval, BRUTE, "both",
+                       nodes=nodes, elapsed_ms=_ms(t0),
+                       flags=("formula-brute-mismatch",))
 
 
 def lhat(c: CyclicSpec, method: str = "formula", budget: Budget | None = None) -> ConstResult:

@@ -81,6 +81,28 @@ def naive_is_minimal_zero_sum(moduli, terms) -> bool:
         zero(sub) for sub in nonempty_subsets(terms) if len(sub) < len(terms))
 
 
+def naive_invariant_factors(moduli) -> tuple:
+    """Invariant factors of Z_{n_1} x ... x Z_{n_r} by primary
+    decomposition: for each prime p, the p-parts p^e of the moduli are
+    sorted largest first, and the j-th largest invariant factor is the
+    product over p of the j-th largest p-part."""
+    parts = {}
+    for n in moduli:
+        for p in range(2, n + 1):
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+    width = max((len(qs) for qs in parts.values()), default=0)
+    factors = [1] * width
+    for qs in parts.values():
+        for j, q in enumerate(sorted(qs, reverse=True)):
+            factors[j] *= q
+    return tuple(sorted(factors))
+
+
 def naive_davenport(moduli) -> int:
     """1 + the longest zero-sum free length."""
     return naive_davenport_search(moduli)[0]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ebs import __version__
-from ebs.cli import CliConfig, main
+from ebs.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -368,7 +369,8 @@ class TestUsage:
 
     def test_nonpositive_budget(self, capsys):
         for flag, value in (("--node-budget", "-5"), ("--node-budget", "0"),
-                            ("--time-budget", "0")):
+                            ("--time-budget", "0"), ("--threads", "0"),
+                            ("--threads", "-1")):
             code, _, err = run(capsys, "const", "eb", "--spec", "C(2;2)",
                                flag, value)
             assert code == 1, (flag, value)
@@ -383,24 +385,83 @@ class TestUsage:
 
 
 class TestCliConfig:
-    def test_env_threads(self, monkeypatch):
+    """Thread-count precedence, read from the pool a brute eb search builds:
+    --threads, then EBS_THREADS, then the CPU count."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from ebs import constants
+
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.delenv("EBS_CACHE", raising=False)
+        monkeypatch.delenv("EBS_THREADS", raising=False)
+        return built
+
+    def search(self, capsys, *flags):
+        code, out, _ = run(capsys, "const", "eb", "--spec", "C(3;2)xC(1;4)",
+                           "--method", "brute", *flags)
+        assert (code, "value: 7" in out, "nodes: 8039" in out) == (0, True, True)
+
+    def test_env_threads(self, capsys, monkeypatch, built):
         monkeypatch.setenv("EBS_THREADS", "3")
+        self.search(capsys)
+        assert built == [3]
 
-        class Args:
-            pass
-
-        cfg = CliConfig.from_args(Args())
-        assert cfg.threads == 3
-
-    def test_flag_beats_env(self, monkeypatch):
+    def test_flag_beats_env(self, capsys, monkeypatch, built):
         monkeypatch.setenv("EBS_THREADS", "3")
+        self.search(capsys, "--threads", "2")
+        assert built == [2]
 
-        class Args:
-            threads = 2
+    def test_cpu_count_without_flag_or_env(self, capsys, monkeypatch, built):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        self.search(capsys)
+        assert built == [2]
 
-        cfg = CliConfig.from_args(Args())
-        assert cfg.threads == 2
-        assert cfg.budget().threads == 2
+
+class TestSurface:
+    """The option strings of every subcommand, as the parser defines them."""
+
+    COMMON = {"-h", "--help", "--json", "--threads", "--node-budget", "--time-budget"}
+    EXTRA = {
+        "spec parse": {"--spec"},
+        "spec format": {"--spec"},
+        "const eb": {"--spec", "--method", "--cache"},
+        "const davenport": {"--group", "--method", "--cache"},
+        "const lhat": {"--spec", "--method", "--cache"},
+        "const l": {"--spec", "--method", "--cache"},
+        "seq check": {"--spec", "--file", "--predicate"},
+        "struct behaving": {"--ints"},
+        "struct classify": {"--spec", "--file"},
+        "struct savchev-chen": {"--group", "--ints"},
+        "explore conjecture41": {"--max-k", "--max-n", "--out"},
+        "explore lhat-gap": {"--max-k", "--max-n", "--out"},
+        "explore l-gap": {"--max-k", "--max-n", "--out"},
+    }
+
+    @staticmethod
+    def options(parser, path=()):
+        out = {" ".join(path): {s for a in parser._actions for s in a.option_strings}}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    out.update(TestSurface.options(sub, path + (name,)))
+        return out
+
+    def test_option_strings(self):
+        expected = {cmd: self.COMMON | extra for cmd, extra in self.EXTRA.items()}
+        expected[""] = {"-h", "--help", "--version"}
+        expected.update({group: {"-h", "--help"}
+                         for group in ("spec", "const", "seq", "struct", "explore")})
+        assert self.options(build_parser()) == expected
 
 
 class TestStartup:

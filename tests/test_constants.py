@@ -67,6 +67,13 @@ class TestInvariantFactors:
         assert all(b % a == 0 for a, b in zip(fs, fs[1:]))
         assert math.prod(fs) == g.order
 
+    @given(st.lists(st.integers(1, 36), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_matches_primary_decomposition(self, periods):
+        # the chain test above cannot tell (2, 2) from (4)
+        assert (invariant_factors(GroupSpec(tuple(periods)))
+                == oracle.naive_invariant_factors(periods))
+
     def test_d_star(self):
         assert d_star(GroupSpec((2, 4))) == 4
         assert d_star(GroupSpec((1,))) == 0
