@@ -37,9 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args) -> Budget:
-    """The search budget of a command; --threads wins over EBS_THREADS,
-    which wins over the CPU count."""
-    threads = args.threads
+    """The search budget of a command: --threads, else EBS_THREADS, else the
+    CPU count; a command without --threads searches on 1 thread."""
+    threads = getattr(args, "threads", 1)
     if threads is None:
         env = os.environ.get("EBS_THREADS")
         threads = os.cpu_count() or 1
@@ -57,19 +57,16 @@ def _budget(args) -> Budget:
     return Budget(node_budget=nodes, time_budget_s=float(seconds), threads=threads)
 
 
-def _parse_group(text: str) -> GroupSpec:
-    try:
-        periods = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise SpecError(f"group must be a comma-separated modulus list, got {text!r}")
-    return GroupSpec(periods)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str,
+                what: str = "expected a comma-separated integer list") -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SpecError(f"expected a comma-separated integer list, got {text!r}")
+        raise SpecError(f"{what}, got {text!r}")
+
+
+def _parse_group(text: str) -> GroupSpec:
+    return GroupSpec(_parse_ints(text, "group must be a comma-separated modulus list"))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -150,7 +147,7 @@ def _cached(args, label: str, quantity: str, method: str, compute) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_spec(args, budget: Budget) -> int:
+def _cmd_spec(args) -> int:
     s = parse_spec(args.spec)
     label = format_spec(s)
     if args.action == "format":
@@ -173,7 +170,8 @@ def _single_cyclic(text: str):
     return s.coords[0]
 
 
-def _cmd_const(args, budget: Budget) -> int:
+def _cmd_const(args) -> int:
+    budget = _budget(args)
     quantity = args.quantity
     if quantity == "davenport":
         g = _parse_group(args.group)
@@ -210,7 +208,7 @@ def _cmd_const(args, budget: Budget) -> int:
     return 0
 
 
-def _cmd_seq(args, budget: Budget) -> int:
+def _cmd_seq(args) -> int:
     from .sequences import (
         format_seq,
         idempotent_witness,
@@ -246,7 +244,7 @@ def _cmd_seq(args, budget: Budget) -> int:
     return 0
 
 
-def _cmd_struct(args, budget: Budget) -> int:
+def _cmd_struct(args) -> int:
     from .sequences import read_seq_file
     from .structure import (
         IntSeq,
@@ -295,7 +293,10 @@ def _cmd_struct(args, budget: Budget) -> int:
     return 0
 
 
-def _cmd_explore(args, budget: Budget) -> int:
+def _cmd_explore(args) -> int:
+    budget = _budget(args)
+    if args.max_k < 1 or args.max_n < 1:
+        raise SpecError("--max-k and --max-n must be positive")
     # opened before the search, so that a bad path costs no search time
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -317,12 +318,16 @@ def _cmd_explore(args, budget: Budget) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def _add_common(p: argparse.ArgumentParser, cache: bool = False) -> None:
-    p.add_argument("--json", action="store_true", help="emit one JSON object")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
-    p.add_argument("--time-budget", type=int, default=None, dest="time_budget",
-                   help="seconds")
+def _add_options(p: argparse.ArgumentParser, json_flag: bool = True, budget: bool = False,
+                 threads: bool = False, cache: bool = False) -> None:
+    if json_flag:
+        p.add_argument("--json", action="store_true", help="emit one JSON object")
+    if threads:
+        p.add_argument("--threads", type=int, default=None)
+    if budget:
+        p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
+        p.add_argument("--time-budget", type=int, default=None, dest="time_budget",
+                       help="seconds")
     if cache:
         p.add_argument("--cache", default=None, help="path to a JSON result cache")
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("parse", "format"):
         ap = spec_sub.add_parser(action)
         ap.add_argument("--spec", required=True)
-        _add_common(ap)
+        _add_options(ap, json_flag=action == "parse")
         ap.set_defaults(handler=_cmd_spec, action=action)
 
     const_p = sub.add_parser("const", help="compute a constant")
@@ -351,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             cp.add_argument("--spec", required=True)
         cp.add_argument("--method", choices=("formula", "brute", "both"),
                         default="formula")
-        _add_common(cp, cache=True)
+        _add_options(cp, budget=True, threads=quantity == "eb", cache=True)
         cp.set_defaults(handler=_cmd_const, quantity=quantity)
 
     seq_p = sub.add_parser("seq", help="sequence predicates")
@@ -361,24 +366,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--file", required=True)
     sp.add_argument("--predicate", choices=("free", "idempotent", "minimal"),
                     required=True)
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(handler=_cmd_seq)
 
     struct_p = sub.add_parser("struct", help="structure tools")
     struct_sub = struct_p.add_subparsers(dest="action", required=True)
     bp = struct_sub.add_parser("behaving")
     bp.add_argument("--ints", required=True)
-    _add_common(bp)
+    _add_options(bp)
     bp.set_defaults(handler=_cmd_struct, action="behaving")
     clp = struct_sub.add_parser("classify")
     clp.add_argument("--spec", required=True)
     clp.add_argument("--file", required=True)
-    _add_common(clp)
+    _add_options(clp)
     clp.set_defaults(handler=_cmd_struct, action="classify")
     scp = struct_sub.add_parser("savchev-chen")
     scp.add_argument("--group", required=True, help="single modulus n")
     scp.add_argument("--ints", required=True)
-    _add_common(scp)
+    _add_options(scp)
     scp.set_defaults(handler=_cmd_struct, action="savchev-chen")
 
     explore_p = sub.add_parser("explore", help="batch reports")
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         ep.add_argument("--max-k", type=int, required=True, dest="max_k")
         ep.add_argument("--max-n", type=int, required=True, dest="max_n")
         ep.add_argument("--out", default=None, help="JSON-lines report path")
-        _add_common(ep)
+        _add_options(ep, json_flag=False, budget=True, threads=kind == "conjecture41")
         ep.set_defaults(handler=_cmd_explore, kind=kind)
 
     return parser
@@ -397,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args, _budget(args))
+        return args.handler(args)
     except (_UsageError, SpecError, SeqFileError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

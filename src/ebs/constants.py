@@ -167,14 +167,13 @@ def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, Seq, int]:
     return len(best) + 1, witness, meter.nodes
 
 
-def davenport(g: GroupSpec, method: str = "formula", budget: Budget | None = None) -> ConstResult:
+def davenport(g: GroupSpec, method: str = "formula", budget: Budget = Budget()) -> ConstResult:
     """D(G): least length forcing a nonempty zero-sum subsequence.
 
     formula: exact 1 + d*(G) for rank <= 2 or p-groups, otherwise the
     [1 + d*, Meshulam] interval.  brute: exhaustive search.  both: brute,
     cross-checked against the formula; disagreement is an internal error.
     """
-    budget = budget or Budget()
     t0 = time.monotonic()
     factors = invariant_factors(g)
     lower = 1 + sum(d - 1 for d in factors)
@@ -243,7 +242,7 @@ def _max_nil_term(s: ProductSpec) -> int:
     return max(c.cap - c.n for c in s.coords)
 
 
-def eb_bounds(s: ProductSpec, budget: Budget | None = None) -> EbBounds:
+def eb_bounds(s: ProductSpec, budget: Budget = Budget()) -> EbBounds:
     """Proven [lower, upper] interval for I(S).
 
     lower = max(maxterm + 1 + sum_{n_i > 1} (n_i - 1), max_i(ceil(k_i/n_i) - 1) + D),
@@ -251,7 +250,7 @@ def eb_bounds(s: ProductSpec, budget: Budget | None = None) -> EbBounds:
     end feeds the lower bound and its upper end the upper bound, and the
     result is flagged davenport-inexact.
     """
-    return _eb_bounds(s, _resolve_davenport(group_of(s), budget or Budget()))
+    return _eb_bounds(s, _resolve_davenport(group_of(s), budget))
 
 
 def _eb_bounds(s: ProductSpec, d_res: ConstResult) -> EbBounds:
@@ -285,7 +284,7 @@ def _thm32_lead(s: ProductSpec) -> int | None:
     return lead if lead is not None and lead >= _max_nil_term(s) else None
 
 
-def reduce_spec(s: ProductSpec, budget: Budget | None = None):
+def reduce_spec(s: ProductSpec, budget: Budget = Budget()):
     """One reduction step for specs with a period-1 coordinate.
 
     Returns the closed-form value max{k_i - 1 : n_i = 1} + D(G_S) when that
@@ -296,7 +295,7 @@ def reduce_spec(s: ProductSpec, budget: Budget | None = None):
     lead = _thm32_lead(s)
     if lead is None:
         return _reduced_spec(s)
-    d_res = _resolve_davenport(group_of(s), budget or Budget())
+    d_res = _resolve_davenport(group_of(s), budget)
     if d_res.value is None:
         raise BudgetExceeded("Davenport constant not exactly resolvable within budget")
     return lead + d_res.value
@@ -344,7 +343,7 @@ def _equality_rule(s: ProductSpec, d_val: int) -> str | None:
     if len(coords) == 2 and _thm41_condition_i(*coords):
         return COR31_DIV
     order = math.prod(c.n for c in coords)
-    if order > 1 and _prime_power_base(order) is not None:
+    if _prime_power_base(order) is not None:
         return COR31_PPOW
     if len(coords) == 2 and _thm41_condition_ii(*coords):
         return THM41_II
@@ -355,7 +354,7 @@ def _equality_rule(s: ProductSpec, d_val: int) -> str | None:
     return None
 
 
-def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
+def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     """Closed-form I(S) where a rule applies, else the proven interval.
 
     Rule order: single coordinate; period-1 reduction; rank-two divisibility;
@@ -374,7 +373,7 @@ def eb_exact(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
         v = s.coords[0].cap
         return ConstResult("erdos_burgess", v, v, v, COR31_R1, "formula", elapsed_ms=_ms(t0))
 
-    d_res = _resolve_davenport(group_of(s), budget or Budget())
+    d_res = _resolve_davenport(group_of(s), budget)
     d_val = d_res.value
     maxterm = _max_nil_term(s)
     lead = _thm32_lead(s)
@@ -465,7 +464,7 @@ def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> 
             f.cancel()
 
 
-def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
+def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     """Exact I(S) by iterative deepening from eb_bounds.lower - 1: the answer
     is the first length admitting no idempotent-sum free sequence.
 
@@ -476,7 +475,6 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
     covers the bounds and the engine build as well as the search.
     """
     global ProcessPoolExecutor
-    budget = budget or Budget()
     meter = SearchMeter(budget)
     meter.check_states(math.prod(s.caps))
     bounds = eb_bounds(s, budget)
@@ -505,10 +503,9 @@ def eb_bruteforce(s: ProductSpec, budget: Budget | None = None) -> ConstResult:
 
 
 def erdos_burgess(s: ProductSpec, method: str = "formula",
-                  budget: Budget | None = None) -> ConstResult:
+                  budget: Budget = Budget()) -> ConstResult:
     """I(S) by the requested method; both cross-checks brute against formula
     (value disagreement or interval violation is an internal error)."""
-    budget = budget or Budget()
     if method == "formula":
         return eb_exact(s, budget)
     if method == "brute":
@@ -547,12 +544,11 @@ def build_axis_witness(s: ProductSpec) -> Seq:
     return Seq(tuple(terms))
 
 
-def build_lift_witness(s: ProductSpec, budget: Budget | None = None) -> Seq:
+def build_lift_witness(s: ProductSpec, budget: Budget = Budget()) -> Seq:
     """Free sequence of length max_i(ceil(k_i/n_i) - 1) + D(G_S) - 1: copies
     of the all-periods element (zero residue, unsaturated) followed by a lift
     of a longest zero-sum free sequence over G_S (zero residues lift to the
     period index)."""
-    budget = budget or Budget()
     _, witness, _ = _davenport_brute(group_of(s), budget)
     q1 = [c.cap // c.n - 1 for c in s.coords]
     lead = max(q1)
@@ -573,7 +569,7 @@ def build_uniform_witness(s: ProductSpec) -> Seq | None:
 # ---------------------------------------------------------------------------
 # conjecture explorer
 
-def explore_conjecture(max_k: int, max_n: int, budget: Budget | None = None) -> dict:
+def explore_conjecture(max_k: int, max_n: int, budget: Budget = Budget()) -> dict:
     """Brute-force sweep of rank-two specs against the two sufficient
     conditions for I(S) = maxterm + D(G_S).
 
@@ -583,7 +579,6 @@ def explore_conjecture(max_k: int, max_n: int, budget: Budget | None = None) -> 
     condition holds but equality fails is an implementation bug (sufficiency
     is proven).  Budget-exhausted instances are recorded and skipped.
     """
-    budget = budget or Budget()
     singles = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
     rows = []
     summary = {"rows": 0, "equality": 0, "counterexamples": 0, "soundness_bugs": 0, "skipped": 0}

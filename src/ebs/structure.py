@@ -229,7 +229,7 @@ def _structured_minimal(c: CyclicSpec, vals) -> bool:
         return total == c.cap and _fills(vals, total)
     n = c.n
     for u in _units(n):
-        inv = pow(u, -1, n) if n > 1 else 0
+        inv = pow(u, -1, n)
         if sum(_lpr(inv * v, n) for v in vals) == n:
             return True
     return False
@@ -468,13 +468,11 @@ def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
     return [value() for _, value in watches], meter.nodes
 
 
-def _structure_const(c: CyclicSpec, quantity: str, method: str,
-                     budget: Budget | None) -> ConstResult:
+def _structure_const(c: CyclicSpec, quantity: str, method: str, budget: Budget) -> ConstResult:
     # imported here, so that the structure tools load without the constants
     # layer
     from .constants import BRUTE, THM61, ConstResult, _ms
 
-    budget = budget or Budget()
     t0 = time.monotonic()
     formula, watch = ((_lhat_formula, _lhat_watch) if quantity == "lhat"
                       else (_l_formula, _l_watch))
@@ -497,13 +495,13 @@ def _structure_const(c: CyclicSpec, quantity: str, method: str,
                        flags=("formula-brute-mismatch",))
 
 
-def lhat(c: CyclicSpec, method: str = "formula", budget: Budget | None = None) -> ConstResult:
+def lhat(c: CyclicSpec, method: str = "formula", budget: Budget = Budget()) -> ConstResult:
     """Least length beyond which every idempotent-sum free sequence over
     C(k;n) has free-mode structure."""
     return _structure_const(c, "lhat", method, budget)
 
 
-def l_const(c: CyclicSpec, method: str = "formula", budget: Budget | None = None) -> ConstResult:
+def l_const(c: CyclicSpec, method: str = "formula", budget: Budget = Budget()) -> ConstResult:
     """Least length beyond which every minimal idempotent-sum sequence over
     C(k;n) has minimal-mode structure."""
     return _structure_const(c, "l", method, budget)
@@ -542,12 +540,11 @@ def _gap_rows(max_k: int, max_n: int, quantity: str, budget: Budget):
 
 
 def structure_gap_report(quantity: str, max_k: int, max_n: int,
-                         budget: Budget | None = None) -> dict:
+                         budget: Budget = Budget()) -> dict:
     """Brute values for k > n against the closed-form values/intervals;
     rows marked anomalous when outside them (for l, also when l > lhat + 1)."""
     if quantity not in ("lhat", "l"):
         raise SpecError(f"unknown gap quantity {quantity!r}")
-    budget = budget or Budget()
     rows = list(_gap_rows(max_k, max_n, quantity, budget))
     summary = {
         "rows": len(rows),

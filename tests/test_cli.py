@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,17 @@ class TestExplore:
         assert code == 1
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind,max_k,max_n", [
+        ("conjecture41", "0", "2"), ("lhat-gap", "-1", "2"), ("l-gap", "3", "0"),
+    ])
+    def test_nonpositive_range_exit_1(self, capsys, tmp_path, kind, max_k, max_n):
+        out_path = tmp_path / "rows.jsonl"
+        code, out, err = run(capsys, "explore", kind, "--max-k", max_k, "--max-n", max_n,
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: --max-k and --max-n must be positive\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("kind,module,fn,key", [
         ("lhat-gap", "structure", "structure_gap_report", "anomalies"),
         ("l-gap", "structure", "structure_gap_report", "anomalies"),
@@ -379,9 +391,40 @@ class TestUsage:
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_env_threads(self, capsys, monkeypatch, value):
         monkeypatch.setenv("EBS_THREADS", value)
-        code, out, err = run(capsys, "spec", "parse", "--spec", "C(1;2)")
+        code, out, err = run(capsys, "const", "eb", "--spec", "C(1;2)")
         assert code == 1 and out == ""
         assert err == f"error: EBS_THREADS must be a positive integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("spec", "parse", "--spec", "C(3;2)xC(1;4)"),
+        ("seq", "check", "--spec", "C(3;2)", "--file", "{seq}", "--predicate", "free"),
+        ("const", "lhat", "--spec", "C(7;2)", "--method", "both"),
+    ])
+    def test_env_threads_unread_without_threads_flag(self, capsys, monkeypatch, tmp_path,
+                                                     argv):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("3\n3\n")
+        argv = [a.format(seq=seq) for a in argv]
+        monkeypatch.delenv("EBS_CACHE", raising=False)
+        monkeypatch.delenv("EBS_THREADS", raising=False)
+        clean = run(capsys, *argv)
+        monkeypatch.setenv("EBS_THREADS", "abc")
+        assert run(capsys, *argv) == clean
+        assert clean[0] == 0 and clean[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("spec", "format", "--spec", "C(1;2)", "--json"),
+        ("spec", "parse", "--spec", "C(1;2)", "--threads", "2"),
+        ("seq", "check", "--spec", "C(1;2)", "--file", "seq.txt", "--predicate", "free",
+         "--node-budget", "5"),
+        ("struct", "behaving", "--ints", "1,2", "--time-budget", "1"),
+        ("const", "lhat", "--spec", "C(7;2)", "--threads", "2"),
+        ("explore", "lhat-gap", "--max-k", "3", "--max-n", "2", "--json"),
+    ])
+    def test_option_a_command_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
 
 
 class TestCliConfig:
@@ -430,21 +473,23 @@ class TestCliConfig:
 class TestSurface:
     """The option strings of every subcommand, as the parser defines them."""
 
-    COMMON = {"-h", "--help", "--json", "--threads", "--node-budget", "--time-budget"}
+    COMMON = {"-h", "--help"}
+    JSON = {"--json"}
+    BUDGET = {"--node-budget", "--time-budget"}
     EXTRA = {
-        "spec parse": {"--spec"},
+        "spec parse": {"--spec"} | JSON,
         "spec format": {"--spec"},
-        "const eb": {"--spec", "--method", "--cache"},
-        "const davenport": {"--group", "--method", "--cache"},
-        "const lhat": {"--spec", "--method", "--cache"},
-        "const l": {"--spec", "--method", "--cache"},
-        "seq check": {"--spec", "--file", "--predicate"},
-        "struct behaving": {"--ints"},
-        "struct classify": {"--spec", "--file"},
-        "struct savchev-chen": {"--group", "--ints"},
-        "explore conjecture41": {"--max-k", "--max-n", "--out"},
-        "explore lhat-gap": {"--max-k", "--max-n", "--out"},
-        "explore l-gap": {"--max-k", "--max-n", "--out"},
+        "const eb": {"--spec", "--method", "--cache", "--threads"} | JSON | BUDGET,
+        "const davenport": {"--group", "--method", "--cache"} | JSON | BUDGET,
+        "const lhat": {"--spec", "--method", "--cache"} | JSON | BUDGET,
+        "const l": {"--spec", "--method", "--cache"} | JSON | BUDGET,
+        "seq check": {"--spec", "--file", "--predicate"} | JSON,
+        "struct behaving": {"--ints"} | JSON,
+        "struct classify": {"--spec", "--file"} | JSON,
+        "struct savchev-chen": {"--group", "--ints"} | JSON,
+        "explore conjecture41": {"--max-k", "--max-n", "--out", "--threads"} | BUDGET,
+        "explore lhat-gap": {"--max-k", "--max-n", "--out"} | BUDGET,
+        "explore l-gap": {"--max-k", "--max-n", "--out"} | BUDGET,
     }
 
     @staticmethod
@@ -462,6 +507,15 @@ class TestSurface:
         expected.update({group: {"-h", "--help"}
                          for group in ("spec", "const", "seq", "struct", "explore")})
         assert self.options(build_parser()) == expected
+
+    def test_readme_cli_lines_parse(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        lines = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+        assert len(lines) == 12
+        for line in lines:
+            command, *argv = shlex.split(line)
+            assert command == "ebs"
+            build_parser().parse_args(argv)  # raises _UsageError on an unknown option
 
 
 class TestStartup:
