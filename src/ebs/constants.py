@@ -403,14 +403,14 @@ def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 # ---------------------------------------------------------------------------
 # brute force
 
-# The search engine of a pool worker process, set once per worker by
-# _init_worker so that tasks need not carry it.
+# The search engine of a pool worker process, built once per worker by
+# _init_worker from the spec, so that tasks need not carry it.
 _worker_engine: ReachEngine | None = None
 
 
-def _init_worker(engine: ReachEngine) -> None:
+def _init_worker(s: ProductSpec) -> None:
     global _worker_engine
-    _worker_engine = engine
+    _worker_engine = ReachEngine.for_spec(s)
 
 
 def _exists_task(length: int, first_idx: int, budget: Budget):
@@ -430,7 +430,7 @@ def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> 
     alphabet order and counted up to the first hit, so the nodes counted and
     the budget verdict are those of the serial search at any thread count.
     """
-    if pool is None or length == 0:
+    if pool is None:
         return search_free(engine, meter, length)
     budget = meter.budget
     meter.check_time()
@@ -486,7 +486,7 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
             if ProcessPoolExecutor is None:
                 from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=budget.threads,
-                                       initializer=_init_worker, initargs=(engine,))
+                                       initializer=_init_worker, initargs=(s,))
         for value in range(bounds.lower, bounds.upper + 1):
             if not _exists_free(engine, value, meter, pool):
                 break

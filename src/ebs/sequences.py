@@ -383,18 +383,6 @@ class PairRows(dict):
             by_state[x] = mask
         return [by_state[x] for x in states]
 
-    def __reduce__(self):
-        # The rows and by_state are caches, and a pickle shares no ints (all
-        # rows of C(30;1)xC(1;29) pickled to 159 MB).  A pickle flags the
-        # built rows instead, one byte per position whatever was searched,
-        # and the copy rebuilds them.
-        built = bytes(b in self for b in range(len(self.digits[0]) if self.digits else 0))
-        return PairRows, (self.digits, self.moves, self.strides, self.sizes, self.onto), built
-
-    def __setstate__(self, built: bytes) -> None:
-        for b in itertools.compress(range(len(built)), built):
-            self.__missing__(b)
-
     def __missing__(self, b: int) -> list[int]:
         sums = None
         for digits, moves in zip(self.digits, self.moves):
@@ -540,9 +528,10 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     """Depth-first search over the non-decreasing free extensions of a
     sequence with reach set `states` by alphabet elements from `start` on.
 
-    With a length: does a free extension by that many elements exist?  It
-    stops at the first.  Without: visit every free extension, calling
-    on_free(stack) at each (stack: the alphabet indices added, reused).
+    With a length (>= 1): does a free extension by that many elements
+    exist?  It stops at the first.  Without (None): visit every free
+    extension, calling on_free(stack) at each (stack: the alphabet indices
+    added, reused).
 
     A node hands its children only the elements it does not reject: reach
     sets grow along a path, so a rejected element stays rejected below.  A
@@ -630,12 +619,11 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     try:
         if length is None:
             enumerate_free(S, live, start)
-        elif length:
-            if length > 1:
-                found = exists(S, live, start, length)
-            else:  # a last-level node stops at its first survivor
-                found = bool(live)
-                count += (live[0] + 1 if live else n) - start
+        elif length > 1:
+            found = exists(S, live, start, length)
+        else:  # a last-level node stops at its first survivor
+            found = bool(live)
+            count += (live[0] + 1 if live else n) - start
     finally:
         # The recursive closures refer to themselves, and the cycle holds
         # the engine's lists and rows; break it, so that they are freed with

@@ -102,20 +102,20 @@ def _fills(vals, total: int) -> bool:
     return _sums_mask(vals) == (1 << (total + 1)) - 1
 
 
-def subset_sums(h: IntSeq, bound: int = SUBSET_SUM_BOUND) -> frozenset[int]:
+def subset_sums(h: IntSeq) -> frozenset[int]:
     """All nonempty sub-multiset sums, by bitmask dynamic programming."""
-    if h.total > bound:
-        raise BudgetExceeded(f"subset-sum total {h.total} over bound {bound}")
+    if h.total > SUBSET_SUM_BOUND:
+        raise BudgetExceeded(f"subset-sum total {h.total} over bound {SUBSET_SUM_BOUND}")
     acc = _sums_mask(h.entries)
     return frozenset(s for s in range(1, h.total + 1) if acc >> s & 1)
 
 
-def is_behaving(h: IntSeq, bound: int = SUBSET_SUM_BOUND) -> bool:
+def is_behaving(h: IntSeq) -> bool:
     """True iff the nonempty subset sums are exactly [1, total]."""
     if len(h) == 0:
         raise PreconditionError("behaving is undefined for the empty sequence")
-    if h.total > bound:
-        raise BudgetExceeded(f"subset-sum total {h.total} over bound {bound}")
+    if h.total > SUBSET_SUM_BOUND:
+        raise BudgetExceeded(f"subset-sum total {h.total} over bound {SUBSET_SUM_BOUND}")
     return _fills(h.entries, h.total)
 
 

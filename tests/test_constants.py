@@ -1,5 +1,4 @@
 import multiprocessing
-import pickle
 import time
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from ebs import constants
-from ebs.config import Budget, SearchMeter
+from ebs.config import Budget
 from ebs.constants import (
     BRUTE,
     COR31_DIV,
@@ -39,7 +38,7 @@ from ebs.constants import (
 )
 from ebs.errors import BudgetExceeded, SpecError
 from ebs.semigroup import GroupSpec, ProductSpec, parse_spec
-from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free, search_free
+from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free
 
 
 class TestInvariantFactors:
@@ -165,6 +164,7 @@ class TestBoundsAndReduce:
         assert reduce_spec(parse_spec("C(9;1)xC(1;2)")) == 10
         assert reduce_spec(parse_spec("C(2;1)xC(1;3)")) == 4
         assert reduce_spec(parse_spec("C(2;1)xC(3;1)xC(1;5)")) == 7
+        assert reduce_spec(parse_spec("C(9;1)xC(1;2)xC(1;2)xC(1;6)")) == 16
 
     def test_reduce_spec_branch(self):
         s2 = reduce_spec(parse_spec("C(2;1)xC(7;2)"))
@@ -172,6 +172,13 @@ class TestBoundsAndReduce:
         assert s2 == parse_spec("C(2;1)xC(7;2)")
         s3 = reduce_spec(parse_spec("C(2;1)xC(3;1)xC(7;2)"))
         assert s3 == parse_spec("C(3;1)xC(7;2)")
+
+    def test_reduce_value_branch_over_budget(self):
+        # D(Z_2 x Z_2 x Z_6) has no exact formula, so the value branch
+        # resolves it by search, which a one-node budget cannot finish.
+        s = parse_spec("C(9;1)xC(1;2)xC(1;2)xC(1;6)")
+        with pytest.raises(BudgetExceeded, match="Davenport constant not exactly resolvable"):
+            reduce_spec(s, Budget(node_budget=1))
 
 
 RULE_TABLE = [
@@ -319,7 +326,7 @@ class TestEbBruteforce:
 
         class CountingPool(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
+                built.append((kwargs.get("max_workers"), kwargs["initargs"]))
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(constants, "ProcessPoolExecutor", CountingPool)
@@ -327,12 +334,14 @@ class TestEbBruteforce:
         serial = eb_bruteforce(s, Budget(threads=1))
         assert built == []
         par = eb_bruteforce(s, Budget(threads=2))
-        assert built == [2]
+        # the workers build the engine from the spec; none is pickled
+        assert built == [(2, (s,))]
         assert (par.value, par.nodes) == (serial.value, serial.nodes) == (7, 8039)
 
     def test_pool_under_spawn(self, monkeypatch):
-        # Workers that start from a fresh interpreter receive the engine
-        # pickled, as under the forkserver default of Python 3.14 on Linux.
+        # Workers that start from a fresh interpreter receive the spec
+        # pickled and build the engine from it, as under the forkserver
+        # default of Python 3.14 on Linux.
         from concurrent.futures import ProcessPoolExecutor
 
         class SpawnPool(ProcessPoolExecutor):
@@ -343,29 +352,6 @@ class TestEbBruteforce:
         monkeypatch.setattr(constants, "ProcessPoolExecutor", SpawnPool)
         r = eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(threads=2))
         assert (r.value, r.nodes) == (7, 8039)
-
-    def test_engine_with_built_rows_survives_pickling(self):
-        def run(engine):
-            meter = SearchMeter(Budget())
-            found = [search_free(engine, meter, length) for length in range(1, 8)]
-            return found, meter.nodes
-
-        engine = ReachEngine.for_spec(parse_spec("C(3;2)xC(1;4)"))
-        first = run(engine)
-        assert first[0] == [True] * 6 + [False]
-        copy = pickle.loads(pickle.dumps(engine))
-        assert dict(copy.pairs) == dict(engine.pairs) and len(copy.pairs) > 1
-        assert run(copy) == first
-
-    def test_pickle_leaves_out_built_rows(self):
-        engine = ReachEngine.for_spec(parse_spec("C(4;3)xC(2;5)"))
-        before = len(pickle.dumps(engine))
-        search_free(engine, SearchMeter(Budget()), 5)
-        assert engine.pairs
-        assert len(pickle.dumps(engine)) == before
-        copy = pickle.loads(pickle.dumps(engine))
-        assert dict(copy.pairs) == dict(engine.pairs)
-        assert all(copy.pairs[b] == engine.pairs[b] for b in range(len(engine.labels)))
 
 
 class TestDavenportOnce:
@@ -492,3 +478,10 @@ class TestExplore:
         row = report["rows"][0]
         for key in ("spec", "bound_value", "value", "equality", "cond_i", "cond_ii"):
             assert key in row
+
+    def test_skipped_rows(self):
+        report = explore_conjecture(3, 3, Budget(node_budget=50))
+        skipped = [row for row in report["rows"] if "skipped" in row]
+        assert len(skipped) == report["summary"]["skipped"] == 28
+        for row in skipped:
+            assert set(row) == {"spec", "bound_value", "skipped"}

@@ -110,6 +110,7 @@ class TestSavchevChen:
         assert savchev_chen(7, (2, 2, 2, 2)) == (2, IntSeq.of(1, 1, 1, 1))
         assert savchev_chen(5, (1, 3)) == (3, IntSeq.of(1, 2))
         assert savchev_chen(7, (1, 3)) is None
+        assert savchev_chen(7, Seq.of(3, 3, 3)) == (3, IntSeq.of(1, 1, 1))
 
     def test_modulus_validation(self):
         with pytest.raises(PreconditionError):
@@ -117,6 +118,10 @@ class TestSavchevChen:
 
     def test_empty_input(self):
         assert savchev_chen(5, ()) is None
+
+    def test_rank_two_group_sequence_rejected(self):
+        with pytest.raises(SpecError, match="expected a rank-one group sequence"):
+            savchev_chen(7, Seq.of((1, 2), (3, 4)))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_totality_on_guaranteed_lengths(self, n):
