@@ -11,6 +11,11 @@ DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_TIME_BUDGET_S = 60.0
 DEFAULT_STATE_CAP = 10**7
 SUBSET_SUM_BOUND = 10**6
+# The most entries held by the memo of failed subtrees that one existence
+# search keeps (search_free).  A record takes one entry per subtree count
+# it holds, one for itself, and one per 256 packed states of its reach-set
+# key; an entry holds about 40 bytes.
+SEARCH_MEMO_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -18,8 +23,9 @@ class Budget:
     """Resource limits for brute-force searches.
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
-    is wall clock from the start of a search, its setup included; state_cap
-    caps the subset-sum states: the packed space of a search engine
+    is wall clock from the start of a search, its setup included (pool tasks
+    stop at the search's deadline, not at their own start plus the budget);
+    state_cap caps the subset-sum states: the packed space of a search engine
     (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l), checked
     before the engine is built, and the states a one-shot walk reaches.
     threads > 1 fans each probe of an eb brute search out to a process
@@ -46,10 +52,12 @@ class SearchMeter:
 
     __slots__ = ("budget", "nodes", "started", "_limit")
 
-    def __init__(self, budget: Budget):
+    def __init__(self, budget: Budget, started: float | None = None):
         self.budget = budget
         self.nodes = 0
-        self.started = time.monotonic()
+        # the time.monotonic() the time budget counts from: now, or the
+        # start of the search that a pool task belongs to
+        self.started = time.monotonic() if started is None else started
         # Budget is frozen, so the node limit can be read once here.
         self._limit = budget.node_budget
 

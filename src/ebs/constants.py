@@ -413,11 +413,14 @@ def _init_worker(s: ProductSpec) -> None:
     _worker_engine = ReachEngine.for_spec(s)
 
 
-def _exists_task(length: int, first_idx: int, budget: Budget):
+def _exists_task(length: int, first_idx: int, budget: Budget, started: float):
     """Worker: does a free sequence of the given length starting with
-    alphabet[first_idx] exist?  Returns (found, nodes)."""
+    alphabet[first_idx] exist?  Returns (found, nodes).  The time budget
+    counts from `started`, the search's start, so a task that starts late
+    stops at the same deadline as the others."""
     engine = _worker_engine
-    meter = SearchMeter(budget)
+    meter = SearchMeter(budget, started)
+    meter.check_time()
     meter.tick()
     found = search_free(engine, meter, length - 1, engine.apply(0, first_idx), first_idx)
     return found, meter.nodes
@@ -434,14 +437,12 @@ def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> 
         return search_free(engine, meter, length)
     budget = meter.budget
     meter.check_time()
-    # A task stops once it alone has spent what is left of the budget; the
-    # serial search would have run out there too.
-    left = dataclasses.replace(
-        budget,
-        node_budget=budget.node_budget - meter.nodes,
-        time_budget_s=budget.time_budget_s - (time.monotonic() - meter.started),
-    )
-    futures = [pool.submit(_exists_task, length, i, left)
+    # A task stops once it alone has spent what is left of the node budget,
+    # or at the search's deadline; the serial search would have run out
+    # there too.  time.monotonic() reads one clock in every process of the
+    # machine, so the workers share the search's start.
+    left = dataclasses.replace(budget, node_budget=budget.node_budget - meter.nodes)
+    futures = [pool.submit(_exists_task, length, i, left, meter.started)
                for i in range(len(engine.labels))]
     try:
         for f in futures:

@@ -22,8 +22,11 @@ structure module (arity 1).  It hands each node the elements its ancestors
 did not reject, finds a child's survivors from the pair row of the child's
 element, applies the shifts inline from flat per-element lists only for
 children with survivors to expand, and counts the nodes of the plain
-one-candidate-at-a-time search by arithmetic.  Its one callback, on_free,
-sees each free node; rejected elements stay inside the kernel.
+one-candidate-at-a-time search by arithmetic.  A failed subtree that an
+existence search meets again at the same depth and reach set is counted
+from a memo of its children's node counts, not searched again.  Its one
+callback, on_free, sees each free node; rejected elements stay inside the
+kernel.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_STATE_CAP, SearchMeter
+from .config import DEFAULT_STATE_CAP, SEARCH_MEMO_ENTRIES, SearchMeter
 from .errors import BudgetExceeded, SeqFileError, SpecError
 from .semigroup import (
     CyclicSpec,
@@ -542,12 +545,31 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     one element at a time counts them: a node entered at start costs n -
     start, or hit - start + 1 if it stops at a hit.  The count is handed to
     the meter when it reaches meter.next_check() and at the end.
+
+    An existence search counts a failed subtree it meets again without
+    searching it.  A node's live list is exactly the elements from its start
+    on that its reach set S (empty bit included) does not reject, so its
+    subtree depends only on S, start and left, and the live lists of one S
+    are suffixes of one list.  When a node with left >= 3 fails, the node
+    counts of its children's subtrees are recorded under (left, S), in live
+    order.  A later child with the same left and S whose live list is no
+    longer than the record fails too: it costs n - start plus the sum of
+    the record's last len(live) counts.  Only failed subtrees are recorded,
+    so hits, node counts and budget verdicts are those of the full search.
+    The memo lives for one call and stops recording once it holds
+    config.SEARCH_MEMO_ENTRIES entries.  Enumeration (on_free) visits every
+    free node and keeps no memo.
     """
     pre, own, up, down, pairs = engine.pre, engine.own, engine.up, engine.down, engine.pairs
     n = len(pre)
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
+    # memo[left][S]: the subtree node counts of the children of a failed
+    # node with reach set S and left >= 3 elements still to add
+    memo = [{} for _ in range((length or 0) + 1)]
+    room = SEARCH_MEMO_ENTRIES
+    key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its counts
 
     def settle():
         nonlocal mark
@@ -557,37 +579,61 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     def exists(S, live, start, left):
         # a node with left >= 2 elements still to add; live holds the
         # elements from start on that it does not reject
-        nonlocal count
+        nonlocal count, room
         nxt = start  # first element whose attempt is not yet counted
-        for j, b in enumerate(live):
-            row = pairs[b]
-            if left == 2:
+        if left == 2:
+            for j, b in enumerate(live):
+                row = pairs[b]
                 # the child is a last-level node: it stops at its first survivor
                 for c in live[j:]:
                     if not S & row[c]:
                         count += c + 2 - nxt
                         return True
-            else:
-                kids = [c for c in live[j:] if not S & row[c]]
-                if kids:
-                    count += b + 1 - nxt
-                    nxt = b + 1
+                # the child rejects every element from b on
+                count += n + 1 - nxt
+                nxt = b + 1
+            count += n - nxt
+            if count >= mark:
+                settle()
+            return False
+        below = memo[left - 1] if left > 3 else None
+        sizes = []  # the node count of each child's subtree, in live order
+        for j, b in enumerate(live):
+            row = pairs[b]
+            kids = [c for c in live[j:] if not S & row[c]]
+            count += b + 1 - nxt
+            nxt = b + 1
+            if not kids:  # the child rejects every element from b on
+                count += n - b
+                sizes.append(n - b)
+                continue
+            out = S | own[b]
+            for m, sh in up[b]:
+                out |= (S & m) << sh
+            for m, sh in down[b]:
+                out |= (S & m) >> sh
+            if below is not None:
+                failed = below.get(out)
+                if failed is not None and len(kids) <= len(failed):
+                    size = n - b + sum(failed[-len(kids):])
+                    count += size
+                    sizes.append(size)
                     if count >= mark:
                         settle()
-                    out = S | own[b]
-                    for m, sh in up[b]:
-                        out |= (S & m) << sh
-                    for m, sh in down[b]:
-                        out |= (S & m) >> sh
-                    if exists(out, kids, b, left - 1):
-                        return True
                     continue
-            # the child rejects every element from b on
-            count += n + 1 - nxt
-            nxt = b + 1
+            if count >= mark:
+                settle()
+            before = count
+            if exists(out, kids, b, left - 1):
+                return True
+            sizes.append(count - before)
         count += n - nxt
         if count >= mark:
             settle()
+        cost = key_cost + len(sizes)
+        if cost <= room:
+            room -= cost
+            memo[left][S] = sizes
         return False
 
     def enumerate_free(S, live, start):

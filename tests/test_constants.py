@@ -39,6 +39,7 @@ from ebs.constants import (
 from ebs.errors import BudgetExceeded, SpecError
 from ebs.semigroup import GroupSpec, ProductSpec, parse_spec
 from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free
+from test_acceptance import rank2_grid
 
 
 class TestInvariantFactors:
@@ -294,6 +295,15 @@ class TestEbBruteforce:
             eb_bruteforce(parse_spec("C(5;5)xC(1;5)"), Budget(time_budget_s=0.3))
         assert time.monotonic() - t0 < 3
 
+    def test_pool_tasks_share_the_deadline(self):
+        # Far over budget (past 10^8 nodes in all): every task stops at the
+        # search's deadline, so a task that starts late does not keep the
+        # pool's shutdown waiting past it.
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            eb_bruteforce(parse_spec("C(7;2)xC(2;7)"), Budget(time_budget_s=0.5, threads=2))
+        assert time.monotonic() - t0 < 1.0
+
     def test_time_budget_covers_setup(self, monkeypatch):
         resolve = constants._resolve_davenport
 
@@ -316,6 +326,22 @@ class TestEbBruteforce:
             par = eb_bruteforce(s, Budget(threads=2))
             assert serial.value == par.value == value
             assert serial.nodes == par.nodes == nodes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_twin_node_counts_pinned(self, threads):
+        # Specs with twins (labels past a cap that share a capped state),
+        # whose searches re-enter one reach set at one depth many times.
+        for label, value, nodes in [("C(2;4)xC(3;4)", 7, 407332),
+                                    ("C(4;2)xC(1;6)", 9, 408472),
+                                    ("C(4;3)xC(2;5)", 16, 5365848),
+                                    ("C(5;5)xC(1;5)", 9, 24329746)]:
+            r = eb_bruteforce(parse_spec(label), Budget(threads=threads))
+            assert (r.value, r.nodes) == (value, nodes), label
+
+    def test_rank2_grid_nodes_pinned(self):
+        # The node total of the 786 specs of the acceptance grid, so that a
+        # kernel change that moves any count fails here.
+        assert sum(eb_bruteforce(s).nodes for s in rank2_grid(20)) == 12385516
 
     def test_pool_class_read_from_module(self, monkeypatch):
         # The pool class is looked up as constants.ProcessPoolExecutor when a

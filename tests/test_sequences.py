@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from ebs import sequences
 from ebs.config import Budget, SearchMeter
 from ebs.constants import davenport, eb_bruteforce
 from ebs.errors import BudgetExceeded, SeqFileError, SpecError
@@ -411,8 +412,12 @@ class TestSearchKernel:
     """search_free against a plain DFS that tries one element at a time, and
     its batched node counts against the budget."""
 
+    # C(2;2)xC(3;3) has twins in both coordinates (3 acts as 1 in C(2;2); 4
+    # and 5 act as 1 and 2 in C(3;3)); its last probe counts 42 failed
+    # subtrees with 4 or more elements left from the memo
     @pytest.mark.parametrize("label", ["C(3;2)xC(1;4)", "C(1;2)xC(1;3)", "C(2;2)xC(2;2)",
-                                       "C(3;2)xC(2;3)", "C(1;2)xC(1;2)xC(1;3)"])
+                                       "C(3;2)xC(2;3)", "C(1;2)xC(1;2)xC(1;3)",
+                                       "C(2;2)xC(3;3)"])
     def test_exists_matches_naive_dfs(self, label):
         s = parse_spec(label)
         engine = ReachEngine.for_spec(s)
@@ -423,17 +428,33 @@ class TestSearchKernel:
             assert (found, meter.nodes) == oracle.naive_free_search(coord_pairs(s), length)
             assert found == (length < value)
 
-    # (search, total nodes); each total is above 4097
+    @pytest.mark.parametrize("entries", [0, 1, 1000])
+    def test_memo_limit_keeps_counts(self, monkeypatch, entries):
+        # The memo only saves work: with no room, with less room than any
+        # record takes, or with room that runs out mid-search, every count
+        # is the same.
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
+        for label, value, nodes in [("C(2;4)xC(3;4)", 7, 407332),
+                                    ("C(4;2)xC(1;6)", 9, 408472),
+                                    ("C(3;2)xC(1;4)", 7, 8039)]:
+            r = eb_bruteforce(parse_spec(label))
+            assert (r.value, r.nodes) == (value, nodes), label
+
+    # (search, total nodes, further limits); each total is above 4097.  The
+    # eb-twins search counts its nodes 230,183 to 266,265 as one failed
+    # subtree from the memo, so a limit of 250,000 falls inside that batch.
     SEARCHES = [
-        (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039),
-        (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406),
-        (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983),
-        (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983),
+        (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, ()),
+        (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406, ()),
+        (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, ()),
+        (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, ()),
+        (lambda b: eb_bruteforce(parse_spec("C(2;4)xC(3;4)"), b), 407332, (250000,)),
     ]
 
-    @pytest.mark.parametrize("run,total", SEARCHES, ids=["eb", "davenport", "lhat", "l"])
-    def test_budget_error_is_one_over_the_limit(self, run, total):
-        for limit in (1, 4095, 4096, 4097, total - 1):
+    @pytest.mark.parametrize("run,total,inner", SEARCHES,
+                             ids=["eb", "davenport", "lhat", "l", "eb-twins"])
+    def test_budget_error_is_one_over_the_limit(self, run, total, inner):
+        for limit in (1, 4095, 4096, 4097, total - 1) + inner:
             with pytest.raises(BudgetExceeded) as info:
                 run(Budget(node_budget=limit))
             assert info.value.nodes == limit + 1
