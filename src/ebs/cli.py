@@ -37,24 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args) -> Budget:
-    """The search budget of a command: --threads, else EBS_THREADS, else the
-    CPU count; a command without --threads searches on 1 thread."""
+    """The one Budget of a run, from the options its command declares (a
+    command without --threads searches on 1 thread)."""
     threads = getattr(args, "threads", 1)
-    if threads is None:
-        env = os.environ.get("EBS_THREADS")
-        threads = os.cpu_count() or 1
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                threads = 0
-            if threads < 1:
-                raise SpecError(f"EBS_THREADS must be a positive integer, got {env!r}")
-    nodes = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
-    seconds = DEFAULT_TIME_BUDGET_S if args.time_budget is None else args.time_budget
-    if threads < 1 or nodes < 1 or seconds < 1:
+    if threads < 1 or args.node_budget < 1 or args.time_budget < 1:
         raise SpecError("threads and budgets must be positive")
-    return Budget(node_budget=nodes, time_budget_s=float(seconds), threads=threads)
+    return Budget(node_budget=args.node_budget, time_budget_s=float(args.time_budget),
+                  threads=threads)
 
 
 def _parse_ints(text: str,
@@ -115,17 +104,16 @@ def _cache_write(path: str, store: dict) -> None:
 
 
 def _cached(args, label: str, quantity: str, method: str, compute) -> dict:
-    """The result of compute(), through the cache when one is configured.
+    """The result of compute(), through the --cache file when one is given.
 
     The key ignores the budget, so a result flagged davenport-inexact (the
     Davenport constant left as an interval, which a larger budget may
     resolve) is returned but never stored.  An entry of another version, or
     without a result dict, is a miss: it is recomputed and overwritten.
     """
-    path = args.cache or os.environ.get("EBS_CACHE")
-    if not path:
+    if not args.cache:
         return compute()
-    store = _cache_read(path)
+    store = _cache_read(args.cache)
     key = f"{label}|{quantity}|{method}"
     entry = store.get(key)
     if (isinstance(entry, dict) and entry.get("version") == __version__
@@ -136,10 +124,10 @@ def _cached(args, label: str, quantity: str, method: str, compute) -> dict:
         return result
     store[key] = {"version": __version__, "result": result}
     try:
-        _cache_write(path, store)
+        _cache_write(args.cache, store)
     except OSError as exc:
         # the result is still good; only reuse is lost
-        print(f"warning: could not write cache {path}: {exc.strerror or exc}",
+        print(f"warning: could not write cache {args.cache}: {exc.strerror or exc}",
               file=sys.stderr)
     return result
 
@@ -323,11 +311,12 @@ def _add_options(p: argparse.ArgumentParser, json_flag: bool = True, budget: boo
     if json_flag:
         p.add_argument("--json", action="store_true", help="emit one JSON object")
     if threads:
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
     if budget:
-        p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
-        p.add_argument("--time-budget", type=int, default=None, dest="time_budget",
-                       help="seconds")
+        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                       dest="node_budget")
+        p.add_argument("--time-budget", type=int, default=int(DEFAULT_TIME_BUDGET_S),
+                       dest="time_budget", help="seconds")
     if cache:
         p.add_argument("--cache", default=None, help="path to a JSON result cache")
 

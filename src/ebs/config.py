@@ -29,11 +29,12 @@ class Budget:
     (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l), checked
     before the engine is built, and the states a one-shot walk reaches.
     threads > 1 fans each probe of an eb brute search out to a process
-    pool, one task per first element; Davenport and l-hat/l searches run in
-    the calling process at any thread count.  The node budget is global:
-    task counts are added in alphabet order up to the first hit, exactly as
-    the serial search counts, so node counts and budget verdicts are the
-    same at every thread count.
+    pool, one task per first element and at most one worker per task;
+    Davenport and l-hat/l searches run in the calling process at any thread
+    count.  The CLI, like the library, searches on one thread unless asked
+    (--threads N).  The node budget is global: task counts are added in
+    alphabet order up to the first hit, exactly as the serial search counts,
+    so node counts and budget verdicts are the same at every thread count.
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET

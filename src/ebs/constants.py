@@ -486,7 +486,8 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
         if budget.threads > 1 and len(engine.labels) > 1:
             if ProcessPoolExecutor is None:
                 from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=budget.threads,
+            # a probe has one task per label, so more workers would idle
+            pool = ProcessPoolExecutor(max_workers=min(budget.threads, len(engine.labels)),
                                        initializer=_init_worker, initargs=(s,))
         for value in range(bounds.lower, bounds.upper + 1):
             if not _exists_free(engine, value, meter, pool):

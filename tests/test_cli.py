@@ -189,12 +189,6 @@ class TestCache:
         assert "could not write cache" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_env_cache_used(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache.json"
-        monkeypatch.setenv("EBS_CACHE", str(cache))
-        code, _, _ = run(capsys, "const", "eb", "--spec", "C(3;2)")
-        assert code == 0 and cache.exists()
-
 
 class TestSeqCommand:
     def test_free_true(self, capsys, tmp_path):
@@ -388,13 +382,6 @@ class TestUsage:
             assert code == 1, (flag, value)
             assert "budgets must be positive" in err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_env_threads(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("EBS_THREADS", value)
-        code, out, err = run(capsys, "const", "eb", "--spec", "C(1;2)")
-        assert code == 1 and out == ""
-        assert err == f"error: EBS_THREADS must be a positive integer, got {value!r}\n"
-
     @pytest.mark.parametrize("argv", [
         ("spec", "parse", "--spec", "C(3;2)xC(1;4)"),
         ("seq", "check", "--spec", "C(3;2)", "--file", "{seq}", "--predicate", "free"),
@@ -405,8 +392,6 @@ class TestUsage:
         seq = tmp_path / "seq.txt"
         seq.write_text("3\n3\n")
         argv = [a.format(seq=seq) for a in argv]
-        monkeypatch.delenv("EBS_CACHE", raising=False)
-        monkeypatch.delenv("EBS_THREADS", raising=False)
         clean = run(capsys, *argv)
         monkeypatch.setenv("EBS_THREADS", "abc")
         assert run(capsys, *argv) == clean
@@ -428,8 +413,8 @@ class TestUsage:
 
 
 class TestCliConfig:
-    """Thread-count precedence, read from the pool a brute eb search builds:
-    --threads, then EBS_THREADS, then the CPU count."""
+    """The thread count of a run, read from the pool a brute eb search
+    builds: --threads N, else 1; the environment is not read."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -445,29 +430,30 @@ class TestCliConfig:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(constants, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.delenv("EBS_CACHE", raising=False)
-        monkeypatch.delenv("EBS_THREADS", raising=False)
         return built
 
-    def search(self, capsys, *flags):
+    def search(self, capsys, *flags) -> dict:
         code, out, _ = run(capsys, "const", "eb", "--spec", "C(3;2)xC(1;4)",
-                           "--method", "brute", *flags)
-        assert (code, "value: 7" in out, "nodes: 8039" in out) == (0, True, True)
+                           "--method", "brute", "--json", *flags)
+        d = json.loads(out)
+        assert (code, d["value"], d["nodes"]) == (0, 7, 8039)
+        return d
 
-    def test_env_threads(self, capsys, monkeypatch, built):
-        monkeypatch.setenv("EBS_THREADS", "3")
+    def test_no_flag_builds_no_pool(self, capsys, built):
         self.search(capsys)
-        assert built == [3]
+        assert built == []
 
-    def test_flag_beats_env(self, capsys, monkeypatch, built):
-        monkeypatch.setenv("EBS_THREADS", "3")
+    def test_threads_flag_builds_one_pool(self, capsys, built):
         self.search(capsys, "--threads", "2")
         assert built == [2]
 
-    def test_cpu_count_without_flag_or_env(self, capsys, monkeypatch, built):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        self.search(capsys)
-        assert built == [2]
+    def test_environment_is_not_read(self, capsys, monkeypatch, tmp_path, built):
+        clean = self.search(capsys)
+        monkeypatch.setenv("EBS_THREADS", "abc")
+        monkeypatch.setenv("EBS_CACHE", str(tmp_path / "cache.json"))
+        d = self.search(capsys)
+        assert {**d, "elapsed_ms": 0} == {**clean, "elapsed_ms": 0}
+        assert built == [] and list(tmp_path.iterdir()) == []
 
 
 class TestSurface:
@@ -536,8 +522,6 @@ class TestStartup:
 
     def loaded(self, *argv):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop("EBS_CACHE", None)
-        env.pop("EBS_THREADS", None)
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -562,6 +546,11 @@ class TestStartup:
         heavy, out = self.loaded(*argv)
         assert heavy.isdisjoint({"ebs.constants", "ebs.structure"})
         assert out == first.splitlines()
+
+    def test_single_thread_by_default(self):
+        heavy, out = self.loaded("const", "eb", "--spec", "C(3;2)xC(1;4)", "--method", "brute")
+        assert "concurrent.futures" not in heavy
+        assert "value: 7" in out and "nodes: 8039" in out
 
     def test_seq_check(self, tmp_path):
         f = tmp_path / "seq.txt"

@@ -364,6 +364,24 @@ class TestEbBruteforce:
         assert built == [(2, (s,))]
         assert (par.value, par.nodes) == (serial.value, serial.nodes) == (7, 8039)
 
+    def test_pool_workers_capped_at_task_count(self, monkeypatch):
+        # A probe of C(3;2)xC(1;4) has 15 tasks, one per label, so a pool
+        # asked for 64 threads gets 15 workers.  The real pool behind the
+        # recording class starts at most 2, so that the test forks few.
+        from concurrent.futures import ProcessPoolExecutor
+
+        requested = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, max_workers, **kwargs):
+                requested.append(max_workers)
+                super().__init__(*args, max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(constants, "ProcessPoolExecutor", RecordingPool)
+        r = eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(threads=64))
+        assert requested == [15]
+        assert (r.value, r.nodes) == (7, 8039)
+
     def test_pool_under_spawn(self, monkeypatch):
         # Workers that start from a fresh interpreter receive the spec
         # pickled and build the engine from it, as under the forkserver

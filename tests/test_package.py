@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import re
@@ -88,3 +89,22 @@ def test_readme_library_example_runs():
     assert [value for _, value in stated] == [7, 7, 5]
     for expr, value in stated:
         assert eval(expr, scope) == value, expr
+
+
+def test_no_module_reads_the_environment():
+    """An ebs run is configured by its arguments alone: no module reads
+    os.environ, os.getenv or os.cpu_count."""
+    banned = {"environ", "getenv", "cpu_count"}
+    reads = []
+    for path in sorted((ROOT / "src" / "ebs").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for a in node.names if a.name == "os"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in banned]
+    assert reads == []
