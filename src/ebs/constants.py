@@ -152,17 +152,12 @@ def _prime_power_base(m: int) -> int | None:
 
 def _davenport_brute(g: GroupSpec, budget: Budget) -> tuple[int, Seq, int]:
     """Exact D(G) = 1 + max zero-sum free length by exhaustive search over
-    non-decreasing multisets, plus a longest zero-sum free witness."""
+    non-decreasing multisets, plus a longest zero-sum free witness: the
+    first in search order (search_free without a length)."""
     meter = SearchMeter(budget)
     meter.check_states(g.order)
     engine = ReachEngine.for_group(g)
-    best: list[int] = []
-
-    def on_free(stack: list[int]) -> None:
-        if len(stack) > len(best):
-            best[:] = stack
-
-    search_free(engine, meter, on_free=on_free)
+    best = search_free(engine, meter)
     witness = Seq(tuple(engine.labels[ai] for ai in best))
     return len(best) + 1, witness, meter.nodes
 
@@ -404,7 +399,8 @@ def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 # brute force
 
 # The search engine of a pool worker process, built once per worker by
-# _init_worker from the spec, so that tasks need not carry it.
+# _init_worker from the spec, so that tasks need not carry it and share its
+# memo of failed subtrees.
 _worker_engine: ReachEngine | None = None
 
 

@@ -22,11 +22,13 @@ structure module (arity 1).  It hands each node the elements its ancestors
 did not reject, finds a child's survivors from the pair row of the child's
 element, applies the shifts inline from flat per-element lists only for
 children with survivors to expand, and counts the nodes of the plain
-one-candidate-at-a-time search by arithmetic.  A failed subtree that an
-existence search meets again at the same depth and reach set is counted
-from a memo of its children's node counts, not searched again.  Its one
-callback, on_free, sees each free node; rejected elements stay inside the
-kernel.
+one-candidate-at-a-time search by arithmetic.  A subtree met again at the
+same reach set is counted from a memo, not searched again, so the counts
+are those of the full search: the existence searches (Erdos-Burgess) share
+one memo of failed subtrees per engine, and the Davenport search, which
+looks for the longest free extension, keeps its own for one call and reads
+its witness off it.  The lhat/l searches enumerate every free node through
+one callback, on_free; rejected elements stay inside the kernel.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Sequence
@@ -180,7 +183,11 @@ class _Row(dict):
         self.cap, self.n, self.v = cap, n, v
 
     def __missing__(self, x: int) -> int:
-        y = self[x] = _capped(self.cap, self.n, x + self.v)
+        # _capped, inline: one Python call per new entry, not two
+        y = x + self.v
+        if y > self.cap:
+            y = self.cap - self.n + 1 + (y - self.cap - 1) % self.n
+        self[x] = y
         return y
 
 
@@ -432,15 +439,23 @@ class ReachEngine:
     is in S, which does not reach the target with c; or it is b, which does
     when b + c is the target (the empty bit); or it is p + b with p in S,
     which does when p is in pre(b + c).
+
+    failed holds the memo of failed subtrees that every existence search
+    over the engine shares, and room the entries it may still take (see
+    search_free).  A pool worker builds its engine once, so the tasks it
+    runs share it too.
     """
 
-    __slots__ = ("labels", "num_states", "pre", "own", "up", "down", "pairs")
+    __slots__ = ("labels", "num_states", "pre", "own", "up", "down", "pairs", "failed",
+                 "room")
 
     def __init__(self, labels, num_states, pre, own, up, down, pairs):
         self.labels = labels  # alphabet, in search order
         self.num_states = num_states
         self.pre, self.own, self.up, self.down = pre, own, up, down
         self.pairs = pairs
+        self.failed: list[dict[int, list[int]]] = []  # failed[left][S]
+        self.room = SEARCH_MEMO_ENTRIES
 
     @classmethod
     def _build(cls, labels, indices, coords) -> "ReachEngine":
@@ -526,15 +541,21 @@ class ReachEngine:
         return out
 
 
+# The fewest nodes a subtree of the longest-extension search must count to
+# be recorded: smaller ones are cheaper to walk again than to keep.
+_RECORD_NODES = 64
+
+
 def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
-                states: int = 0, start: int = 0, on_free=None) -> bool:
+                states: int = 0, start: int = 0, on_free=None) -> bool | list[int]:
     """Depth-first search over the non-decreasing free extensions of a
     sequence with reach set `states` by alphabet elements from `start` on.
 
     With a length (>= 1): does a free extension by that many elements
-    exist?  It stops at the first.  Without (None): visit every free
+    exist?  It stops at the first.  With on_free: visit every free
     extension, calling on_free(stack) at each (stack: the alphabet indices
-    added, reused).
+    added, reused); returns True.  With neither: the alphabet indices of the
+    first longest free extension in depth-first order.
 
     A node hands its children only the elements it does not reject: reach
     sets grow along a path, so a rejected element stays rejected below.  A
@@ -546,30 +567,50 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     start, or hit - start + 1 if it stops at a hit.  The count is handed to
     the meter when it reaches meter.next_check() and at the end.
 
-    An existence search counts a failed subtree it meets again without
-    searching it.  A node's live list is exactly the elements from its start
-    on that its reach set S (empty bit included) does not reject, so its
-    subtree depends only on S, start and left, and the live lists of one S
-    are suffixes of one list.  When a node with left >= 3 fails, the node
-    counts of its children's subtrees are recorded under (left, S), in live
-    order.  A later child with the same left and S whose live list is no
-    longer than the record fails too: it costs n - start plus the sum of
-    the record's last len(live) counts.  Only failed subtrees are recorded,
-    so hits, node counts and budget verdicts are those of the full search.
-    The memo lives for one call and stops recording once it holds
-    config.SEARCH_MEMO_ENTRIES entries.  Enumeration (on_free) visits every
-    free node and keeps no memo.
+    A node's live list is exactly the elements from its start on that its
+    reach set S (empty bit included) does not reject, so its subtree depends
+    only on S and start (and left, in an existence search), and the live
+    lists of one S are suffixes of one list.  So a walked subtree can be
+    recorded under S, and a later node with the same S whose live list is
+    no longer than the record's is counted from it, not searched again:
+
+    - An existence search records the node counts of the children of a
+      failed node with left >= 3, in live order, under (left, S); a later
+      node with the same left and S fails too, and costs n - start plus the
+      sum of the record's last len(live) counts.  Only failed subtrees are
+      recorded, so hits, node counts and budget verdicts are those of the
+      full search.  The memo is the engine's (ReachEngine.failed), shared
+      by every existence search over it, and takes at most
+      config.SEARCH_MEMO_ENTRIES entries in all.
+    - The longest-extension search records, for a node whose subtree counts
+      at least _RECORD_NODES nodes, the suffix totals of its children's
+      subtree counts and the suffix maxima of their depths; a later node
+      costs n - start plus a suffix total.  The witness is then read off
+      the records: from the root down, the first child whose depth reaches
+      what is left is the first longest extension's next element, and a
+      child without a record is walked again, uncounted.  This memo lives
+      for one call and takes at most config.SEARCH_MEMO_ENTRIES entries.
+    - Enumeration (on_free) visits every free node and keeps no memo.
     """
     pre, own, up, down, pairs = engine.pre, engine.own, engine.up, engine.down, engine.pairs
     n = len(pre)
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
-    # memo[left][S]: the subtree node counts of the children of a failed
-    # node with reach set S and left >= 3 elements still to add
-    memo = [{} for _ in range((length or 0) + 1)]
-    room = SEARCH_MEMO_ENTRIES
+    memo = engine.failed
+    if length is not None:
+        memo.extend({} for _ in range(len(memo), length + 1))
+    # the entries the memo of this search may still take
+    room = SEARCH_MEMO_ENTRIES if length is None else engine.room
     key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its counts
+    # The records of the longest-extension search lie back to back in one
+    # array, store; longest[S] is where the record of reach set S starts.  A
+    # node with k children records k, then for m = 1..k the total node count
+    # of its last m children's subtrees, then for m = 1..k the greatest depth
+    # among them.  No recorded figure passes the node limit, so 4-byte items
+    # hold them under a limit below 2^31.
+    longest: dict[int, int] = {}
+    store = array("i" if meter.budget.node_budget < 1 << 31 else "q")
 
     def settle():
         nonlocal mark
@@ -636,6 +677,78 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             memo[left][S] = sizes
         return False
 
+    def deepest(S, live, start):
+        # the depth of a node of the longest-extension search: the length
+        # of its longest free extension
+        nonlocal count, room
+        entered = count
+        count += n - start
+        if count >= mark:
+            settle()
+        sizes, depths = [], []  # per child, in live order
+        for j, b in enumerate(live):
+            row = pairs[b]
+            kids = [c for c in live[j:] if not S & row[c]]
+            if not kids:  # a leaf: it tries and rejects every element from b on
+                count += n - b
+                sizes.append(n - b)
+                depths.append(1)
+                if count >= mark:
+                    settle()
+                continue
+            out = S | own[b]
+            for m, sh in up[b]:
+                out |= (S & m) << sh
+            for m, sh in down[b]:
+                out |= (S & m) >> sh
+            at = longest.get(out)
+            if at is not None and len(kids) <= store[at]:
+                size = n - b + store[at + len(kids)]
+                count += size
+                sizes.append(size)
+                depths.append(1 + store[at + store[at] + len(kids)])
+                if count >= mark:
+                    settle()
+                continue
+            before = count
+            depths.append(1 + deepest(out, kids, b))
+            sizes.append(count - before)
+        if not depths:
+            return 0
+        cost = key_cost + 2 * len(sizes)
+        if count - entered >= _RECORD_NODES and cost <= room:
+            room -= cost
+            longest[S] = len(store)
+            store.append(len(sizes))
+            store.extend(itertools.accumulate(reversed(sizes)))
+            store.extend(itertools.accumulate(reversed(depths), max))
+        return max(depths)
+
+    def first_longest(S, live, depth):
+        # the first longest free extension of a node of the longest-extension
+        # search, read off the records; depth is its length, or None if the
+        # node has no record
+        best = []
+        for j, b in enumerate(live):
+            row = pairs[b]
+            kids = [c for c in live[j:] if not S & row[c]]
+            path = [b]
+            if kids:
+                out = engine.apply(S, b)
+                at = longest.get(out)
+                if at is None or len(kids) > store[at]:
+                    path += first_longest(out, kids, None)
+                else:
+                    below = store[at + store[at] + len(kids)]
+                    if 1 + below < (depth or len(best) + 1):
+                        continue
+                    path += first_longest(out, kids, below)
+            if len(path) > len(best):
+                best = path
+                if len(best) == depth:
+                    break
+        return best
+
     def enumerate_free(S, live, start):
         nonlocal count
         count += n - start
@@ -660,21 +773,26 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             stack.pop()
 
     S = states | 1 << engine.num_states
-    found = True
+    result = True
     live = [b for b in range(start, n) if not S & pre[b]]
     try:
-        if length is None:
+        if length is None and on_free is None:
+            result = first_longest(S, live, deepest(S, live, start))
+        elif length is None:
             enumerate_free(S, live, start)
         elif length > 1:
-            found = exists(S, live, start, length)
+            result = exists(S, live, start, length)
         else:  # a last-level node stops at its first survivor
-            found = bool(live)
+            result = bool(live)
             count += (live[0] + 1 if live else n) - start
     finally:
         # The recursive closures refer to themselves, and the cycle holds
-        # the engine's lists and rows; break it, so that they are freed with
-        # the engine and not at some later cycle collection.
-        exists = enumerate_free = None
+        # the engine's lists and rows and the longest-extension memo; break
+        # it, so that they are freed on return and not at some later cycle
+        # collection.
+        exists = deepest = first_longest = enumerate_free = None
+        if length is not None:
+            engine.room = room
     # a hit returns without a check; this one settles it
     meter.tick(count - meter.nodes)
-    return found
+    return result

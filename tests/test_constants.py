@@ -146,6 +146,19 @@ class TestDavenport:
         with pytest.raises(BudgetExceeded):
             davenport(GroupSpec((7, 7)), "brute", Budget(node_budget=10))
 
+    def test_z6_cubed_passes_the_node_budget_first(self):
+        # The memo counts recorded subtrees whole, so the exact count of Z6^3
+        # passes the default node budget long before the time budget runs
+        # out, and the formula path falls back to its interval at once.
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="node budget") as info:
+            davenport(GroupSpec((6, 6, 6)), "brute")
+        assert info.value.nodes == 10**8 + 1
+        r = eb_exact(parse_spec("C(1;6)xC(1;6)xC(1;6)"))
+        assert (r.rule, r.lower, r.upper) == (THM31_BOUNDS, 16, 27)
+        assert "davenport-inexact" in r.flags
+        assert time.monotonic() - t0 < 10
+
     def test_unknown_method(self):
         with pytest.raises(SpecError):
             davenport(GroupSpec((2,)), "guess")

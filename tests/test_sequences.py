@@ -440,19 +440,112 @@ class TestSearchKernel:
             r = eb_bruteforce(parse_spec(label))
             assert (r.value, r.nodes) == (value, nodes), label
 
+    # each has twins: labels with one capped state, such as 3 and 1 in C(2;2)
+    @pytest.mark.parametrize("label", ["C(2;2)xC(2;2)", "C(3;2)xC(2;3)", "C(2;2)xC(3;3)",
+                                       "C(2;4)xC(3;4)"])
+    def test_engine_memo_keeps_counts(self, label):
+        # The existence memo lives on the engine, so a probe may meet the
+        # records of earlier probes of any length, of the same length, or
+        # of itself: each count is that of a fresh engine.
+        s = parse_spec(label)
+        value = eb_bruteforce(s).value
+
+        def probe(engine, length):
+            meter = SearchMeter(Budget())
+            return search_free(engine, meter, length), meter.nodes
+
+        fresh = {length: probe(ReachEngine.for_spec(s), length)
+                 for length in range(1, value + 1)}
+        for length in range(1, value):
+            for order in ([length, length + 1, length + 1], [length + 1, length, length]):
+                engine = ReachEngine.for_spec(s)
+                for k in order:
+                    assert probe(engine, k) == fresh[k], (order, k)
+        engine = ReachEngine.for_spec(s)
+        for k in [*range(value, 0, -1), *range(1, value + 1)]:
+            assert probe(engine, k) == fresh[k], k
+        assert engine.failed[value], "the failing probe records its failed subtrees"
+
+    DAVENPORT_GROUPS = [(2, 4), (3, 3), (2, 2, 2), (2, 6), (4, 4), (2, 2, 4), (2, 2, 2, 2),
+                        (3, 6), (2, 2, 6), (3, 3, 3)]
+
+    @staticmethod
+    def enumerated_longest(periods, engine=None, states=0, start=0):
+        """(D, nodes, witness indices) by the plain enumeration: every free
+        node is visited, and the witness is the first longest one met."""
+        engine = engine or ReachEngine.for_group(GroupSpec(periods))
+        meter = SearchMeter(Budget())
+        best: list[int] = []
+
+        def on_free(stack):
+            if len(stack) > len(best):
+                best[:] = stack
+
+        search_free(engine, meter, states=states, start=start, on_free=on_free)
+        return len(best) + 1, meter.nodes, best
+
+    @pytest.fixture(scope="class")
+    def enumerated(self):
+        return {p: self.enumerated_longest(p) for p in self.DAVENPORT_GROUPS}
+
+    @pytest.mark.parametrize("record_nodes", [1, sequences._RECORD_NODES])
+    @pytest.mark.parametrize("entries", [0, 1, 1000, sequences.SEARCH_MEMO_ENTRIES])
+    def test_longest_matches_enumeration(self, monkeypatch, enumerated, entries, record_nodes):
+        # The longest-extension search counts recorded subtrees from the
+        # memo and reads its witness off the records: with no room, with
+        # less room than any record takes, with room that runs out
+        # mid-search, or with every subtree recorded, the value, node count
+        # and witness are those of the enumeration.
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
+        monkeypatch.setattr(sequences, "_RECORD_NODES", record_nodes)
+        for periods in self.DAVENPORT_GROUPS:
+            engine = ReachEngine.for_group(GroupSpec(periods))
+            meter = SearchMeter(Budget())
+            best = search_free(engine, meter)
+            assert (len(best) + 1, meter.nodes, best) == enumerated[periods], periods
+
+    @pytest.mark.parametrize("periods", [(2, 2, 6), (3, 6)], ids=["Z2+Z2+Z6", "Z3+Z6"])
+    def test_longest_from_every_two_element_start(self, monkeypatch, periods):
+        # Below the root, the longest extension of a node often runs
+        # through a recorded subtree, so each depth read off a record is
+        # checked here: every sequence of two elements starts a search.
+        monkeypatch.setattr(sequences, "_RECORD_NODES", 1)
+        engine = ReachEngine.for_group(GroupSpec(periods))
+        n = len(engine.labels)
+        for a in range(n):
+            for b in range(a, n):
+                first = engine.apply(0, a)
+                states = None if first is None else engine.apply(first, b)
+                if states is None:
+                    continue
+                meter = SearchMeter(Budget())
+                best = search_free(engine, meter, states=states, start=b)
+                assert (len(best) + 1, meter.nodes, best) == self.enumerated_longest(
+                    periods, engine, states, b), (a, b)
+
+    def test_longest_records_wide_counts(self):
+        # Under a node limit of 2^31 or more, records hold 8-byte counts.
+        engine = ReachEngine.for_group(GroupSpec((2, 6)))
+        meter = SearchMeter(Budget(node_budget=1 << 40))
+        best = search_free(engine, meter)
+        assert (len(best) + 1, meter.nodes) == (7, 2422)
+
     # (search, total nodes, further limits); each total is above 4097.  The
     # eb-twins search counts its nodes 230,183 to 266,265 as one failed
-    # subtree from the memo, so a limit of 250,000 falls inside that batch.
+    # subtree from the memo, so a limit of 250,000 falls inside that batch;
+    # the davenport-memo search counts its nodes 134,805 to 140,771 as one
+    # recorded subtree, so a limit of 137,000 falls inside that one.
     SEARCHES = [
         (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, ()),
         (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406, ()),
         (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, ()),
         (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, ()),
         (lambda b: eb_bruteforce(parse_spec("C(2;4)xC(3;4)"), b), 407332, (250000,)),
+        (lambda b: davenport(GroupSpec((2, 2, 6)), "brute", b), 249408, (137000,)),
     ]
 
     @pytest.mark.parametrize("run,total,inner", SEARCHES,
-                             ids=["eb", "davenport", "lhat", "l", "eb-twins"])
+                             ids=["eb", "davenport", "lhat", "l", "eb-twins", "davenport-memo"])
     def test_budget_error_is_one_over_the_limit(self, run, total, inner):
         for limit in (1, 4095, 4096, 4097, total - 1) + inner:
             with pytest.raises(BudgetExceeded) as info:
