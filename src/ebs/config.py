@@ -11,11 +11,11 @@ DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_TIME_BUDGET_S = 60.0
 DEFAULT_STATE_CAP = 10**7
 SUBSET_SUM_BOUND = 10**6
-# The most entries held by one memo of the search kernel (search_free): the
-# memo of failed subtrees that the existence searches over one engine share,
-# or the memo of one Davenport search.  A record takes one entry per figure
-# it holds (a subtree count, or a depth), one for itself, and one per 256
-# packed states of its reach-set key; an entry holds about 40 bytes.
+# The most entries held by the memo of one search engine (search_free), one
+# record per reach set, which the existence and Davenport searches over the
+# engine share.  A record takes one entry per figure it holds (a subtree
+# count, or a depth), one for itself, and one per 256 packed states of its
+# reach-set key; an entry holds about 20 bytes.
 SEARCH_MEMO_ENTRIES = 10**6
 
 

@@ -400,7 +400,7 @@ def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 
 # The search engine of a pool worker process, built once per worker by
 # _init_worker from the spec, so that tasks need not carry it and share its
-# memo of failed subtrees.
+# memo.
 _worker_engine: ReachEngine | None = None
 
 

@@ -22,13 +22,15 @@ structure module (arity 1).  It hands each node the elements its ancestors
 did not reject, finds a child's survivors from the pair row of the child's
 element, applies the shifts inline from flat per-element lists only for
 children with survivors to expand, and counts the nodes of the plain
-one-candidate-at-a-time search by arithmetic.  A subtree met again at the
-same reach set is counted from a memo, not searched again, so the counts
-are those of the full search: the existence searches (Erdos-Burgess) share
-one memo of failed subtrees per engine, and the Davenport search, which
-looks for the longest free extension, keeps its own for one call and reads
-its witness off it.  The lhat/l searches enumerate every free node through
-one callback, on_free; rejected elements stay inside the kernel.
+one-candidate-at-a-time search by arithmetic.  The existence searches
+(Erdos-Burgess) and the Davenport search, which looks for the longest free
+extension, run one walker, which returns the length of a node's longest
+free extension, and share one memo per engine, one record per reach set: a
+subtree met again at a recorded reach set is counted from the node counts
+and depths of its children, not searched again, so the counts are those of
+the full search, and the Davenport witness is read off the records.  The
+lhat/l searches enumerate every free node through one callback, on_free;
+rejected elements stay inside the kernel.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
+import sys
 from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Sequence
@@ -440,13 +442,13 @@ class ReachEngine:
     when b + c is the target (the empty bit); or it is p + b with p in S,
     which does when p is in pre(b + c).
 
-    failed holds the memo of failed subtrees that every existence search
-    over the engine shares, and room the entries it may still take (see
-    search_free).  A pool worker builds its engine once, so the tasks it
-    runs share it too.
+    records holds the memo that every search over the engine shares, one
+    record per reach set of a subtree walked in full, and room the entries
+    it may still take (see search_free).  A pool worker builds its engine
+    once, so the tasks it runs share it too.
     """
 
-    __slots__ = ("labels", "num_states", "pre", "own", "up", "down", "pairs", "failed",
+    __slots__ = ("labels", "num_states", "pre", "own", "up", "down", "pairs", "records",
                  "room")
 
     def __init__(self, labels, num_states, pre, own, up, down, pairs):
@@ -454,7 +456,7 @@ class ReachEngine:
         self.num_states = num_states
         self.pre, self.own, self.up, self.down = pre, own, up, down
         self.pairs = pairs
-        self.failed: list[dict[int, list[int]]] = []  # failed[left][S]
+        self.records: dict[int, list[int]] = {}
         self.room = SEARCH_MEMO_ENTRIES
 
     @classmethod
@@ -545,6 +547,10 @@ class ReachEngine:
 # be recorded: smaller ones are cheaper to walk again than to keep.
 _RECORD_NODES = 64
 
+# A depth no free extension reaches: the longest-extension search walks
+# every subtree in full.
+_UNREACHED = sys.maxsize
+
 
 def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
                 states: int = 0, start: int = 0, on_free=None) -> bool | list[int]:
@@ -567,162 +573,115 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     start, or hit - start + 1 if it stops at a hit.  The count is handed to
     the meter when it reaches meter.next_check() and at the end.
 
-    A node's live list is exactly the elements from its start on that its
-    reach set S (empty bit included) does not reject, so its subtree depends
-    only on S and start (and left, in an existence search), and the live
-    lists of one S are suffixes of one list.  So a walked subtree can be
-    recorded under S, and a later node with the same S whose live list is
-    no longer than the record's is counted from it, not searched again:
+    The existence and longest-extension searches run one walker: it returns
+    a node's depth, the length of its longest free extension, or the length
+    asked as soon as it reaches it.  A node's own attempts are counted when
+    it returns, so the running count may lag, but the totals and budget
+    verdicts are those above.  A probe that fails has walked its subtree in
+    full, so its count is the full subtree's, whatever length was asked.
 
-    - An existence search records the node counts of the children of a
-      failed node with left >= 3, in live order, under (left, S); a later
-      node with the same left and S fails too, and costs n - start plus the
-      sum of the record's last len(live) counts.  Only failed subtrees are
-      recorded, so hits, node counts and budget verdicts are those of the
-      full search.  The memo is the engine's (ReachEngine.failed), shared
-      by every existence search over it, and takes at most
-      config.SEARCH_MEMO_ENTRIES entries in all.
-    - The longest-extension search records, for a node whose subtree counts
-      at least _RECORD_NODES nodes, the suffix totals of its children's
-      subtree counts and the suffix maxima of their depths; a later node
-      costs n - start plus a suffix total.  The witness is then read off
-      the records: from the root down, the first child whose depth reaches
-      what is left is the first longest extension's next element, and a
-      child without a record is walked again, uncounted.  This memo lives
-      for one call and takes at most config.SEARCH_MEMO_ENTRIES entries.
-    - Enumeration (on_free) visits every free node and keeps no memo.
+    A node's live list is exactly the elements from its start on that its
+    reach set S (empty bit included) does not reject, so its subtree
+    depends only on S and start, and the live lists of one S are suffixes
+    of one list.  So a node walked in full records under S its children's
+    node counts and depths, in live order, and a later node with the same S
+    whose live list is no longer than the record's is read off the record's
+    last len(live) children: it fails at left elements exactly when the
+    greatest of their depths is below left, and then costs n - start plus
+    their counts, not searched again.  Otherwise it is walked, and reaches
+    left.  Existence probes record every node they walk in full, the
+    longest search only subtrees of _RECORD_NODES or more nodes.  The
+    records are the engine's (ReachEngine.records), shared by every search
+    over it, one per reach set: a record is replaced only by one with more
+    children, and all take at most config.SEARCH_MEMO_ENTRIES entries.  The
+    longest search reads its witness off the records: from the root down,
+    the first child whose depth reaches what is left is the first longest
+    extension's next element, and a child without a record is walked again,
+    uncounted.  Enumeration (on_free) visits every free node and keeps no
+    memo.
     """
     pre, own, up, down, pairs = engine.pre, engine.own, engine.up, engine.down, engine.pairs
+    records = engine.records
     n = len(pre)
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
-    memo = engine.failed
-    if length is not None:
-        memo.extend({} for _ in range(len(memo), length + 1))
-    # the entries the memo of this search may still take
-    room = SEARCH_MEMO_ENTRIES if length is None else engine.room
-    key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its counts
-    # The records of the longest-extension search lie back to back in one
-    # array, store; longest[S] is where the record of reach set S starts.  A
-    # node with k children records k, then for m = 1..k the total node count
-    # of its last m children's subtrees, then for m = 1..k the greatest depth
-    # among them.  No recorded figure passes the node limit, so 4-byte items
-    # hold them under a limit below 2^31.
-    longest: dict[int, int] = {}
-    store = array("i" if meter.budget.node_budget < 1 << 31 else "q")
+    key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its figures
+    least = _RECORD_NODES if length is None else 0  # the fewest nodes a record counts
 
     def settle():
         nonlocal mark
         meter.tick(count - meter.nodes)
         mark = meter.next_check()
 
-    def exists(S, live, start, left):
-        # a node with left >= 2 elements still to add; live holds the
-        # elements from start on that it does not reject
+    def walk(S, live, start, left):
+        # the depth of a node with live elements live (not empty), or left
+        # (>= 2) as soon as it reaches left
         nonlocal count, room
-        nxt = start  # first element whose attempt is not yet counted
         if left == 2:
             for j, b in enumerate(live):
                 row = pairs[b]
                 # the child is a last-level node: it stops at its first survivor
                 for c in live[j:]:
                     if not S & row[c]:
-                        count += c + 2 - nxt
-                        return True
-                # the child rejects every element from b on
-                count += n + 1 - nxt
-                nxt = b + 1
-            count += n - nxt
+                        count += c + 2 - start
+                        return 2
+                count += n - b  # the child rejects every element from b on
+            count += n - start
             if count >= mark:
                 settle()
-            return False
-        below = memo[left - 1] if left > 3 else None
-        sizes = []  # the node count of each child's subtree, in live order
+            return 1
+        known = records.get(S)
+        k = len(live)
+        if known is not None and 2 * k <= len(known):
+            depth = max(known[-k:])
+            if depth < left:  # it fails: count it from its record
+                half = len(known) >> 1
+                count += n - start + sum(known[half - k:half])
+                if count >= mark:
+                    settle()
+                return depth
+        entered = count
+        rest = left - 1  # what a child has left
+        sizes, depths = [], []  # per child, in live order
+        deepest = 1  # the greatest of depths
         for j, b in enumerate(live):
             row = pairs[b]
             kids = [c for c in live[j:] if not S & row[c]]
-            count += b + 1 - nxt
-            nxt = b + 1
             if not kids:  # the child rejects every element from b on
                 count += n - b
                 sizes.append(n - b)
+                depths.append(1)
                 continue
             out = S | own[b]
             for m, sh in up[b]:
                 out |= (S & m) << sh
             for m, sh in down[b]:
                 out |= (S & m) >> sh
-            if below is not None:
-                failed = below.get(out)
-                if failed is not None and len(kids) <= len(failed):
-                    size = n - b + sum(failed[-len(kids):])
-                    count += size
-                    sizes.append(size)
-                    if count >= mark:
-                        settle()
-                    continue
             if count >= mark:
                 settle()
             before = count
-            if exists(out, kids, b, left - 1):
-                return True
+            depth = walk(out, kids, b, rest)
+            if depth == rest:
+                count += b + 1 - start
+                return left
             sizes.append(count - before)
-        count += n - nxt
-        if count >= mark:
-            settle()
-        cost = key_cost + len(sizes)
-        if cost <= room:
-            room -= cost
-            memo[left][S] = sizes
-        return False
-
-    def deepest(S, live, start):
-        # the depth of a node of the longest-extension search: the length
-        # of its longest free extension
-        nonlocal count, room
-        entered = count
+            depths.append(1 + depth)
+            if depth >= deepest:
+                deepest = 1 + depth
         count += n - start
         if count >= mark:
             settle()
-        sizes, depths = [], []  # per child, in live order
-        for j, b in enumerate(live):
-            row = pairs[b]
-            kids = [c for c in live[j:] if not S & row[c]]
-            if not kids:  # a leaf: it tries and rejects every element from b on
-                count += n - b
-                sizes.append(n - b)
-                depths.append(1)
-                if count >= mark:
-                    settle()
-                continue
-            out = S | own[b]
-            for m, sh in up[b]:
-                out |= (S & m) << sh
-            for m, sh in down[b]:
-                out |= (S & m) >> sh
-            at = longest.get(out)
-            if at is not None and len(kids) <= store[at]:
-                size = n - b + store[at + len(kids)]
-                count += size
-                sizes.append(size)
-                depths.append(1 + store[at + store[at] + len(kids)])
-                if count >= mark:
-                    settle()
-                continue
-            before = count
-            depths.append(1 + deepest(out, kids, b))
-            sizes.append(count - before)
-        if not depths:
-            return 0
+        # a record holds its children's node counts, then their depths; it
+        # replaces a shorter one (known), whose entries it gets back
         cost = key_cost + 2 * len(sizes)
-        if count - entered >= _RECORD_NODES and cost <= room:
+        if known is not None:
+            cost -= key_cost + len(known)
+        if count - entered >= least and cost <= room:
             room -= cost
-            longest[S] = len(store)
-            store.append(len(sizes))
-            store.extend(itertools.accumulate(reversed(sizes)))
-            store.extend(itertools.accumulate(reversed(depths), max))
-        return max(depths)
+            sizes += depths
+            records[S] = sizes
+        return deepest
 
     def first_longest(S, live, depth):
         # the first longest free extension of a node of the longest-extension
@@ -735,11 +694,11 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             path = [b]
             if kids:
                 out = engine.apply(S, b)
-                at = longest.get(out)
-                if at is None or len(kids) > store[at]:
+                known = records.get(out)
+                if known is None or 2 * len(kids) > len(known):
                     path += first_longest(out, kids, None)
                 else:
-                    below = store[at + store[at] + len(kids)]
+                    below = max(known[-len(kids):])
                     if 1 + below < (depth or len(best) + 1):
                         continue
                     path += first_longest(out, kids, below)
@@ -775,24 +734,25 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     S = states | 1 << engine.num_states
     result = True
     live = [b for b in range(start, n) if not S & pre[b]]
+    room = engine.room
     try:
-        if length is None and on_free is None:
-            result = first_longest(S, live, deepest(S, live, start))
-        elif length is None:
+        if on_free is not None:
             enumerate_free(S, live, start)
-        elif length > 1:
-            result = exists(S, live, start, length)
-        else:  # a last-level node stops at its first survivor
-            result = bool(live)
+        elif length == 1 or not live:
+            # a last-level node stops at its first survivor, and a node with
+            # no survivor tries every element from start on
             count += (live[0] + 1 if live else n) - start
+            result = [] if length is None else bool(live)
+        elif length is None:
+            result = first_longest(S, live, walk(S, live, start, _UNREACHED))
+        else:
+            result = walk(S, live, start, length) == length
     finally:
         # The recursive closures refer to themselves, and the cycle holds
-        # the engine's lists and rows and the longest-extension memo; break
-        # it, so that they are freed on return and not at some later cycle
-        # collection.
-        exists = deepest = first_longest = enumerate_free = None
-        if length is not None:
-            engine.room = room
+        # the engine's lists and rows; break it, so that they are freed on
+        # return and not at some later cycle collection.
+        walk = first_longest = enumerate_free = None
+        engine.room = room
     # a hit returns without a check; this one settles it
     meter.tick(count - meter.nodes)
     return result

@@ -464,7 +464,52 @@ class TestSearchKernel:
         engine = ReachEngine.for_spec(s)
         for k in [*range(value, 0, -1), *range(1, value + 1)]:
             assert probe(engine, k) == fresh[k], k
-        assert engine.failed[value], "the failing probe records its failed subtrees"
+        assert engine.records, "the failing probe records the subtrees it walks in full"
+        # a record replaced by a longer one gives its entries back
+        key_cost = 1 + engine.num_states // 256
+        assert sequences.SEARCH_MEMO_ENTRIES - engine.room == sum(
+            key_cost + len(record) for record in engine.records.values())
+
+    @pytest.mark.parametrize("label", ["C(2;2)xC(3;3)", "C(3;2)xC(2;3)", "Z2+Z2+Z6"])
+    def test_failing_probe_counts_the_enumeration(self, label):
+        # A probe that fails has walked its subtree in full, whatever length
+        # it asked, so it counts the enumeration's nodes.  Every start of
+        # one or two elements is probed at each length from its longest
+        # extension + 1 to + 3, all on one engine, so a probe meets records
+        # made at other depths, lengths and starts.
+        engine = (ReachEngine.for_group(GroupSpec((2, 2, 6))) if label.startswith("Z")
+                  else ReachEngine.for_spec(parse_spec(label)))
+        n = len(engine.labels)
+        checked = 0
+        for prefix in [*((a,) for a in range(n)),
+                       *itertools.combinations_with_replacement(range(n), 2)]:
+            states = 0
+            for a in prefix:
+                states = engine.apply(states, a)
+                if states is None:
+                    break
+            if states is None:
+                continue
+            d, nodes, _ = self.enumerated_longest(None, engine, states, prefix[-1])
+            for length in range(d, d + 3):  # the longest extension is d - 1
+                meter = SearchMeter(Budget())
+                assert search_free(engine, meter, length, states, prefix[-1]) is False
+                assert meter.nodes == nodes, (prefix, length)
+                checked += 1
+        assert checked > 3 * n
+
+    def test_repeated_probe_takes_no_room(self):
+        # A repeated probe is read off the record of its root, so it takes
+        # no more of the memo's room.
+        engine = ReachEngine.for_spec(parse_spec("C(2;4)xC(3;4)"))
+        rooms = []
+        for _ in range(3):
+            meter = SearchMeter(Budget())
+            assert search_free(engine, meter, 7) is False
+            assert meter.nodes == 407332
+            rooms.append(engine.room)
+        assert rooms[0] < sequences.SEARCH_MEMO_ENTRIES
+        assert rooms == [rooms[0]] * 3
 
     DAVENPORT_GROUPS = [(2, 4), (3, 3), (2, 2, 2), (2, 6), (4, 4), (2, 2, 4), (2, 2, 2, 2),
                         (3, 6), (2, 2, 6), (3, 3, 3)]
@@ -524,23 +569,27 @@ class TestSearchKernel:
                     periods, engine, states, b), (a, b)
 
     def test_longest_records_wide_counts(self):
-        # Under a node limit of 2^31 or more, records hold 8-byte counts.
+        # Records hold Python ints, so a node limit of 2^31 or more counts
+        # as any other.
         engine = ReachEngine.for_group(GroupSpec((2, 6)))
         meter = SearchMeter(Budget(node_budget=1 << 40))
         best = search_free(engine, meter)
         assert (len(best) + 1, meter.nodes) == (7, 2422)
 
     # (search, total nodes, further limits); each total is above 4097.  The
-    # eb-twins search counts its nodes 230,183 to 266,265 as one failed
-    # subtree from the memo, so a limit of 250,000 falls inside that batch;
-    # the davenport-memo search counts its nodes 134,805 to 140,771 as one
-    # recorded subtree, so a limit of 137,000 falls inside that one.
+    # eb-twins search counts its nodes 230,178 to 266,260 as one failed
+    # subtree from the memo, so a limit of 250,000 falls inside that batch,
+    # and its nodes 61,193 to 62,789 from a record that a node with 4
+    # elements left made and one with 5 left reads, so a limit of 62,000
+    # falls inside a batch across lengths; the davenport-memo search counts
+    # its nodes 134,744 to 140,710 as one recorded subtree, so a limit of
+    # 137,000 falls inside that one.
     SEARCHES = [
         (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, ()),
         (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406, ()),
         (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, ()),
         (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, ()),
-        (lambda b: eb_bruteforce(parse_spec("C(2;4)xC(3;4)"), b), 407332, (250000,)),
+        (lambda b: eb_bruteforce(parse_spec("C(2;4)xC(3;4)"), b), 407332, (250000, 62000)),
         (lambda b: davenport(GroupSpec((2, 2, 6)), "brute", b), 249408, (137000,)),
     ]
 
