@@ -12,10 +12,13 @@ DEFAULT_TIME_BUDGET_S = 60.0
 DEFAULT_STATE_CAP = 10**7
 SUBSET_SUM_BOUND = 10**6
 # The most entries held by the memo of one search engine (search_free), one
-# record per reach set, which the existence and Davenport searches over the
-# engine share.  A record takes one entry per figure it holds (a subtree
-# count, or a depth), one for itself, and one per 256 packed states of its
-# reach-set key; an entry holds about 20 bytes.
+# record per forbidden set, which the existence and Davenport searches over
+# the engine share (in C(3;1) the free sequences [2] and [1, 1] reach {2}
+# and {1, 2} and share the forbidden set {1, 2, 3}, so one record).  A record
+# takes one entry per figure it holds (a subtree count, or a depth), one
+# for itself, and one per 256 packed states of its key.  A figure of 256 or
+# less costs 8 bytes, a list slot on a cached small int; a larger one about
+# 36, the slot and an int of its own.
 SEARCH_MEMO_ENTRIES = 10**6
 
 

@@ -418,7 +418,7 @@ def _exists_task(length: int, first_idx: int, budget: Budget, started: float):
     meter = SearchMeter(budget, started)
     meter.check_time()
     meter.tick()
-    found = search_free(engine, meter, length - 1, engine.apply(0, first_idx), first_idx)
+    found = search_free(engine, meter, length - 1, engine.step(engine.root, first_idx), first_idx)
     return found, meter.nodes
 
 
@@ -466,10 +466,11 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     is the first length admitting no idempotent-sum free sequence.
 
     Enumerates non-decreasing sequences over the non-idempotent elements,
-    carrying the capped subset-sum reach set and pruning any extension that
-    realizes the idempotent profile.  Termination is guaranteed by the proven
-    upper bound; exceeding it raises an internal error.  The time budget
-    covers the bounds and the engine build as well as the search.
+    carrying the capped states that would complete the idempotent (the
+    forbidden set) and pruning any extension that realizes the idempotent
+    profile.  Termination is guaranteed by the proven upper bound;
+    exceeding it raises an internal error.  The time budget covers the
+    bounds and the engine build as well as the search.
     """
     global ProcessPoolExecutor
     meter = SearchMeter(budget)

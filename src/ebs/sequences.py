@@ -11,26 +11,30 @@ regardless of sequence length.  A group runs as C(1;n_1) x ... x C(1;n_r),
 residue 0 lifted to index n_i (_lift), where the idempotent is the zero sum.
 
 The search engine, ReachEngine, packs each state into one integer and a
-whole reach set into one int bitset; it adds an element by a few masked
-shifts (one per distinct packed displacement) and rejects it with one AND
-against the preimage of the target state.  Its pair rows, built on first
-use, hold the preimage of the target under the sum of two elements, so the
-elements a child rejects can be read off its parent's reach set.  One
-depth-first kernel, search_free, runs every exhaustive search on it: the
-Erdos-Burgess and Davenport searches, and the lhat/l searches of the
-structure module (arity 1).  It hands each node the elements its ancestors
-did not reject, finds a child's survivors from the pair row of the child's
-element, applies the shifts inline from flat per-element lists only for
-children with survivors to expand, and counts the nodes of the plain
-one-candidate-at-a-time search by arithmetic.  The existence searches
-(Erdos-Burgess) and the Davenport search, which looks for the longest free
-extension, run one walker, which returns the length of a node's longest
-free extension, and share one memo per engine, one record per reach set: a
-subtree met again at a recorded reach set is counted from the node counts
-and depths of its children, not searched again, so the counts are those of
-the full search, and the Davenport witness is read off the records.  The
-lhat/l searches enumerate every free node through one callback, on_free;
-rejected elements stay inside the kernel.
+whole set of states into one int bitset.  The search carries a sequence's
+forbidden set, the states whose addition would complete the idempotent,
+not its reach set: it rejects an element with one AND against the element's
+own state bit, and steps the forbidden set by a few masked shifts (one per
+distinct packed displacement).  Its pair rows, built on first use, hold the
+state bit of the sum of two elements, so the elements a child rejects can
+be read off its parent's forbidden set.  One depth-first kernel,
+search_free, runs every exhaustive search on it: the Erdos-Burgess and
+Davenport searches, and the lhat/l searches of the structure module (arity
+1).  It hands each node the elements its ancestors did not reject, finds a
+child's survivors from the pair row of the child's element, steps a child
+inline from flat per-element lists only when it has survivors to expand,
+and counts the nodes of the plain one-candidate-at-a-time search by
+arithmetic.  The existence searches (Erdos-Burgess) and the Davenport
+search, which looks for the longest free extension, run one walker, which
+returns the length of a node's longest free extension, and share one memo
+per engine, one record per forbidden set: a subtree met again at a recorded
+forbidden set is counted from the node counts and depths of its children,
+not searched again, so the counts are those of the full search, and the
+Davenport witness is read off the records.  Sequences with distinct reach
+sets may share a forbidden set, and so a record: in C(3;1), [2] and [1, 1]
+reach {2} and {1, 2}, and both forbid {1, 2, 3}.  The lhat/l searches
+enumerate every free node through one callback, on_free; rejected elements
+stay inside the kernel.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -362,38 +366,23 @@ def _digit_mask(digits, stride: int, size: int, num_states: int) -> int:
 
 
 class PairRows(dict):
-    """The pair-preimage rows of a ReachEngine, each built on first use.
+    """The pair rows of a ReachEngine, each built on first use.
 
-    Row b lists pre(b + c) for every alphabet position c: the preimage of
-    the target under adding the sum b + c, with the empty-sum bit when b + c
-    is itself the target.  pre of a packed state is the AND over the
-    coordinates of the onto masks of its digits.  It depends on the state
-    alone, so each is built once (by_state) and shared by every row that
-    holds it.  The sum's state is read off the digit moves of c's value at
-    b's digits, so no move is recomputed.
+    Row b lists, for every alphabet position c, the single bit of the packed
+    state of the sum b + c.  The sum's state is read off the digit moves of
+    c's value at b's digits, so no move is recomputed; a bit is built once
+    per state (bits) and shared by every row that holds it.
     """
 
-    __slots__ = ("digits", "moves", "strides", "sizes", "onto", "by_state")
+    __slots__ = ("digits", "moves", "bits")
 
-    def __init__(self, digits, moves, strides, sizes, onto):
+    def __init__(self, digits, moves):
         super().__init__()
         self.digits = digits  # per coordinate: the digit of each position
         # per coordinate: the digit moves of each position's value, times
         # the coordinate's stride
         self.moves = moves
-        self.strides, self.sizes = strides, sizes
-        self.onto = onto  # per coordinate: the onto mask of each digit
-        self.by_state: dict[int, int] = {}
-
-    def pre_of(self, states: list[int]) -> list[int]:
-        """pre of each packed state in `states`."""
-        by_state = self.by_state
-        for x in set(states).difference(by_state):
-            mask = -1
-            for stride, size, onto in zip(self.strides, self.sizes, self.onto):
-                mask &= onto[x // stride % size]
-            by_state[x] = mask
-        return [by_state[x] for x in states]
+        self.bits: dict[int, int] = {}
 
     def __missing__(self, b: int) -> list[int]:
         sums = None
@@ -401,7 +390,10 @@ class PairRows(dict):
             d = digits[b]
             col = [m[d] for m in moves]
             sums = col if sums is None else [x + y for x, y in zip(sums, col)]
-        row = self[b] = self.pre_of(sums)
+        bits = self.bits
+        for x in set(sums).difference(bits):
+            bits[x] = 1 << x
+        row = self[b] = [bits[x] for x in sums]
         return row
 
 
@@ -412,49 +404,50 @@ class ReachEngine:
     capped total d + 1 (see _capped); the target digit, the idempotent, is
     cap_i - 1.  A group runs as C(1;n_1) x ... x C(1;n_r), where cap_i = n_i
     and the target is the zero sum.  A state packs its digits into one
-    integer by mixed-radix encoding, the last coordinate least significant.
-    A reach set is one Python int: bit p is set when packed state p is
-    reachable, and the empty set is 0.
+    integer by mixed-radix encoding, the last coordinate least significant,
+    so the target is state num_states - 1.  A set of states is one Python
+    int: bit p is set when packed state p is in it.
+
+    The search does not carry a sequence's reach set S, the states of its
+    nonempty subsequence sums, but its forbidden set F: the states x with
+    p + x the target for some p in S or p the empty sum.  Appending c makes
+    the target reachable exactly when c's state is in F, so F alone decides
+    which elements a node rejects.  The empty sequence has F = {target}
+    (root), and appending b gives F | (F - b), where F - b holds the x with
+    x + b in F.  Distinct reach sets may share one F: in C(3;1) the free
+    sequences [2] and [1, 1] reach {2} and {1, 2}, and both forbid {1, 2,
+    3}.  In a group S -> F is one-to-one.
 
     Adding an alphabet element moves every digit of a coordinate by a fixed
-    displacement, except where the sum wraps.  So translating a reach set by
-    an element is a union of masked shifts: the element's pieces are (mask,
-    shift) pairs, one per distinct packed displacement, each the product of
-    per-coordinate digit groups (built once per coordinate and digit).  The
-    element's preimage mask pre holds the states that adding it carries onto
-    the target: the AND of the per-coordinate onto masks of its digits,
-    where the onto mask of a digit holds the digits that adding its total
-    carries onto the target digit.
+    displacement, except where the sum wraps.  So the element's translation
+    is a set of pieces, one per distinct packed displacement: the states it
+    moves by that shift (the product of per-coordinate digit groups, built
+    once per coordinate and digit).  A piece is kept as (mask, shift), the
+    mask holding the states the piece moves onto, so that it is read
+    backwards: F - b is the union of (F & mask) >> shift over the pieces
+    that move up and (F & mask) << shift over those that move down (a zero
+    shift only gives states already in F), and no int outgrows the packed
+    space.  Flat lists indexed by alphabet position hold each element's own
+    state bit (own) and its pieces, up and down.
 
-    Flat lists indexed by alphabet position hold each element's pre, own
-    (its own state bit) and shift pieces up and down.  Bit num_states stands
-    for the empty sum: no mask shifts it, and the onto mask of the target
-    digit holds it, so it survives the AND exactly in the pre of an element
-    that alone is the target.  So (states | empty) & pre[ai] is nonzero
-    exactly when appending ai makes the target reachable; apply() then
-    returns None, the pruning signal, before any shifting.
-
-    pairs[b][c] is pre(b + c), the same AND for the sum of two elements
-    (see PairRows).  It tells which elements a child rejects from its
-    parent's reach set alone: if S (empty bit included) does not reject c,
-    then S + b rejects c exactly when S & pre(b + c) != 0.  A state of S + b
-    is in S, which does not reach the target with c; or it is b, which does
-    when b + c is the target (the empty bit); or it is p + b with p in S,
-    which does when p is in pre(b + c).
+    pairs[b][c] is the bit of the state of b + c (see PairRows).  It tells
+    which elements a child rejects from its parent's F alone: if F does not
+    hold c, then F | (F - b) holds c exactly when F holds b + c.
 
     records holds the memo that every search over the engine shares, one
-    record per reach set of a subtree walked in full, and room the entries
-    it may still take (see search_free).  A pool worker builds its engine
-    once, so the tasks it runs share it too.
+    record per forbidden set of a subtree walked in full, and room the
+    entries it may still take (see search_free).  A pool worker builds its
+    engine once, so the tasks it runs share it too.
     """
 
-    __slots__ = ("labels", "num_states", "pre", "own", "up", "down", "pairs", "records",
+    __slots__ = ("labels", "num_states", "root", "own", "up", "down", "pairs", "records",
                  "room")
 
-    def __init__(self, labels, num_states, pre, own, up, down, pairs):
+    def __init__(self, labels, num_states, own, up, down, pairs):
         self.labels = labels  # alphabet, in search order
         self.num_states = num_states
-        self.pre, self.own, self.up, self.down = pre, own, up, down
+        self.root = 1 << (num_states - 1)  # the forbidden set of the empty sequence
+        self.own, self.up, self.down = own, up, down
         self.pairs = pairs
         self.records: dict[int, list[int]] = {}
         self.room = SEARCH_MEMO_ENTRIES
@@ -471,34 +464,26 @@ class ReachEngine:
         sizes = [cap for cap, _ in coords]
         strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
         num_states = math.prod(sizes)
-        empty = 1 << num_states
         # per coordinate: the digit of each label, the stride-scaled digit
-        # moves of each label's digit, the (mask, shift) groups of each
-        # digit, and the onto mask of each digit, the target digit's holding
-        # the empty bit
-        digits, moves, groups, onto = [], [], [], []
+        # moves of each label's digit, and the (mask, shift) groups of each
+        # digit
+        digits, moves, groups = [], [], []
         for i, (stride, (cap, n)) in enumerate(zip(strides, coords)):
-            # to[e][d]: the digit that digit d moves to by adding digit e
-            to = [[_capped(cap, n, d + e + 2) - 1 for d in range(cap)] for e in range(cap)]
-            masks = [_digit_mask([d for d, f in enumerate(row) if f == cap - 1],
-                                 stride, cap, num_states) for row in to]
-            masks[-1] |= empty
             label_digits = [_capped(cap, n, a[i]) - 1 for a in indices]
             by_digit, scaled = {}, {}
             for e in set(label_digits):
+                # the digit that each digit d moves to by adding digit e
+                to = [_capped(cap, n, d + e + 2) - 1 for d in range(cap)]
                 by_shift: dict[int, list[int]] = {}
-                for d, f in enumerate(to[e]):
+                for d, f in enumerate(to):
                     by_shift.setdefault((f - d) * stride, []).append(d)
                 by_digit[e] = [(_digit_mask(ds, stride, cap, num_states), shift)
                                for shift, ds in by_shift.items()]
-                scaled[e] = [f * stride for f in to[e]]
+                scaled[e] = [f * stride for f in to]
             digits.append(label_digits)
             moves.append([scaled[e] for e in label_digits])
             groups.append(by_digit)
-            onto.append(masks)
-        pairs = PairRows(digits, moves, strides, sizes, onto)
 
-        at = [sum(ds[ai] * st for ds, st in zip(digits, strides)) for ai in range(len(labels))]
         up, down = [], []
         for ai in range(len(labels)):
             merged: dict[int, int] = {}
@@ -508,11 +493,13 @@ class ReachEngine:
                     mask &= m
                     shift += sh
                 merged[shift] = merged.get(shift, 0) | mask
-            # a zero shift only re-adds states already in the set
-            up.append(tuple((m, sh) for sh, m in merged.items() if sh > 0))
-            down.append(tuple((m, -sh) for sh, m in merged.items() if sh < 0))
-        return cls(tuple(labels), num_states, pairs.pre_of(at), [1 << x for x in at],
-                   up, down, pairs)
+            # a zero shift only re-adds states already in the set; each mask
+            # is shifted onto the states its piece moves onto
+            up.append(tuple((m << sh, sh) for sh, m in merged.items() if sh > 0))
+            down.append(tuple((m >> -sh, -sh) for sh, m in merged.items() if sh < 0))
+        own = [1 << sum(ds[ai] * st for ds, st in zip(digits, strides))
+               for ai in range(len(labels))]
+        return cls(tuple(labels), num_states, own, up, down, PairRows(digits, moves))
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
@@ -530,16 +517,16 @@ class ReachEngine:
         return cls._build(labels, [_lift(g.periods, a) for a in labels],
                           [(n, n) for n in g.periods])
 
-    def apply(self, states: int, ai: int) -> int | None:
-        """Reach set after appending alphabet element ai, or None if the
-        target state becomes reachable."""
-        if (states | 1 << self.num_states) & self.pre[ai]:
+    def step(self, forbidden: int, ai: int) -> int | None:
+        """Forbidden set after appending alphabet element ai, or None if ai
+        is forbidden: it would make the target reachable."""
+        if forbidden & self.own[ai]:
             return None
-        out = states | self.own[ai]
+        out = forbidden
         for m, sh in self.up[ai]:
-            out |= (states & m) << sh
+            out |= (forbidden & m) >> sh
         for m, sh in self.down[ai]:
-            out |= (states & m) >> sh
+            out |= (forbidden & m) << sh
         return out
 
 
@@ -553,9 +540,11 @@ _UNREACHED = sys.maxsize
 
 
 def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
-                states: int = 0, start: int = 0, on_free=None) -> bool | list[int]:
+                forbidden: int = 0, start: int = 0, on_free=None) -> bool | list[int]:
     """Depth-first search over the non-decreasing free extensions of a
-    sequence with reach set `states` by alphabet elements from `start` on.
+    sequence with forbidden set `forbidden` (ReachEngine.step; 0 or
+    engine.root for the empty sequence) by alphabet elements from `start`
+    on.
 
     With a length (>= 1): does a free extension by that many elements
     exist?  It stops at the first.  With on_free: visit every free
@@ -563,15 +552,16 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     added, reused); returns True.  With neither: the alphabet indices of the
     first longest free extension in depth-first order.
 
-    A node hands its children only the elements it does not reject: reach
-    sets grow along a path, so a rejected element stays rejected below.  A
-    child's survivors come from its parent's reach set and the pair row of
-    the child's element (ReachEngine.pairs), so the child's own reach set is
-    shifted only when it has survivors to expand; a last-level child is
-    never shifted.  Nodes are counted by arithmetic as the search that tries
-    one element at a time counts them: a node entered at start costs n -
-    start, or hit - start + 1 if it stops at a hit.  The count is handed to
-    the meter when it reaches meter.next_check() and at the end.
+    A node hands its children only the elements it does not reject:
+    forbidden sets grow along a path, so a rejected element stays rejected
+    below.  A child's survivors come from its parent's forbidden set and the
+    pair row of the child's element (ReachEngine.pairs), so the child's own
+    forbidden set is stepped only when it has survivors to expand; a
+    last-level child is never stepped.  Nodes are counted by arithmetic as
+    the search that tries one element at a time counts them: a node entered
+    at start costs n - start, or hit - start + 1 if it stops at a hit.  The
+    count is handed to the meter when it reaches meter.next_check() and at
+    the end.
 
     The existence and longest-extension searches run one walker: it returns
     a node's depth, the length of its longest free extension, or the length
@@ -581,28 +571,29 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     full, so its count is the full subtree's, whatever length was asked.
 
     A node's live list is exactly the elements from its start on that its
-    reach set S (empty bit included) does not reject, so its subtree
-    depends only on S and start, and the live lists of one S are suffixes
-    of one list.  So a node walked in full records under S its children's
-    node counts and depths, in live order, and a later node with the same S
-    whose live list is no longer than the record's is read off the record's
-    last len(live) children: it fails at left elements exactly when the
-    greatest of their depths is below left, and then costs n - start plus
-    their counts, not searched again.  Otherwise it is walked, and reaches
-    left.  Existence probes record every node they walk in full, the
-    longest search only subtrees of _RECORD_NODES or more nodes.  The
-    records are the engine's (ReachEngine.records), shared by every search
-    over it, one per reach set: a record is replaced only by one with more
-    children, and all take at most config.SEARCH_MEMO_ENTRIES entries.  The
-    longest search reads its witness off the records: from the root down,
-    the first child whose depth reaches what is left is the first longest
-    extension's next element, and a child without a record is walked again,
-    uncounted.  Enumeration (on_free) visits every free node and keeps no
-    memo.
+    forbidden set F does not hold, and its children's forbidden sets follow
+    from F, so its subtree depends only on F and start, and the live lists
+    of one F are suffixes of one list.  So a node walked in full records
+    under F its children's node counts and depths, in live order, and a
+    later node with the same F, whatever its reach set, whose live list is
+    no longer than the record's is read off the record's last len(live)
+    children: it fails at left elements exactly when the greatest of their
+    depths is below left, and then costs n - start plus their counts, not
+    searched again.  Otherwise it is walked, and reaches left.  Existence
+    probes record every node they walk in full, the longest search only
+    subtrees of _RECORD_NODES or more nodes.  The records are the engine's
+    (ReachEngine.records), shared by every search over it, one per
+    forbidden set (in C(3;1), [2] and [1, 1] share one): a record is
+    replaced only by one with more children, and all take at most
+    config.SEARCH_MEMO_ENTRIES entries.  The longest search reads its
+    witness off the records: from the root down, the first child whose
+    depth reaches what is left is the first longest extension's next
+    element, and a child without a record is walked again, uncounted.
+    Enumeration (on_free) visits every free node and keeps no memo.
     """
-    pre, own, up, down, pairs = engine.pre, engine.own, engine.up, engine.down, engine.pairs
+    own, up, down, pairs = engine.own, engine.up, engine.down, engine.pairs
     records = engine.records
-    n = len(pre)
+    n = len(own)
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
@@ -614,7 +605,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         meter.tick(count - meter.nodes)
         mark = meter.next_check()
 
-    def walk(S, live, start, left):
+    def walk(F, live, start, left):
         # the depth of a node with live elements live (not empty), or left
         # (>= 2) as soon as it reaches left
         nonlocal count, room
@@ -623,7 +614,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 row = pairs[b]
                 # the child is a last-level node: it stops at its first survivor
                 for c in live[j:]:
-                    if not S & row[c]:
+                    if not F & row[c]:
                         count += c + 2 - start
                         return 2
                 count += n - b  # the child rejects every element from b on
@@ -631,7 +622,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             if count >= mark:
                 settle()
             return 1
-        known = records.get(S)
+        known = records.get(F)
         k = len(live)
         if known is not None and 2 * k <= len(known):
             depth = max(known[-k:])
@@ -647,17 +638,17 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         deepest = 1  # the greatest of depths
         for j, b in enumerate(live):
             row = pairs[b]
-            kids = [c for c in live[j:] if not S & row[c]]
+            kids = [c for c in live[j:] if not F & row[c]]
             if not kids:  # the child rejects every element from b on
                 count += n - b
                 sizes.append(n - b)
                 depths.append(1)
                 continue
-            out = S | own[b]
+            out = F
             for m, sh in up[b]:
-                out |= (S & m) << sh
+                out |= (F & m) >> sh
             for m, sh in down[b]:
-                out |= (S & m) >> sh
+                out |= (F & m) << sh
             if count >= mark:
                 settle()
             before = count
@@ -680,20 +671,20 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         if count - entered >= least and cost <= room:
             room -= cost
             sizes += depths
-            records[S] = sizes
+            records[F] = sizes
         return deepest
 
-    def first_longest(S, live, depth):
+    def first_longest(F, live, depth):
         # the first longest free extension of a node of the longest-extension
         # search, read off the records; depth is its length, or None if the
         # node has no record
         best = []
         for j, b in enumerate(live):
             row = pairs[b]
-            kids = [c for c in live[j:] if not S & row[c]]
+            kids = [c for c in live[j:] if not F & row[c]]
             path = [b]
             if kids:
-                out = engine.apply(S, b)
+                out = engine.step(F, b)
                 known = records.get(out)
                 if known is None or 2 * len(kids) > len(known):
                     path += first_longest(out, kids, None)
@@ -708,22 +699,22 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     break
         return best
 
-    def enumerate_free(S, live, start):
+    def enumerate_free(F, live, start):
         nonlocal count
         count += n - start
         if count >= mark:
             settle()
         for j, b in enumerate(live):
             row = pairs[b]
-            kids = [c for c in live[j:] if not S & row[c]]
+            kids = [c for c in live[j:] if not F & row[c]]
             stack.append(b)
             on_free(stack)
             if kids:
-                out = S | own[b]
+                out = F
                 for m, sh in up[b]:
-                    out |= (S & m) << sh
+                    out |= (F & m) >> sh
                 for m, sh in down[b]:
-                    out |= (S & m) >> sh
+                    out |= (F & m) << sh
                 enumerate_free(out, kids, b)
             else:  # a leaf: it tries and rejects every element from b on
                 count += n - b
@@ -731,22 +722,22 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     settle()
             stack.pop()
 
-    S = states | 1 << engine.num_states
+    F = forbidden | engine.root
     result = True
-    live = [b for b in range(start, n) if not S & pre[b]]
+    live = [b for b in range(start, n) if not F & own[b]]
     room = engine.room
     try:
         if on_free is not None:
-            enumerate_free(S, live, start)
+            enumerate_free(F, live, start)
         elif length == 1 or not live:
             # a last-level node stops at its first survivor, and a node with
             # no survivor tries every element from start on
             count += (live[0] + 1 if live else n) - start
             result = [] if length is None else bool(live)
         elif length is None:
-            result = first_longest(S, live, walk(S, live, start, _UNREACHED))
+            result = first_longest(F, live, walk(F, live, start, _UNREACHED))
         else:
-            result = walk(S, live, start, length) == length
+            result = walk(F, live, start, length) == length
     finally:
         # The recursive closures refer to themselves, and the cycle holds
         # the engine's lists and rows; break it, so that they are freed on

@@ -141,20 +141,47 @@ def naive_free_search(coords, length):
     e = idempotent_of(coords)
     elements = [t for t in itertools.product(*(range(1, k + n) for k, n in coords))
                 if t != e]
-    nodes = 0
+    return naive_extension_search(coords, elements, [], 0, length)
 
-    def extend(seq, start, left):
-        nonlocal nodes
+
+def naive_subsequence_sums(coords, terms) -> set:
+    """The sums of the nonempty subsequences of terms, grown one term at a
+    time."""
+    sums = set()
+    for t in terms:
+        sums |= {t} | {tuple(canon(k, n, a + b) for (k, n), a, b in zip(coords, p, t))
+                       for p in sums}
+    return sums
+
+
+def naive_extension_search(coords, elements, prefix, start, length=None):
+    """Plain DFS over the non-decreasing free extensions of the free
+    sequence `prefix` by elements[start:], one node per attempted element;
+    each node carries the sums of its own nonempty subsequences.  With a
+    length: (found, nodes), stopping at the first free extension by that
+    many elements.  Without: (the element positions of the first longest
+    free extension met, nodes), visiting every free node."""
+    e = idempotent_of(coords)
+    best, nodes = [], 0
+
+    def extend(seq, path, start, left):
+        nonlocal best, nodes
+        if len(path) > len(best):
+            best = list(path)
         if left == 0:
             return True
         for i in range(start, len(elements)):
             nodes += 1
             cand = seq + [elements[i]]
-            if naive_is_free(coords, cand) and extend(cand, i, left - 1):
-                return True
+            if e not in naive_subsequence_sums(coords, cand):
+                path.append(i)
+                if extend(cand, path, i, left - 1):
+                    return True
+                path.pop()
         return False
 
-    return extend([], 0, length), nodes
+    found = extend(list(prefix), [], start, -1 if length is None else length)
+    return (best, nodes) if length is None else (found, nodes)
 
 
 def _units(n: int):

@@ -318,22 +318,22 @@ class TestGroupSide:
         labels = engine.labels
         for r in range(1, 4):
             for combo in itertools.combinations_with_replacement(range(len(labels)), r):
-                states = 0
+                forbidden = engine.root
                 hit = False
                 for ai in combo:
-                    nxt = engine.apply(states, ai)
+                    nxt = engine.step(forbidden, ai)
                     if nxt is None:
                         hit = True
                         break
-                    states = nxt
+                    forbidden = nxt
                 t = GroupSeq(tuple(labels[ai] for ai in combo))
                 assert hit == (not is_zero_sum_free(g, t))
 
 
 class TestReachEngine:
     """The bitset engine against the one-shot predicate: walking a multiset
-    through apply() from the empty set 0 hits None exactly when the
-    multiset is not idempotent-sum free."""
+    through step() from the forbidden set of the empty sequence (root) hits
+    None exactly when the multiset is not idempotent-sum free."""
 
     @pytest.mark.parametrize("label", [
         "C(3;2)", "C(4;1)", "C(3;2)xC(2;1)", "C(1;2)xC(2;2)xC(1;3)", "C(5;3)xC(2;2)",
@@ -345,40 +345,38 @@ class TestReachEngine:
         assert idempotent(s) not in labels
         for r in range(1, 5):
             for combo in itertools.combinations_with_replacement(range(len(labels)), r):
-                states = 0
+                forbidden = engine.root
                 hit = False
                 for ai in combo:
-                    nxt = engine.apply(states, ai)
+                    nxt = engine.step(forbidden, ai)
                     if nxt is None:
                         hit = True
                         break
-                    assert nxt & states == states and nxt.bit_length() <= engine.num_states
-                    states = nxt
+                    assert nxt & forbidden == forbidden and nxt.bit_length() <= engine.num_states
+                    forbidden = nxt
                 t = Seq(tuple(labels[ai] for ai in combo))
                 assert hit == (not is_idempotent_sum_free(s, t)), t
 
     @staticmethod
     def assert_pair_identity(engine):
-        # for every S reached by <= 3 free elements and every b <= c that S
-        # does not reject, the pair row of b tells whether S + b rejects c
+        # for every F reached by <= 3 free elements and every b <= c that F
+        # does not reject, the pair row of b tells whether F + b rejects c
         n = len(engine.labels)
-        empty = 1 << engine.num_states
         checked = 0
         for r in range(4):
             for combo in itertools.combinations_with_replacement(range(n), r):
-                states = 0
+                F = engine.root
                 for ai in combo:
-                    states = engine.apply(states, ai)
-                    if states is None:
+                    F = engine.step(F, ai)
+                    if F is None:
                         break
-                if states is None:
+                if F is None:
                     continue
-                S = states | empty
-                live = [b for b in range(n) if not S & engine.pre[b]]
+                live = [b for b in range(n) if not F & engine.own[b]]
                 for j, b in enumerate(live):
-                    child = engine.apply(states, b)
+                    child = engine.step(F, b)
                     for c in live[j:]:
-                        assert bool(S & engine.pairs[b][c]) == (engine.apply(child, c) is None), \
+                        assert bool(F & engine.pairs[b][c]) == (engine.step(child, c) is None), \
                             (combo, b, c)
                         checked += 1
         assert checked
@@ -404,8 +402,10 @@ class TestReachEngine:
         s = parse_spec("C(3;2)xC(1;3)")
         engine = ReachEngine.for_spec(s, alphabet=[idempotent(s), (1, 1)])
         ai = engine.labels.index(idempotent(s))
-        assert engine.apply(0, ai) is None
-        assert engine.apply(0, engine.labels.index((1, 1))) == 1 << 0
+        assert engine.step(engine.root, ai) is None
+        # (1, 1) forbids the target and the state (3, 2), whose digits (2, 1)
+        # pack to 2 * 3 + 1 = 7: 3 + 1 = 4 = cap in C(3;2), 2 + 1 = 3 = cap in C(1;3)
+        assert engine.step(engine.root, engine.labels.index((1, 1))) == engine.root | 1 << 7
 
 
 class TestSearchKernel:
@@ -417,7 +417,7 @@ class TestSearchKernel:
     # subtrees with 4 or more elements left from the memo
     @pytest.mark.parametrize("label", ["C(3;2)xC(1;4)", "C(1;2)xC(1;3)", "C(2;2)xC(2;2)",
                                        "C(3;2)xC(2;3)", "C(1;2)xC(1;2)xC(1;3)",
-                                       "C(2;2)xC(3;3)"])
+                                       "C(2;2)xC(3;3)", "C(4;2)xC(1;3)"])
     def test_exists_matches_naive_dfs(self, label):
         s = parse_spec(label)
         engine = ReachEngine.for_spec(s)
@@ -427,6 +427,54 @@ class TestSearchKernel:
             found = search_free(engine, meter, length)
             assert (found, meter.nodes) == oracle.naive_free_search(coord_pairs(s), length)
             assert found == (length < value)
+
+    @pytest.mark.parametrize("label", ["C(3;2)xC(2;3)", "C(4;2)xC(1;3)", "C(3;1)xC(2;2)"])
+    def test_one_forbidden_set_one_subtree(self, label):
+        # The subtree below a free prefix depends on its forbidden set alone,
+        # not on its reach set.  Free prefixes of up to 3 elements are grouped
+        # by forbidden set; from every member of a group that holds distinct
+        # reach sets, a plain DFS that carries the member's own subsequence
+        # sums finds what search_free finds from the group's forbidden set,
+        # at one start.
+        s = parse_spec(label)
+        coords = coord_pairs(s)
+        engine = ReachEngine.for_spec(s)
+        labels = engine.labels
+        groups: dict[int, dict[frozenset, tuple]] = {}  # F -> reach set -> prefix
+        for r in range(1, 4):
+            for prefix in itertools.combinations_with_replacement(range(len(labels)), r):
+                F = engine.root
+                for a in prefix:
+                    F = engine.step(F, a)
+                    if F is None:
+                        break
+                if F is None:
+                    continue
+                sums = oracle.naive_subsequence_sums(coords, [labels[a] for a in prefix])
+                reach = frozenset(tuple(_capped(c.cap, c.n, v) for c, v in zip(s.coords, x))
+                                  for x in sums)
+                groups.setdefault(F, {}).setdefault(reach, prefix)
+        shared = [members for members in groups.values() if len(members) > 1]
+        assert shared, "no two reach sets share a forbidden set"
+        for members in shared:
+            prefixes = list(members.values())
+            F = engine.root
+            for a in prefixes[0]:
+                F = engine.step(F, a)
+            start = max(prefix[-1] for prefix in prefixes)
+            for length in range(1, 5):
+                meter = SearchMeter(Budget())
+                found = search_free(engine, meter, length, F, start)
+                for prefix in prefixes:
+                    assert oracle.naive_extension_search(
+                        coords, labels, [labels[a] for a in prefix], start, length
+                    ) == (found, meter.nodes), (prefix, length)
+            meter = SearchMeter(Budget())
+            best = search_free(engine, meter, forbidden=F, start=start)
+            for prefix in prefixes:
+                assert oracle.naive_extension_search(
+                    coords, labels, [labels[a] for a in prefix], start
+                ) == (best, meter.nodes), prefix
 
     @pytest.mark.parametrize("entries", [0, 1, 1000])
     def test_memo_limit_keeps_counts(self, monkeypatch, entries):
@@ -483,17 +531,17 @@ class TestSearchKernel:
         checked = 0
         for prefix in [*((a,) for a in range(n)),
                        *itertools.combinations_with_replacement(range(n), 2)]:
-            states = 0
+            forbidden = engine.root
             for a in prefix:
-                states = engine.apply(states, a)
-                if states is None:
+                forbidden = engine.step(forbidden, a)
+                if forbidden is None:
                     break
-            if states is None:
+            if forbidden is None:
                 continue
-            d, nodes, _ = self.enumerated_longest(None, engine, states, prefix[-1])
+            d, nodes, _ = self.enumerated_longest(None, engine, forbidden, prefix[-1])
             for length in range(d, d + 3):  # the longest extension is d - 1
                 meter = SearchMeter(Budget())
-                assert search_free(engine, meter, length, states, prefix[-1]) is False
+                assert search_free(engine, meter, length, forbidden, prefix[-1]) is False
                 assert meter.nodes == nodes, (prefix, length)
                 checked += 1
         assert checked > 3 * n
@@ -511,11 +559,21 @@ class TestSearchKernel:
         assert rooms[0] < sequences.SEARCH_MEMO_ENTRIES
         assert rooms == [rooms[0]] * 3
 
+    def test_one_record_per_forbidden_set(self):
+        # Nodes with distinct reach sets and one forbidden set share one
+        # record: the failing probe of 9 on a fresh C(4;2)xC(1;6) engine
+        # leaves 880 records, against 4,516 under reach-set keys.
+        engine = ReachEngine.for_spec(parse_spec("C(4;2)xC(1;6)"))
+        meter = SearchMeter(Budget())
+        assert search_free(engine, meter, 9) is False
+        assert meter.nodes == 408472
+        assert len(engine.records) <= 880
+
     DAVENPORT_GROUPS = [(2, 4), (3, 3), (2, 2, 2), (2, 6), (4, 4), (2, 2, 4), (2, 2, 2, 2),
                         (3, 6), (2, 2, 6), (3, 3, 3)]
 
     @staticmethod
-    def enumerated_longest(periods, engine=None, states=0, start=0):
+    def enumerated_longest(periods, engine=None, forbidden=0, start=0):
         """(D, nodes, witness indices) by the plain enumeration: every free
         node is visited, and the witness is the first longest one met."""
         engine = engine or ReachEngine.for_group(GroupSpec(periods))
@@ -526,7 +584,7 @@ class TestSearchKernel:
             if len(stack) > len(best):
                 best[:] = stack
 
-        search_free(engine, meter, states=states, start=start, on_free=on_free)
+        search_free(engine, meter, forbidden=forbidden, start=start, on_free=on_free)
         return len(best) + 1, meter.nodes, best
 
     @pytest.fixture(scope="class")
@@ -559,14 +617,14 @@ class TestSearchKernel:
         n = len(engine.labels)
         for a in range(n):
             for b in range(a, n):
-                first = engine.apply(0, a)
-                states = None if first is None else engine.apply(first, b)
-                if states is None:
+                first = engine.step(engine.root, a)
+                forbidden = None if first is None else engine.step(first, b)
+                if forbidden is None:
                     continue
                 meter = SearchMeter(Budget())
-                best = search_free(engine, meter, states=states, start=b)
+                best = search_free(engine, meter, forbidden=forbidden, start=b)
                 assert (len(best) + 1, meter.nodes, best) == self.enumerated_longest(
-                    periods, engine, states, b), (a, b)
+                    periods, engine, forbidden, b), (a, b)
 
     def test_longest_records_wide_counts(self):
         # Records hold Python ints, so a node limit of 2^31 or more counts
@@ -577,15 +635,17 @@ class TestSearchKernel:
         assert (len(best) + 1, meter.nodes) == (7, 2422)
 
     # (search, total nodes, further limits); each total is above 4097.  The
-    # eb-twins search counts its nodes 230,178 to 266,260 as one failed
-    # subtree from the memo, so a limit of 250,000 falls inside that batch,
-    # and its nodes 61,193 to 62,789 from a record that a node with 4
-    # elements left made and one with 5 left reads, so a limit of 62,000
-    # falls inside a batch across lengths; the davenport-memo search counts
-    # its nodes 134,744 to 140,710 as one recorded subtree, so a limit of
-    # 137,000 falls inside that one.
+    # eb search counts its nodes 7,513 to 7,608 from a record that a node
+    # with another reach set and the same forbidden set made, so a limit of
+    # 7,560 falls inside that batch.  The eb-twins search counts its nodes
+    # 230,178 to 266,260 as one failed subtree from the memo, so a limit of
+    # 250,000 falls inside that batch, and its nodes 61,193 to 62,789 from a
+    # record that a node with 4 elements left made and one with 5 left
+    # reads, so a limit of 62,000 falls inside a batch across lengths; the
+    # davenport-memo search counts its nodes 134,744 to 140,710 as one
+    # recorded subtree, so a limit of 137,000 falls inside that one.
     SEARCHES = [
-        (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, ()),
+        (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, (7560,)),
         (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406, ()),
         (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, ()),
         (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, ()),
