@@ -29,12 +29,13 @@ search, which looks for the longest free extension, run one walker, which
 returns the length of a node's longest free extension, and share one memo
 per engine, one record per forbidden set: a subtree met again at a recorded
 forbidden set is counted from the node counts and depths of its children,
-not searched again, so the counts are those of the full search, and the
-Davenport witness is read off the records.  Sequences with distinct reach
-sets may share a forbidden set, and so a record: in C(3;1), [2] and [1, 1]
-reach {2} and {1, 2}, and both forbid {1, 2, 3}.  The lhat/l searches
-enumerate every free node through one callback, on_free; rejected elements
-stay inside the kernel.
+not searched again, so the counts are those of the full search; the
+Davenport witness is found by one more walk, which reads the records and
+stops at the first extension of the longest length.  Sequences with
+distinct reach sets may share a forbidden set, and so a record: in C(3;1),
+[2] and [1, 1] reach {2} and {1, 2}, and both forbid {1, 2, 3}.  The lhat/l
+searches enumerate every free node through one callback, on_free; rejected
+elements stay inside the kernel.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -585,10 +586,11 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     (ReachEngine.records), shared by every search over it, one per
     forbidden set (in C(3;1), [2] and [1, 1] share one): a record is
     replaced only by one with more children, and all take at most
-    config.SEARCH_MEMO_ENTRIES entries.  The longest search reads its
-    witness off the records: from the root down, the first child whose
-    depth reaches what is left is the first longest extension's next
-    element, and a child without a record is walked again, uncounted.
+    config.SEARCH_MEMO_ENTRIES entries.  The longest search finds its
+    witness by walking again as an existence search of the longest length,
+    uncounted and unmetered: it reads the records, and its first hit is the
+    first longest extension in depth-first order, whose elements it
+    collects on the way back up.
     Enumeration (on_free) visits every free node and keeps no memo.
     """
     own, up, down, pairs = engine.own, engine.up, engine.down, engine.pairs
@@ -597,6 +599,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
+    hit: list[int] = []  # a hit's elements, deepest first
     key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its figures
     least = _RECORD_NODES if length is None else 0  # the fewest nodes a record counts
 
@@ -616,6 +619,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 for c in live[j:]:
                     if not F & row[c]:
                         count += c + 2 - start
+                        hit.extend((c, b))
                         return 2
                 count += n - b  # the child rejects every element from b on
             count += n - start
@@ -655,6 +659,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             depth = walk(out, kids, b, rest)
             if depth == rest:
                 count += b + 1 - start
+                hit.append(b)
                 return left
             sizes.append(count - before)
             depths.append(1 + depth)
@@ -673,31 +678,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             sizes += depths
             records[F] = sizes
         return deepest
-
-    def first_longest(F, live, depth):
-        # the first longest free extension of a node of the longest-extension
-        # search, read off the records; depth is its length, or None if the
-        # node has no record
-        best = []
-        for j, b in enumerate(live):
-            row = pairs[b]
-            kids = [c for c in live[j:] if not F & row[c]]
-            path = [b]
-            if kids:
-                out = engine.step(F, b)
-                known = records.get(out)
-                if known is None or 2 * len(kids) > len(known):
-                    path += first_longest(out, kids, None)
-                else:
-                    below = max(known[-len(kids):])
-                    if 1 + below < (depth or len(best) + 1):
-                        continue
-                    path += first_longest(out, kids, below)
-            if len(path) > len(best):
-                best = path
-                if len(best) == depth:
-                    break
-        return best
 
     def enumerate_free(F, live, start):
         nonlocal count
@@ -735,14 +715,23 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             count += (live[0] + 1 if live else n) - start
             result = [] if length is None else bool(live)
         elif length is None:
-            result = first_longest(F, live, walk(F, live, start, _UNREACHED))
+            depth = walk(F, live, start, _UNREACHED)
+            if depth == 1:
+                result = live[:1]
+            else:
+                # the witness: walk again to the first extension of that
+                # length, reading the records, uncounted and unmetered
+                counted, mark = count, _UNREACHED
+                walk(F, live, start, depth)
+                count = counted
+                result = hit[::-1]
         else:
             result = walk(F, live, start, length) == length
     finally:
         # The recursive closures refer to themselves, and the cycle holds
         # the engine's lists and rows; break it, so that they are freed on
         # return and not at some later cycle collection.
-        walk = first_longest = enumerate_free = None
+        walk = enumerate_free = None
         engine.room = room
     # a hit returns without a check; this one settles it
     meter.tick(count - meter.nodes)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from ebs import constants
+from ebs import constants, sequences
 from ebs.config import Budget
 from ebs.constants import (
     BRUTE,
@@ -141,6 +141,12 @@ class TestDavenport:
         assert (value, nodes) == (7, 729892)
         assert witness.terms == ((0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0),
                                  (1, 0, 0), (1, 0, 0))
+
+    def test_z3_cubed_witness_pinned_without_records(self, monkeypatch):
+        # with no memo room the witness walk reads no record, and finds the
+        # same witness
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", 0)
+        self.test_z3_cubed_witness_pinned()
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):

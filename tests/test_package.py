@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,24 @@ def test_no_module_reads_the_environment():
                 reads += [f"{path.name}:{node.lineno} from os import {a.name}"
                           for a in node.names if a.name in banned]
     assert reads == []
+
+
+def test_package_is_stdlib_only():
+    """ebs depends on the standard library alone: every absolute import in
+    src/ebs, those inside functions included, names a stdlib module, and
+    pyproject.toml lists no dependencies."""
+    outside = []
+    for path in sorted((ROOT / "src" / "ebs").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.partition(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {module}")
+    assert outside == []
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies\s*=\s*\[\s*\]", project, re.M)

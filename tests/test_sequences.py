@@ -626,6 +626,15 @@ class TestSearchKernel:
                 assert (len(best) + 1, meter.nodes, best) == self.enumerated_longest(
                     periods, engine, forbidden, b), (a, b)
 
+    @pytest.mark.parametrize("entries", [0, 1000])
+    @pytest.mark.parametrize("periods", [(2, 2, 6), (3, 6)], ids=["Z2+Z2+Z6", "Z3+Z6"])
+    def test_longest_from_every_two_element_start_short_of_room(self, monkeypatch, periods,
+                                                                entries):
+        # The witness walk reads the records too: with none, or with room
+        # that runs out mid-search, each witness is still the enumeration's.
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
+        self.test_longest_from_every_two_element_start(monkeypatch, periods)
+
     def test_longest_records_wide_counts(self):
         # Records hold Python ints, so a node limit of 2^31 or more counts
         # as any other.
