@@ -315,12 +315,15 @@ class TestEbBruteforce:
         assert time.monotonic() - t0 < 3
 
     def test_pool_tasks_share_the_deadline(self):
-        # Far over budget (past 10^8 nodes in all): every task stops at the
-        # search's deadline, so a task that starts late does not keep the
-        # pool's shutdown waiting past it.
+        # Far over budget: every task stops at the search's deadline, so a
+        # task that starts late does not keep the pool's shutdown waiting
+        # past it.  The count-exact memo counts the default 10^8 nodes in
+        # about 0.5 s here, so the node budget is raised out of the way and
+        # only the deadline can end the search.
         t0 = time.monotonic()
         with pytest.raises(BudgetExceeded, match="time budget"):
-            eb_bruteforce(parse_spec("C(7;2)xC(2;7)"), Budget(time_budget_s=0.5, threads=2))
+            eb_bruteforce(parse_spec("C(7;2)xC(2;7)"),
+                          Budget(node_budget=10**12, time_budget_s=0.5, threads=2))
         assert time.monotonic() - t0 < 1.0
 
     def test_time_budget_covers_setup(self, monkeypatch):
