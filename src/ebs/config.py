@@ -16,9 +16,10 @@ SUBSET_SUM_BOUND = 10**6
 # the engine share (in C(3;1) the free sequences [2] and [1, 1] reach {2}
 # and {1, 2} and share the forbidden set {1, 2, 3}, so one record).  A record
 # takes one entry per figure it holds (a subtree count, or a depth), one
-# for itself, and one per 256 packed states of its key.  A figure of 256 or
-# less costs 8 bytes, a list slot on a cached small int; a larger one about
-# 36, the slot and an int of its own.
+# for itself, and one per 256 packed bits of its key, which holds one bit
+# per element of the engine's space.  A figure of 256 or less costs 8
+# bytes, a list slot on a cached small int; a larger one about 36, the
+# slot and an int of its own.
 SEARCH_MEMO_ENTRIES = 10**6
 
 
@@ -29,9 +30,11 @@ class Budget:
     node_budget counts search-tree edges (attempted extensions); time_budget_s
     is wall clock from the start of a search, its setup included (pool tasks
     stop at the search's deadline, not at their own start plus the budget);
-    state_cap caps the subset-sum states: the packed space of a search engine
-    (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l), checked
-    before the engine is built, and the states a one-shot walk reaches.
+    state_cap caps the subset-sum states: the capped states of a search
+    engine's space (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and
+    l), checked before the engine is built, and the states a one-shot walk
+    reaches.  The engine's bitsets hold one bit per element, under
+    2^r * prod(cap_i) for rank r.
     threads > 1 fans each probe of an eb brute search out to a process
     pool, one task per first element and at most one worker per task;
     Davenport and l-hat/l searches run in the calling process at any thread
@@ -87,7 +90,7 @@ class SearchMeter:
         return min(((self.nodes >> 12) + 1) << 12, self._limit + 1)
 
     def check_states(self, count: int) -> None:
-        """Raise BudgetExceeded if a search over count packed states would
+        """Raise BudgetExceeded if a search over count capped states would
         pass the state cap; called before its engine is built."""
         if count > self.budget.state_cap:
             raise BudgetExceeded(

@@ -466,8 +466,8 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     is the first length admitting no idempotent-sum free sequence.
 
     Enumerates non-decreasing sequences over the non-idempotent elements,
-    carrying the capped states that would complete the idempotent (the
-    forbidden set) and pruning any extension that realizes the idempotent
+    carrying the elements whose addition would complete the idempotent
+    (the forbidden set, one bit per element) and pruning any extension that realizes the idempotent
     profile.  Termination is guaranteed by the proven upper bound;
     exceeding it raises an internal error.  The time budget covers the
     bounds and the engine build as well as the search.

@@ -10,32 +10,23 @@ and the subset-sum states of a sequence stay bounded by prod(cap_i)
 regardless of sequence length.  A group runs as C(1;n_1) x ... x C(1;n_r),
 residue 0 lifted to index n_i (_lift), where the idempotent is the zero sum.
 
-The search engine, ReachEngine, packs each state into one integer and a
-whole set of states into one int bitset.  The search carries a sequence's
-forbidden set, the states whose addition would complete the idempotent,
-not its reach set: it rejects an element with one AND against the element's
-own state bit, and steps the forbidden set by a few masked shifts (one per
-distinct packed displacement).  Its pair rows, built on first use, hold the
-state bit of the sum of two elements, so the elements a child rejects can
-be read off its parent's forbidden set.  One depth-first kernel,
-search_free, runs every exhaustive search on it: the Erdos-Burgess and
-Davenport searches, and the lhat/l searches of the structure module (arity
-1).  It hands each node the elements its ancestors did not reject, finds a
-child's survivors from the pair row of the child's element, steps a child
-inline from flat per-element lists only when it has survivors to expand,
-and counts the nodes of the plain one-candidate-at-a-time search by
-arithmetic.  The existence searches (Erdos-Burgess) and the Davenport
-search, which looks for the longest free extension, run one walker, which
-returns the length of a node's longest free extension, and share one memo
-per engine, one record per forbidden set: a subtree met again at a recorded
-forbidden set is counted from the node counts and depths of its children,
-not searched again, so the counts are those of the full search; the
-Davenport witness is found by one more walk, which reads the records and
-stops at the first extension of the longest length.  Sequences with
-distinct reach sets may share a forbidden set, and so a record: in C(3;1),
-[2] and [1, 1] reach {2} and {1, 2}, and both forbid {1, 2, 3}.  The lhat/l
-searches enumerate every free node through one callback, on_free; rejected
-elements stay inside the kernel.
+The search engine, ReachEngine, gives each element a bit, and a set of
+elements is one int bitset; an element past cap_i is an alias of its capped
+twin, and every set the search makes holds both or neither.  The search
+carries a sequence's forbidden set, the elements whose addition would
+complete the idempotent, not its reach set, and steps it by a few masked
+shifts.  One depth-first kernel, search_free, runs every exhaustive search
+on it: the Erdos-Burgess and Davenport searches, and the lhat/l searches
+of the structure module (arity 1).  A node's live labels are one bitset
+too: a child's are its parent's from its own bit on, less its own
+forbidden set.  The nodes of the plain one-candidate-at-a-time search are
+counted by arithmetic.  The existence searches (Erdos-Burgess) and the
+Davenport search, which looks for the longest free extension, run one
+walker and share one memo per engine, one record per forbidden set: a
+subtree met again at a recorded forbidden set is counted from its
+children's node counts and depths, not searched again, so the counts are
+those of the full search.  The lhat/l searches enumerate every free node
+through one callback, on_free.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -345,95 +336,64 @@ def format_seq(t: Seq) -> str:
     return "\n".join(",".join(str(v) for v in term) for term in t) + ("\n" if len(t) else "")
 
 
+
+
 # ---------------------------------------------------------------------------
 # packed search engine
 
-def _digit_mask(digits, stride: int, size: int, num_states: int) -> int:
-    """Bitset of the packed states whose digit in one coordinate (given by
-    its stride and digit count) lies in `digits`.
+def _digit_mask(digits, stride: int, comb: int) -> int:
+    """Bitset of the packed elements whose digit in one coordinate (given by
+    its stride) lies in `digits`.
 
     The coordinate's digits repeat with period stride * size across the
-    packed space, so the mask is one period's block times a comb with a bit
-    at the start of every period; the block is narrower than the period, so
-    the product has no carries.
+    packed space, so the mask is one period's block times the coordinate's
+    comb, a bit at the start of every period; the block is narrower than the
+    period, so the product has no carries.
     """
     block = 0
     run = (1 << stride) - 1
     for d in digits:
         block |= run << (d * stride)
-    period = stride * size
-    comb = ((1 << num_states) - 1) // ((1 << period) - 1)
     return block * comb
-
-
-class PairRows(dict):
-    """The pair rows of a ReachEngine, each built on first use.
-
-    Row b lists, for every alphabet position c, the single bit of the packed
-    state of the sum b + c.  The sum's state is read off the digit moves of
-    c's value at b's digits, so no move is recomputed; a bit is built once
-    per state (bits) and shared by every row that holds it.
-    """
-
-    __slots__ = ("digits", "moves", "bits")
-
-    def __init__(self, digits, moves):
-        super().__init__()
-        self.digits = digits  # per coordinate: the digit of each position
-        # per coordinate: the digit moves of each position's value, times
-        # the coordinate's stride
-        self.moves = moves
-        self.bits: dict[int, int] = {}
-
-    def __missing__(self, b: int) -> list[int]:
-        sums = None
-        for digits, moves in zip(self.digits, self.moves):
-            d = digits[b]
-            col = [m[d] for m in moves]
-            sums = col if sums is None else [x + y for x, y in zip(sums, col)]
-        bits = self.bits
-        for x in set(sums).difference(bits):
-            bits[x] = 1 << x
-        row = self[b] = [bits[x] for x in sums]
-        return row
 
 
 class ReachEngine:
     """Precomputed bitset translations for exhaustive free-sequence searches.
 
-    Coordinate i of a state is a digit d in [0, cap_i), standing for the
-    capped total d + 1 (see _capped); the target digit, the idempotent, is
-    cap_i - 1.  A group runs as C(1;n_1) x ... x C(1;n_r), where cap_i = n_i
-    and the target is the zero sum.  A state packs its digits into one
-    integer by mixed-radix encoding, the last coordinate least significant,
-    so the target is state num_states - 1.  A set of states is one Python
-    int: bit p is set when packed state p is in it.
+    One bit per element.  Coordinate i of an element of C(k_i;n_i) is a
+    digit in [0, k_i + n_i - 1), the index less 1; a group packs residues,
+    digit r in [0, n_i).  Mixed-radix packing, the last coordinate least
+    significant, gives sorted elements increasing bit positions, and a set
+    of elements is one int.  The width num_states is prod(k_i + n_i - 1),
+    under 2^r * prod(cap_i), or |G|.  Label ai owns bit pos[ai] (owned: all
+    of them); labels may skip positions, as an explicit alphabet does, or
+    the structure engine, which leaves out the idempotent.
 
-    The search does not carry a sequence's reach set S, the states of its
-    nonempty subsequence sums, but its forbidden set F: the states x with
-    p + x the target for some p in S or p the empty sum.  Appending c makes
-    the target reachable exactly when c's state is in F, so F alone decides
-    which elements a node rejects.  The empty sequence has F = {target}
-    (root), and appending b gives F | (F - b), where F - b holds the x with
-    x + b in F.  Distinct reach sets may share one F: in C(3;1) the free
-    sequences [2] and [1, 1] reach {2} and {1, 2}, and both forbid {1, 2,
-    3}.  In a group S -> F is one-to-one.
+    The search carries a sequence's forbidden set F, not its reach set S:
+    the elements x with p + x capped to the idempotent (see _capped) for
+    some p in S or p the empty sum.  Appending c makes the idempotent
+    reachable exactly when c is in F, so F alone decides which elements a
+    node rejects.  The empty sequence has F = {idempotent} (root; bit 0,
+    the zero sum, in a group), and appending b gives F | (F - b), where
+    F - b holds the x with x + b in F.  An element past cap_i is an alias
+    of its capped twin (7 of 4 in C(5;3)): they share a state, so every F
+    holds both or neither.  Distinct reach sets may share one F: in C(3;1)
+    the free sequences [2] and [1, 1] reach {2} and {1, 2}, and both forbid
+    {1, 2, 3}.  In a group S -> F is one-to-one.
 
-    Adding an alphabet element moves every digit of a coordinate by a fixed
-    displacement, except where the sum wraps.  So the element's translation
-    is a set of pieces, one per distinct packed displacement: the states it
-    moves by that shift (the product of per-coordinate digit groups, built
-    once per coordinate and digit).  A piece is kept as (mask, shift), the
-    mask holding the states the piece moves onto, so that it is read
-    backwards: F - b is the union of (F & mask) >> shift over the pieces
-    that move up and (F & mask) << shift over those that move down (a zero
-    shift only gives states already in F), and no int outgrows the packed
-    space.  Flat lists indexed by alphabet position hold each element's own
-    state bit (own) and its pieces, up and down.
-
-    pairs[b][c] is the bit of the state of b + c (see PairRows).  It tells
-    which elements a child rejects from its parent's F alone: if F does not
-    hold c, then F | (F - b) holds c exactly when F holds b + c.
+    Adding b moves every digit of a coordinate by a fixed displacement,
+    except where the capped sum wraps.  So b's translation is a set of
+    pieces, one per distinct packed displacement, each the product of
+    per-coordinate digit groups read off the coordinate's table of digit
+    sums.  A piece is kept as (mask, shift), the mask holding the elements
+    it moves onto, so it is read backwards: F - b is the union of (F & mask)
+    >> shift over the pieces that move up and (F & mask) << shift over
+    those that move down (a zero shift adds nothing), and no int outgrows
+    the packed space.  Equal pieces are one object.  Lists indexed by bit
+    position hold the label's pieces there, up and down, and tail[p], the
+    labels at or after position p (tail[num_states] = 0), from which the
+    search counts its nodes.  No table of pairs is needed: a child's live
+    labels are its parent's, from its own on, less the child's F.
 
     records holds the memo that every search over the engine shares, one
     record per forbidden set of a subtree walked in full, and room the
@@ -441,92 +401,115 @@ class ReachEngine:
     engine once, so the tasks it runs share it too.
     """
 
-    __slots__ = ("labels", "num_states", "root", "own", "up", "down", "pairs", "records",
-                 "room")
+    __slots__ = ("labels", "num_states", "root", "pos", "owned", "tail", "up", "down",
+                 "records", "room")
 
-    def __init__(self, labels, num_states, own, up, down, pairs):
+    def __init__(self, labels, num_states, root, pos, owned, tail, up, down):
         self.labels = labels  # alphabet, in search order
         self.num_states = num_states
-        self.root = 1 << (num_states - 1)  # the forbidden set of the empty sequence
-        self.own, self.up, self.down = own, up, down
-        self.pairs = pairs
+        self.root = root  # the forbidden set of the empty sequence
+        self.pos, self.owned, self.tail = pos, owned, tail
+        self.up, self.down = up, down
         self.records: dict[int, list[int]] = {}
         self.room = SEARCH_MEMO_ENTRIES
 
     @classmethod
-    def _build(cls, labels, indices, coords) -> "ReachEngine":
-        """Engine over `labels`, whose semigroup indices are `indices` (one
-        tuple per label), with coords[i] = (cap_i, n_i).
-
-        (Digit moves are lists, not tuples: freed tuples shorter than 20
-        stay on CPython's per-size free lists, which held about 1 MB more
-        after a few hundred builds.)
+    def _build(cls, labels, digits, coords, target) -> "ReachEngine":
+        """Engine over `labels`, whose element digits are `digits` (one tuple
+        per label, in increasing packed order), with coords[i] = (size_i,
+        to_i): coordinate i has digits [0, size_i), and to_i[d + e] is the
+        digit of the sum of digits d and e.  target: the idempotent's digits.
         """
-        sizes = [cap for cap, _ in coords]
+        sizes = [size for size, _ in coords]
         strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
-        num_states = math.prod(sizes)
-        # per coordinate: the digit of each label, the stride-scaled digit
-        # moves of each label's digit, and the (mask, shift) groups of each
-        # digit
-        digits, moves, groups = [], [], []
-        for i, (stride, (cap, n)) in enumerate(zip(strides, coords)):
-            label_digits = [_capped(cap, n, a[i]) - 1 for a in indices]
-            by_digit, scaled = {}, {}
-            for e in set(label_digits):
-                # the digit that each digit d moves to by adding digit e
-                to = [_capped(cap, n, d + e + 2) - 1 for d in range(cap)]
-                by_shift: dict[int, list[int]] = {}
-                for d, f in enumerate(to):
-                    by_shift.setdefault((f - d) * stride, []).append(d)
-                by_digit[e] = [(_digit_mask(ds, stride, cap, num_states), shift)
-                               for shift, ds in by_shift.items()]
-                scaled[e] = [f * stride for f in to]
-            digits.append(label_digits)
-            moves.append([scaled[e] for e in label_digits])
+        width = math.prod(sizes)
+        full = (1 << width) - 1
+        # per coordinate: the (mask, shift) groups of each label digit; twins
+        # move every digit alike, and share one list of groups
+        groups = []
+        for i, (stride, (size, to)) in enumerate(zip(strides, coords)):
+            comb = full // ((1 << stride * size) - 1)
+            by_row: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            by_digit = {}
+            for e in {ds[i] for ds in digits}:
+                row = tuple(to[e:e + size])  # the digit each digit d moves to
+                if row not in by_row:
+                    by_shift: dict[int, list[int]] = {}
+                    for d, f in enumerate(row):
+                        by_shift.setdefault((f - d) * stride, []).append(d)
+                    by_row[row] = [(_digit_mask(ds, stride, comb), shift)
+                                   for shift, ds in by_shift.items()]
+                by_digit[e] = by_row[row]
             groups.append(by_digit)
 
-        up, down = [], []
-        for ai in range(len(labels)):
-            merged: dict[int, int] = {}
-            for combo in itertools.product(*(g[ds[ai]] for g, ds in zip(groups, digits))):
-                mask, shift = -1, 0
-                for m, sh in combo:
-                    mask &= m
-                    shift += sh
-                merged[shift] = merged.get(shift, 0) | mask
-            # a zero shift only re-adds states already in the set; each mask
-            # is shifted onto the states its piece moves onto
-            up.append(tuple((m << sh, sh) for sh, m in merged.items() if sh > 0))
-            down.append(tuple((m >> -sh, -sh) for sh, m in merged.items() if sh < 0))
-        own = [1 << sum(ds[ai] * st for ds, st in zip(digits, strides))
-               for ai in range(len(labels))]
-        return cls(tuple(labels), num_states, own, up, down, PairRows(digits, moves))
+        pos = [sum(d * st for d, st in zip(ds, strides)) for ds in digits]
+        up, down = [None] * width, [None] * width
+        made = {}  # (up, down) by the groups they come from: twins share them
+        pieces: dict[tuple[int, int], tuple[int, int]] = {}  # equal pieces, one object
+        for p, ds in zip(pos, digits):
+            parts = [g[d] for g, d in zip(groups, ds)]
+            key = tuple(map(id, parts))
+            both = made.get(key)
+            if both is None:
+                merged: dict[int, int] = {}
+                for combo in itertools.product(*parts):
+                    mask, shift = -1, 0
+                    for m, sh in combo:
+                        mask &= m
+                        shift += sh
+                    merged[shift] = merged.get(shift, 0) | mask
+                # a zero shift only re-adds elements already in the set; each
+                # mask is shifted onto the elements its piece moves onto
+                ups, downs = [], []
+                for sh, m in merged.items():
+                    if sh > 0:
+                        q = (m << sh, sh)
+                        ups.append(pieces.setdefault(q, q))
+                    elif sh < 0:
+                        q = (m >> -sh, -sh)
+                        downs.append(pieces.setdefault(q, q))
+                both = made[key] = (tuple(ups), tuple(downs))
+            up[p], down[p] = both
+        # tail: the labels at or after each position, summed from the end;
+        # owned: every label's bit, marks read as a binary numeral
+        marks = [0] * (width + 1)
+        for p in pos:
+            marks[p] = 1
+        tail = list(itertools.accumulate(reversed(marks)))[::-1]
+        owned = int("".join(map(str, reversed(marks))), 2)
+        root = 1 << sum(d * st for d, st in zip(target, strides))
+        return cls(tuple(labels), width, root, pos, owned, tail, up, down)
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
         if alphabet is None:
             alphabet = [a for a in s.elements() if a != s.caps]
-        labels = sorted(alphabet)
-        return cls._build(labels, labels, [(c.cap, c.n) for c in s.coords])
+        labels = sorted(set(alphabet))  # one bit per label: a repeat would share it
+        # digits d and e stand for indices d + 1 and e + 1, summing to d + e + 2
+        coords = [(c.size, [_capped(c.cap, c.n, v + 2) - 1 for v in range(2 * c.size - 1)])
+                  for c in s.coords]
+        return cls._build(labels, [tuple(v - 1 for v in a) for a in labels], coords,
+                          [c.cap - 1 for c in s.coords])
 
     @classmethod
     def for_group(cls, g: GroupSpec) -> "ReachEngine":
-        """Engine over the nonzero residues in residue order, each run as its
-        lift into C(1;n_1) x ... x C(1;n_r)."""
+        """Engine over the nonzero residues in residue order, label ai at bit
+        ai + 1 and the zero sum at bit 0."""
         zero = (0,) * len(g.periods)
         labels = [a for a in g.elements() if a != zero]
-        return cls._build(labels, [_lift(g.periods, a) for a in labels],
-                          [(n, n) for n in g.periods])
+        return cls._build(labels, labels, [(n, [v % n for v in range(2 * n - 1)])
+                                           for n in g.periods], zero)
 
     def step(self, forbidden: int, ai: int) -> int | None:
         """Forbidden set after appending alphabet element ai, or None if ai
-        is forbidden: it would make the target reachable."""
-        if forbidden & self.own[ai]:
+        is forbidden: it would make the idempotent reachable."""
+        p = self.pos[ai]
+        if forbidden >> p & 1:
             return None
         out = forbidden
-        for m, sh in self.up[ai]:
+        for m, sh in self.up[p]:
             out |= (forbidden & m) >> sh
-        for m, sh in self.down[ai]:
+        for m, sh in self.down[p]:
             out |= (forbidden & m) << sh
         return out
 
@@ -544,8 +527,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 forbidden: int = 0, start: int = 0, on_free=None) -> bool | list[int]:
     """Depth-first search over the non-decreasing free extensions of a
     sequence with forbidden set `forbidden` (ReachEngine.step; 0 or
-    engine.root for the empty sequence) by alphabet elements from `start`
-    on.
+    engine.root for the empty sequence) by alphabet elements from index
+    `start` on.
 
     With a length (>= 1): does a free extension by that many elements
     exist?  It stops at the first.  With on_free: visit every free
@@ -553,16 +536,14 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     added, reused); returns True.  With neither: the alphabet indices of the
     first longest free extension in depth-first order.
 
-    A node hands its children only the elements it does not reject:
-    forbidden sets grow along a path, so a rejected element stays rejected
-    below.  A child's survivors come from its parent's forbidden set and the
-    pair row of the child's element (ReachEngine.pairs), so the child's own
-    forbidden set is stepped only when it has survivors to expand; a
-    last-level child is never stepped.  Nodes are counted by arithmetic as
-    the search that tries one element at a time counts them: a node entered
-    at start costs n - start, or hit - start + 1 if it stops at a hit.  The
-    count is handed to the meter when it reaches meter.next_check() and at
-    the end.
+    A node's live labels are a bitset, those from its own on that its
+    forbidden set does not hold, visited lowest bit first (alphabet order).
+    Forbidden sets grow along a path, so child b's live labels are its
+    parent's from b on less its own forbidden set.  Nodes are counted as the
+    search that tries one label at a time counts them: a node entered at
+    bit position p costs tail[p], or tail[p] - tail[q] + 1 if it stops at a
+    hit at position q, so positions no label owns cost nothing.  The count
+    is handed to the meter when it reaches meter.next_check() and at the end.
 
     The existence and longest-extension searches run one walker: it returns
     a node's depth, the length of its longest free extension, or the length
@@ -571,35 +552,34 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     verdicts are those above.  A probe that fails has walked its subtree in
     full, so its count is the full subtree's, whatever length was asked.
 
-    A node's live list is exactly the elements from its start on that its
-    forbidden set F does not hold, and its children's forbidden sets follow
-    from F, so its subtree depends only on F and start, and the live lists
-    of one F are suffixes of one list.  So a node walked in full records
-    under F its children's node counts and depths, in live order, and a
-    later node with the same F, whatever its reach set, whose live list is
-    no longer than the record's is read off the record's last len(live)
-    children: it fails at left elements exactly when the greatest of their
-    depths is below left, and then costs n - start plus their counts, not
-    searched again.  Otherwise it is walked, and reaches left.  Existence
-    probes record every node they walk in full, the longest search only
-    subtrees of _RECORD_NODES or more nodes.  The records are the engine's
-    (ReachEngine.records), shared by every search over it, one per
-    forbidden set (in C(3;1), [2] and [1, 1] share one): a record is
-    replaced only by one with more children, and all take at most
-    config.SEARCH_MEMO_ENTRIES entries.  The longest search finds its
-    witness by walking again as an existence search of the longest length,
-    uncounted and unmetered: it reads the records, and its first hit is the
-    first longest extension in depth-first order, whose elements it
-    collects on the way back up.
+    A node's live labels follow from its forbidden set F and its start, and
+    so do its children's forbidden sets, so its subtree depends only on F
+    and start, and the live labels of one F, in order, are suffixes of one
+    list.  So a node walked in full records under F its children's node
+    counts and depths, in live order, and a later node with the same F,
+    whatever its reach set, with no more live labels than the record has
+    children is read off the record's last ones: it fails at left elements
+    exactly when the greatest of their depths is below left, and then costs
+    tail[p] plus their counts, not searched again.  Otherwise it is walked,
+    and reaches left.  Existence probes record every node they walk in
+    full, the longest search only subtrees of _RECORD_NODES or more nodes.
+    The records are the engine's (ReachEngine.records), shared by every
+    search over it, one per forbidden set (in C(3;1), [2] and [1, 1] share
+    one): a record is replaced only by one with more children, and all take
+    at most config.SEARCH_MEMO_ENTRIES entries.  The longest search finds
+    its witness by walking again as an existence search of the longest
+    length, uncounted and unmetered: it reads the records, and its first
+    hit is the first longest extension in depth-first order, whose elements
+    it collects on the way back up.
     Enumeration (on_free) visits every free node and keeps no memo.
     """
-    own, up, down, pairs = engine.own, engine.up, engine.down, engine.pairs
+    up, down, tail = engine.up, engine.down, engine.tail
     records = engine.records
-    n = len(own)
+    n = len(engine.labels)  # n - tail[p] is the alphabet index of the label at p
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
-    hit: list[int] = []  # a hit's elements, deepest first
+    hit: list[int] = []  # a hit's alphabet indices, deepest first
     key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its figures
     least = _RECORD_NODES if length is None else 0  # the fewest nodes a record counts
 
@@ -609,63 +589,75 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         mark = meter.next_check()
 
     def walk(F, live, start, left):
-        # the depth of a node with live elements live (not empty), or left
-        # (>= 2) as soon as it reaches left
+        # the depth of a node at bit position start with live labels live
+        # (not empty), or left (>= 2) as soon as it reaches left
         nonlocal count, room
         if left == 2:
-            for j, b in enumerate(live):
-                row = pairs[b]
-                # the child is a last-level node: it stops at its first survivor
-                for c in live[j:]:
-                    if not F & row[c]:
-                        count += c + 2 - start
-                        hit.extend((c, b))
-                        return 2
-                count += n - b  # the child rejects every element from b on
-            count += n - start
+            while live:
+                low = live & -live
+                b = low.bit_length() - 1
+                out = F
+                for m, sh in up[b]:
+                    out |= (F & m) >> sh
+                for m, sh in down[b]:
+                    out |= (F & m) << sh
+                kids = live ^ (live & out)
+                if kids:
+                    # the child is a last-level node: it stops at its first survivor
+                    c = (kids & -kids).bit_length() - 1
+                    count += tail[start] - tail[c] + 2
+                    hit.extend((n - tail[c], n - tail[b]))
+                    return 2
+                count += tail[b]  # the child rejects every label from b on
+                live ^= low
+            count += tail[start]
             if count >= mark:
                 settle()
             return 1
         known = records.get(F)
-        k = len(live)
-        if known is not None and 2 * k <= len(known):
-            depth = max(known[-k:])
-            if depth < left:  # it fails: count it from its record
-                half = len(known) >> 1
-                count += n - start + sum(known[half - k:half])
-                if count >= mark:
-                    settle()
-                return depth
+        if known is not None:
+            k = live.bit_count()
+            if 2 * k <= len(known):
+                depth = max(known[-k:])
+                if depth < left:  # it fails: count it from its record
+                    half = len(known) >> 1
+                    count += tail[start] + sum(known[half - k:half])
+                    if count >= mark:
+                        settle()
+                    return depth
         entered = count
         rest = left - 1  # what a child has left
         sizes, depths = [], []  # per child, in live order
         deepest = 1  # the greatest of depths
-        for j, b in enumerate(live):
-            row = pairs[b]
-            kids = [c for c in live[j:] if not F & row[c]]
-            if not kids:  # the child rejects every element from b on
-                count += n - b
-                sizes.append(n - b)
-                depths.append(1)
-                continue
+        while live:
+            low = live & -live
+            b = low.bit_length() - 1
             out = F
             for m, sh in up[b]:
                 out |= (F & m) >> sh
             for m, sh in down[b]:
                 out |= (F & m) << sh
+            kids = live ^ (live & out)
+            live ^= low
+            if not kids:  # the child rejects every label from b on
+                size = tail[b]
+                count += size
+                sizes.append(size)
+                depths.append(1)
+                continue
             if count >= mark:
                 settle()
             before = count
             depth = walk(out, kids, b, rest)
             if depth == rest:
-                count += b + 1 - start
-                hit.append(b)
+                count += tail[start] - tail[b] + 1
+                hit.append(n - tail[b])
                 return left
             sizes.append(count - before)
             depths.append(1 + depth)
             if depth >= deepest:
                 deepest = 1 + depth
-        count += n - start
+        count += tail[start]
         if count >= mark:
             settle()
         # a record holds its children's node counts, then their depths; it
@@ -681,56 +673,60 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
 
     def enumerate_free(F, live, start):
         nonlocal count
-        count += n - start
+        count += tail[start]
         if count >= mark:
             settle()
-        for j, b in enumerate(live):
-            row = pairs[b]
-            kids = [c for c in live[j:] if not F & row[c]]
-            stack.append(b)
+        while live:
+            low = live & -live
+            b = low.bit_length() - 1
+            out = F
+            for m, sh in up[b]:
+                out |= (F & m) >> sh
+            for m, sh in down[b]:
+                out |= (F & m) << sh
+            kids = live ^ (live & out)
+            live ^= low
+            stack.append(n - tail[b])
             on_free(stack)
             if kids:
-                out = F
-                for m, sh in up[b]:
-                    out |= (F & m) >> sh
-                for m, sh in down[b]:
-                    out |= (F & m) << sh
                 enumerate_free(out, kids, b)
-            else:  # a leaf: it tries and rejects every element from b on
-                count += n - b
+            else:  # a leaf: it tries and rejects every label from b on
+                count += tail[b]
                 if count >= mark:
                     settle()
             stack.pop()
 
     F = forbidden | engine.root
     result = True
-    live = [b for b in range(start, n) if not F & own[b]]
+    at = engine.pos[start] if start < n else engine.num_states  # start's bit position
+    live = engine.owned >> at << at & ~F
+    first = (live & -live).bit_length() - 1  # the first live label's position, or -1
     room = engine.room
     try:
         if on_free is not None:
-            enumerate_free(F, live, start)
+            enumerate_free(F, live, at)
         elif length == 1 or not live:
             # a last-level node stops at its first survivor, and a node with
-            # no survivor tries every element from start on
-            count += (live[0] + 1 if live else n) - start
+            # no survivor tries every label from start on
+            count += tail[at] - (tail[first] - 1 if live else 0)
             result = [] if length is None else bool(live)
         elif length is None:
-            depth = walk(F, live, start, _UNREACHED)
+            depth = walk(F, live, at, _UNREACHED)
             if depth == 1:
-                result = live[:1]
+                result = [n - tail[first]]
             else:
                 # the witness: walk again to the first extension of that
                 # length, reading the records, uncounted and unmetered
                 counted, mark = count, _UNREACHED
-                walk(F, live, start, depth)
+                walk(F, live, at, depth)
                 count = counted
                 result = hit[::-1]
         else:
-            result = walk(F, live, start, length) == length
+            result = walk(F, live, at, length) == length
     finally:
         # The recursive closures refer to themselves, and the cycle holds
-        # the engine's lists and rows; break it, so that they are freed on
-        # return and not at some later cycle collection.
+        # the engine's lists; break it, so that they are freed on return
+        # and not at some later cycle collection.
         walk = enumerate_free = None
         engine.room = room
     # a hit returns without a check; this one settles it

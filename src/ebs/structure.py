@@ -327,7 +327,7 @@ def classify_free_sequence(c: CyclicSpec, t: Seq) -> StructClass:
 
 def _search_engine(c: CyclicSpec) -> tuple[list[int], ReachEngine]:
     """Index values enumerated by the brute searches, ascending, and their
-    arity-1 engine (cap states).
+    arity-1 engine (one bit per element, k + n - 1).
 
     For k <= n freeness and both structure predicates depend on residues
     only, so one representative per nonzero residue class suffices; for

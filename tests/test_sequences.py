@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -184,8 +185,13 @@ class TestCappedState:
 
     @pytest.mark.parametrize("label", ["C(5;3)", "C(1;4)", "C(5;3)xC(2;2)", "C(4;2)xC(1;3)"])
     def test_spec_engine_has_cap_states(self, label):
+        # one bit per element: the packed width is prod(k_i + n_i - 1), at
+        # least the prod(cap_i) states that the state cap bounds, and under
+        # 2^r times that
         s = parse_spec(label)
-        assert ReachEngine.for_spec(s).num_states == math.prod(s.caps)
+        width = ReachEngine.for_spec(s).num_states
+        assert width == math.prod(c.k + c.n - 1 for c in s.coords)
+        assert math.prod(s.caps) <= width < 2 ** s.arity * math.prod(s.caps)
 
     @pytest.mark.parametrize("periods", [(5,), (2, 4), (2, 2, 3), (3, 3, 3)])
     def test_group_engine_has_order_states(self, periods):
@@ -193,11 +199,26 @@ class TestCappedState:
         assert ReachEngine.for_group(g).num_states == g.order
 
     def test_totals_past_cap_share_a_state(self):
-        # in C(5;3), cap 6: index 7 wraps onto 4, and both leave a residue 1
+        # in C(5;3), cap 6: index 7 wraps onto 4, and both leave a residue 1.
+        # They own distinct bits, and every forbidden set reached from the
+        # root holds both or neither.
         engine = ReachEngine.for_spec(parse_spec("C(5;3)"))
-        own = dict(zip(engine.labels, engine.own))
-        assert own[(4,)] == own[(7,)]
-        assert len(set(engine.own)) == len(engine.labels) - 1
+        bit = {a: 1 << p for a, p in zip(engine.labels, engine.pos)}
+        assert bit[(4,)] != bit[(7,)]
+        assert len(set(bit.values())) == len(engine.labels)
+        twins = bit[(4,)] | bit[(7,)]
+        held = 0
+        for r in range(5):
+            for combo in itertools.combinations_with_replacement(range(len(engine.labels)), r):
+                forbidden = engine.root
+                for ai in combo:
+                    forbidden = engine.step(forbidden, ai)
+                    if forbidden is None:
+                        break
+                if forbidden is not None:
+                    assert forbidden & twins in (0, twins), combo
+                    held |= forbidden & twins
+        assert held == twins, "no forbidden set holds the twins"
 
 
 class TestStateCap:
@@ -358,10 +379,14 @@ class TestReachEngine:
                 assert hit == (not is_idempotent_sum_free(s, t)), t
 
     @staticmethod
-    def assert_pair_identity(engine):
+    def assert_step_identity(engine, is_free):
         # for every F reached by <= 3 free elements and every b <= c that F
-        # does not reject, the pair row of b tells whether F + b rejects c
+        # does not reject, c's bit survives in the complement of F + b
+        # exactly when stepping F + b by c succeeds, and exactly when the
+        # multiset is free by the one-shot predicate: so a child's live
+        # labels are its parent's less its own forbidden set
         n = len(engine.labels)
+        free = functools.cache(lambda combo: is_free([engine.labels[ai] for ai in combo]))
         checked = 0
         for r in range(4):
             for combo in itertools.combinations_with_replacement(range(n), r):
@@ -372,12 +397,14 @@ class TestReachEngine:
                         break
                 if F is None:
                     continue
-                live = [b for b in range(n) if not F & engine.own[b]]
+                live = [b for b in range(n) if not F >> engine.pos[b] & 1]
+                assert live == [b for b in range(n) if free(tuple(sorted(combo + (b,))))], combo
                 for j, b in enumerate(live):
                     child = engine.step(F, b)
                     for c in live[j:]:
-                        assert bool(F & engine.pairs[b][c]) == (engine.step(child, c) is None), \
-                            (combo, b, c)
+                        survives = not child >> engine.pos[c] & 1
+                        assert survives == (engine.step(child, c) is not None), (combo, b, c)
+                        assert survives == free(tuple(sorted(combo + (b, c)))), (combo, b, c)
                         checked += 1
         assert checked
 
@@ -386,17 +413,37 @@ class TestReachEngine:
         "C(1;2)xC(2;2)xC(1;3)",
     ])
     def test_pair_rows_for_spec(self, label):
-        self.assert_pair_identity(ReachEngine.for_spec(parse_spec(label)))
+        s = parse_spec(label)
+        self.assert_step_identity(ReachEngine.for_spec(s),
+                                  lambda terms: is_idempotent_sum_free(s, Seq(tuple(terms))))
 
     @pytest.mark.parametrize("periods", [(5,), (2, 4), (2, 2, 3)])
     def test_pair_rows_for_group(self, periods):
-        self.assert_pair_identity(ReachEngine.for_group(GroupSpec(periods)))
+        g = GroupSpec(periods)
+        self.assert_step_identity(ReachEngine.for_group(g),
+                                  lambda terms: is_zero_sum_free(g, GroupSeq(tuple(terms))))
 
     @pytest.mark.parametrize("k,n", [(1, 6), (2, 5), (4, 4), (3, 7)])
     def test_pair_rows_structure_engine(self, k, n):
         # the alphabet stops at n - 1, so b + c can be the idempotent index n
-        _alphabet, engine = _search_engine(CyclicSpec(k, n))
-        self.assert_pair_identity(engine)
+        c = CyclicSpec(k, n)
+        _alphabet, engine = _search_engine(c)
+        s = c.as_product()
+        self.assert_step_identity(engine,
+                                  lambda terms: is_idempotent_sum_free(s, Seq(tuple(terms))))
+
+    def test_repeated_alphabet_element_is_one_label(self):
+        # each label owns one bit, so an explicit alphabet keeps one copy of
+        # a repeated element; the search is that of the alphabet without it
+        s = parse_spec("C(3;1)xC(1;2)")
+        once = [(1, 1), (1, 2), (2, 1)]
+        engine = ReachEngine.for_spec(s, once + [(1, 2)])
+        assert engine.labels == tuple(once)
+        runs = []
+        for e in (engine, ReachEngine.for_spec(s, once)):
+            meter = SearchMeter(Budget())
+            runs.append((search_free(e, meter), meter.nodes))
+        assert runs[0] == runs[1]
 
     def test_idempotent_label_rejected_alone(self):
         s = parse_spec("C(3;2)xC(1;3)")
@@ -634,6 +681,52 @@ class TestSearchKernel:
         # that runs out mid-search, each witness is still the enumeration's.
         monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
         self.test_longest_from_every_two_element_start(monkeypatch, periods)
+
+    @staticmethod
+    def gapped_engine(case):
+        """(coords, engine) of an engine whose labels skip bit positions."""
+        if case == "C(3;2)xC(2;3)-alphabet":
+            s = parse_spec("C(3;2)xC(2;3)")
+            return coord_pairs(s), ReachEngine.for_spec(
+                s, [a for a in s.elements() if a != s.caps and sum(a) % 3])
+        # k > n: the structure engine leaves out the idempotent, mid-range
+        c = parse_spec(case).coords[0]
+        return [(c.k, c.n)], _search_engine(c)[1]
+
+    @pytest.mark.parametrize("case", ["C(3;2)xC(2;3)-alphabet", "C(5;3)", "C(8;3)"])
+    def test_gapped_alphabet_matches_naive_search(self, case):
+        # Labels own bit positions, but start, the witness and the node
+        # counts are alphabet indices: on an alphabet with gaps, every start
+        # from the empty sequence (start == len(labels) included), and the
+        # start of every one-element prefix, is searched for its longest
+        # extension and at each length from 1 to the longest + 1, on one
+        # engine, against the plain DFS over the alphabet.
+        coords, engine = self.gapped_engine(case)
+        labels = engine.labels
+        n = len(labels)
+        gaps = [ai for ai in range(1, n) if engine.pos[ai] - engine.pos[ai - 1] > 1]
+        assert gaps, "no start just after a gap"
+        checked = 0
+        for prefix in [(), *((a,) for a in range(n))]:
+            forbidden = engine.root
+            for a in prefix:
+                forbidden = engine.step(forbidden, a)
+            if forbidden is None:
+                continue
+            terms = [labels[a] for a in prefix]
+            for start in (prefix if prefix else range(n + 1)):
+                meter = SearchMeter(Budget())
+                best = search_free(engine, meter, forbidden=forbidden, start=start)
+                assert (best, meter.nodes) == oracle.naive_extension_search(
+                    coords, labels, terms, start), (prefix, start)
+                for length in range(1, len(best) + 2):
+                    meter = SearchMeter(Budget())
+                    found = search_free(engine, meter, length, forbidden, start)
+                    assert (found, meter.nodes) == oracle.naive_extension_search(
+                        coords, labels, terms, start, length), (prefix, start, length)
+                    assert found == (length <= len(best))
+                    checked += 1
+        assert checked > n
 
     def test_longest_records_wide_counts(self):
         # Records hold Python ints, so a node limit of 2^31 or more counts
