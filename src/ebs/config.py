@@ -32,16 +32,18 @@ class Budget:
     stop at the search's deadline, not at their own start plus the budget);
     state_cap caps the subset-sum states: the capped states of a search
     engine's space (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and
-    l), checked before the engine is built, and the states a one-shot walk
-    reaches.  The engine's bitsets hold one bit per element, under
-    2^r * prod(cap_i) for rank r.
+    l), checked before the engine is built.  The engine's bitsets hold one
+    bit per element, under 2^r * prod(cap_i) for rank r.  The one-shot
+    predicates never see a Budget: they bound the states their walk reaches
+    by their own state_cap argument, default DEFAULT_STATE_CAP.
     threads > 1 fans each probe of an eb brute search out to a process
     pool, one task per first element and at most one worker per task;
     Davenport and l-hat/l searches run in the calling process at any thread
     count.  The CLI, like the library, searches on one thread unless asked
-    (--threads N).  The node budget is global: task counts are added in
-    alphabet order up to the first hit, exactly as the serial search counts,
-    so node counts and budget verdicts are the same at every thread count.
+    (--threads N).  The node budget is global: a task reports its count,
+    also when it runs out; the caller's meter adds the counts in alphabet
+    order up to the first hit and raises, as the serial search would, so
+    node counts and budget verdicts are the same at every thread count.
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET

@@ -411,14 +411,18 @@ def _init_worker(s: ProductSpec) -> None:
 
 def _exists_task(length: int, first_idx: int, budget: Budget, started: float):
     """Worker: does a free sequence of the given length starting with
-    alphabet[first_idx] exist?  Returns (found, nodes).  The time budget
-    counts from `started`, the search's start, so a task that starts late
-    stops at the same deadline as the others."""
+    alphabet[first_idx] exist?  Returns (found, nodes), (False, nodes) when
+    it runs out of budget.  The time budget counts from `started`, the
+    search's start, so a task that starts late stops at the same deadline."""
     engine = _worker_engine
     meter = SearchMeter(budget, started)
-    meter.check_time()
-    meter.tick()
-    found = search_free(engine, meter, length - 1, engine.step(engine.root, first_idx), first_idx)
+    try:
+        meter.check_time()
+        meter.tick()
+        found = search_free(engine, meter, length - 1, engine.step(engine.root, first_idx),
+                            first_idx)
+    except BudgetExceeded:
+        found = False
     return found, meter.nodes
 
 
@@ -434,31 +438,18 @@ def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> 
     budget = meter.budget
     meter.check_time()
     # A task stops once it alone has spent what is left of the node budget,
-    # or at the search's deadline; the serial search would have run out
-    # there too.  time.monotonic() reads one clock in every process of the
-    # machine, so the workers share the search's start.
+    # or at the search's deadline (time.monotonic() reads one clock in every
+    # process), where the serial search would have stopped too; this meter
+    # then raises.  Returning closes the map, cancelling unstarted tasks.
     left = dataclasses.replace(budget, node_budget=budget.node_budget - meter.nodes)
-    futures = [pool.submit(_exists_task, length, i, left, meter.started)
-               for i in range(len(engine.labels))]
-    try:
-        for f in futures:
-            try:
-                hit, nodes = f.result()
-            except BudgetExceeded as exc:
-                # Account the task's nodes, so that the error names the
-                # whole budget and reports the total.
-                meter.tick(exc.nodes)
-                meter.check_time()
-                raise BudgetExceeded(str(exc), nodes=meter.nodes,
-                                     elapsed_ms=meter.elapsed_ms()) from None
-            meter.tick(nodes)
-            meter.check_time()
-            if hit:
-                return True
-        return False
-    finally:
-        for f in futures:
-            f.cancel()
+    n = len(engine.labels)
+    for hit, nodes in pool.map(_exists_task, [length] * n, range(n), [left] * n,
+                               [meter.started] * n):
+        meter.tick(nodes)
+        meter.check_time()
+        if hit:
+            return True
+    return False
 
 
 def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
@@ -495,6 +486,7 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
                 f"the proven upper bound {bounds.upper} for {format_spec(s)}"
             )
     finally:
+        # a probe that raised keeps its map, and its unstarted tasks, open
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return ConstResult("erdos_burgess", value, value, value, BRUTE, "brute",
@@ -504,18 +496,25 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 def erdos_burgess(s: ProductSpec, method: str = "formula",
                   budget: Budget = Budget()) -> ConstResult:
     """I(S) by the requested method; both cross-checks brute against formula
-    (value disagreement or interval violation is an internal error)."""
+    (value disagreement or interval violation is an internal error) under
+    one deadline: the brute half gets the time the formula half left."""
     if method == "formula":
         return eb_exact(s, budget)
     if method == "brute":
         return eb_bruteforce(s, budget)
     if method == "both":
-        t0 = time.monotonic()
+        meter = SearchMeter(budget)
         f = eb_exact(s, budget)
-        b = eb_bruteforce(s, budget)
+        left = budget.time_budget_s - (time.monotonic() - meter.started)
+        try:
+            b = eb_bruteforce(s, dataclasses.replace(budget, time_budget_s=left))
+        except BudgetExceeded as exc:
+            meter.nodes = exc.nodes
+            meter.check_time()  # past the call's deadline: say so
+            raise
         rule = _cross_check(f"I({format_spec(s)})", f, b)
         return ConstResult("erdos_burgess", b.value, f.lower, f.upper, rule, "both",
-                           nodes=b.nodes, elapsed_ms=_ms(t0), flags=f.flags)
+                           nodes=b.nodes, elapsed_ms=meter.elapsed_ms(), flags=f.flags)
     raise SpecError(f"unknown method {method!r}")
 
 

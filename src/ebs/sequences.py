@@ -52,7 +52,6 @@ from .semigroup import (
     Element,
     GroupSpec,
     ProductSpec,
-    add,
     check_element,
 )
 
@@ -565,8 +564,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     full, the longest search only subtrees of _RECORD_NODES or more nodes.
     The records are the engine's (ReachEngine.records), shared by every
     search over it, one per forbidden set (in C(3;1), [2] and [1, 1] share
-    one): a record is replaced only by one with more children, and all take
-    at most config.SEARCH_MEMO_ENTRIES entries.  The longest search finds
+    one): a record is written once and never replaced, and all take at
+    most config.SEARCH_MEMO_ENTRIES entries.  The longest search finds
     its witness by walking again as an existence search of the longest
     length, uncounted and unmetered: it reads the records, and its first
     hit is the first longest extension in depth-first order, whose elements
@@ -660,12 +659,10 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         count += tail[start]
         if count >= mark:
             settle()
-        # a record holds its children's node counts, then their depths; it
-        # replaces a shorter one (known), whose entries it gets back
+        # a record holds its children's node counts, then their depths; a
+        # forbidden set keeps its first record
         cost = key_cost + 2 * len(sizes)
-        if known is not None:
-            cost -= key_cost + len(known)
-        if count - entered >= least and cost <= room:
+        if known is None and count - entered >= least and cost <= room:
             room -= cost
             sizes += depths
             records[F] = sizes

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from ebs import constants, sequences
-from ebs.config import Budget
+from ebs.config import Budget, SearchMeter
 from ebs.constants import (
     BRUTE,
     COR31_DIV,
@@ -337,6 +337,30 @@ class TestEbBruteforce:
         with pytest.raises(BudgetExceeded, match="time budget"):
             eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(time_budget_s=0.1))
 
+    def test_pool_task_reports_its_count(self, monkeypatch):
+        # A task that runs out raises nothing: it returns its count, one
+        # node past its node budget or what it had counted at the shared
+        # deadline, and the caller's meter gives the verdict.
+        s = parse_spec("C(3;2)xC(1;4)")
+        monkeypatch.setattr(constants, "_worker_engine", ReachEngine.for_spec(s))
+        task = constants._exists_task
+        assert task(7, 0, Budget(node_budget=5), time.monotonic()) == (False, 6)
+        assert task(7, 0, Budget(time_budget_s=1), time.monotonic() - 2) == (False, 0)
+
+    def test_stopped_tasks_give_no_verdict(self):
+        # Tasks that stopped at the deadline report (False, 0): no nodes to
+        # tick, so the probe must read the clock itself and raise, not take
+        # them for "no free sequence".
+        engine = ReachEngine.for_spec(parse_spec("C(3;2)xC(1;4)"))
+
+        class LatePool:
+            def map(self, fn, *iterables):
+                time.sleep(0.2)
+                return iter([(False, 0)] * len(engine.labels))
+
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            constants._exists_free(engine, 7, SearchMeter(Budget(time_budget_s=0.1)), LatePool())
+
     def test_thread_determinism(self):
         # The last two find free sequences while probing, so a pool that
         # counted the tasks after the first hit would report more nodes.
@@ -491,6 +515,20 @@ class TestErdosBurgess:
         assert (r.lower, r.upper) == (7, 8)
         assert r.rule == BRUTE
         assert "formula-refuted" in r.flags
+
+    def test_both_runs_under_one_deadline(self, monkeypatch):
+        # Each half resolves D once, 0.2 s each: the brute half gets the
+        # 0.1 s the formula half left, so the call stops on its own budget.
+        resolve = constants._resolve_davenport
+
+        def slow_resolve(g, budget):
+            time.sleep(0.2)
+            return resolve(g, budget)
+
+        monkeypatch.setattr(constants, "_resolve_davenport", slow_resolve)
+        with pytest.raises(BudgetExceeded, match=r"time budget 0\.3s exhausted") as info:
+            erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "both", Budget(time_budget_s=0.3))
+        assert info.value.elapsed_ms >= 400
 
     def test_formula_only(self):
         r = erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "formula")

@@ -412,19 +412,19 @@ class TestReachEngine:
         "C(3;2)", "C(5;3)", "C(4;1)", "C(3;2)xC(2;3)", "C(4;2)xC(1;3)",
         "C(1;2)xC(2;2)xC(1;3)",
     ])
-    def test_pair_rows_for_spec(self, label):
+    def test_step_identity_for_spec(self, label):
         s = parse_spec(label)
         self.assert_step_identity(ReachEngine.for_spec(s),
                                   lambda terms: is_idempotent_sum_free(s, Seq(tuple(terms))))
 
     @pytest.mark.parametrize("periods", [(5,), (2, 4), (2, 2, 3)])
-    def test_pair_rows_for_group(self, periods):
+    def test_step_identity_for_group(self, periods):
         g = GroupSpec(periods)
         self.assert_step_identity(ReachEngine.for_group(g),
                                   lambda terms: is_zero_sum_free(g, GroupSeq(tuple(terms))))
 
     @pytest.mark.parametrize("k,n", [(1, 6), (2, 5), (4, 4), (3, 7)])
-    def test_pair_rows_structure_engine(self, k, n):
+    def test_step_identity_structure_engine(self, k, n):
         # the alphabet stops at n - 1, so b + c can be the idempotent index n
         c = CyclicSpec(k, n)
         _alphabet, engine = _search_engine(c)
