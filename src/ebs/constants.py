@@ -511,6 +511,7 @@ def erdos_burgess(s: ProductSpec, method: str = "formula",
         except BudgetExceeded as exc:
             meter.nodes = exc.nodes
             meter.check_time()  # past the call's deadline: say so
+            exc.elapsed_ms = meter.elapsed_ms()
             raise
         rule = _cross_check(f"I({format_spec(s)})", f, b)
         return ConstResult("erdos_burgess", b.value, f.lower, f.upper, rule, "both",

@@ -22,11 +22,13 @@ too: a child's are its parent's from its own bit on, less its own
 forbidden set.  The nodes of the plain one-candidate-at-a-time search are
 counted by arithmetic.  The existence searches (Erdos-Burgess) and the
 Davenport search, which looks for the longest free extension, run one
-walker and share one memo per engine, one record per forbidden set: a
-subtree met again at a recorded forbidden set is counted from its
-children's node counts and depths, not searched again, so the counts are
-those of the full search.  The lhat/l searches enumerate every free node
-through one callback, on_free.
+walker and share one memo per engine, one record per forbidden set.  Every
+node takes one path through it: a node with one element left stops at its
+first live label; any other is counted from the record of its forbidden set,
+if that record shows it fails, or walks its live labels in one loop.  The
+counts of a recorded subtree are its children's node counts and depths, so
+the counts are those of the full search.  The lhat/l searches enumerate
+every free node through one callback, on_free.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -546,10 +548,13 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
 
     The existence and longest-extension searches run one walker: it returns
     a node's depth, the length of its longest free extension, or the length
-    asked as soon as it reaches it.  A node's own attempts are counted when
-    it returns, so the running count may lag, but the totals and budget
-    verdicts are those above.  A probe that fails has walked its subtree in
-    full, so its count is the full subtree's, whatever length was asked.
+    asked as soon as it reaches it.  Each node takes one path: with one
+    element left it returns at its first live label, the hit; any other, the
+    root included, is read off its record (below) or walks its live labels.
+    A node's own attempts are counted when it returns, so the running count
+    may lag, but the totals and budget verdicts are those above.  A probe
+    that fails has walked its subtree in full, so its count is the full
+    subtree's, whatever length was asked.
 
     A node's live labels follow from its forbidden set F and its start, and
     so do its children's forbidden sets, so its subtree depends only on F
@@ -589,29 +594,12 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
 
     def walk(F, live, start, left):
         # the depth of a node at bit position start with live labels live
-        # (not empty), or left (>= 2) as soon as it reaches left
+        # (not empty), or left (>= 1) as soon as it reaches left
         nonlocal count, room
-        if left == 2:
-            while live:
-                low = live & -live
-                b = low.bit_length() - 1
-                out = F
-                for m, sh in up[b]:
-                    out |= (F & m) >> sh
-                for m, sh in down[b]:
-                    out |= (F & m) << sh
-                kids = live ^ (live & out)
-                if kids:
-                    # the child is a last-level node: it stops at its first survivor
-                    c = (kids & -kids).bit_length() - 1
-                    count += tail[start] - tail[c] + 2
-                    hit.extend((n - tail[c], n - tail[b]))
-                    return 2
-                count += tail[b]  # the child rejects every label from b on
-                live ^= low
-            count += tail[start]
-            if count >= mark:
-                settle()
+        if left == 1:  # the first live label is the hit
+            c = (live & -live).bit_length() - 1
+            count += tail[start] - tail[c] + 1
+            hit.append(n - tail[c])
             return 1
         known = records.get(F)
         if known is not None:
@@ -639,9 +627,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             kids = live ^ (live & out)
             live ^= low
             if not kids:  # the child rejects every label from b on
-                size = tail[b]
-                count += size
-                sizes.append(size)
+                count += tail[b]
+                sizes.append(tail[b])
                 depths.append(1)
                 continue
             if count >= mark:
@@ -697,27 +684,21 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     result = True
     at = engine.pos[start] if start < n else engine.num_states  # start's bit position
     live = engine.owned >> at << at & ~F
-    first = (live & -live).bit_length() - 1  # the first live label's position, or -1
     room = engine.room
     try:
         if on_free is not None:
             enumerate_free(F, live, at)
-        elif length == 1 or not live:
-            # a last-level node stops at its first survivor, and a node with
-            # no survivor tries every label from start on
-            count += tail[at] - (tail[first] - 1 if live else 0)
-            result = [] if length is None else bool(live)
+        elif not live:  # the node tries every label from start on
+            count += tail[at]
+            result = [] if length is None else False
         elif length is None:
             depth = walk(F, live, at, _UNREACHED)
-            if depth == 1:
-                result = [n - tail[first]]
-            else:
-                # the witness: walk again to the first extension of that
-                # length, reading the records, uncounted and unmetered
-                counted, mark = count, _UNREACHED
-                walk(F, live, at, depth)
-                count = counted
-                result = hit[::-1]
+            # the witness: walk again to the first extension of that length,
+            # reading the records, uncounted and unmetered
+            counted, mark = count, _UNREACHED
+            walk(F, live, at, depth)
+            count = counted
+            result = hit[::-1]
         else:
             result = walk(F, live, at, length) == length
     finally:

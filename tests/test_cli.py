@@ -118,7 +118,7 @@ class TestCache:
                              "--method", "both", "--cache", cache, "--json")
         assert code1 == code2 == 0
         assert json.loads(out1) == json.loads(out2)
-        store = json.loads(open(cache).read())
+        store = json.loads(Path(cache).read_text())
         assert "C(3;2)xC(1;4)|eb|both" in store
 
     def test_methods_cached_separately(self, capsys, tmp_path):
@@ -126,7 +126,7 @@ class TestCache:
         run(capsys, "const", "eb", "--spec", "C(3;2)", "--cache", cache)
         run(capsys, "const", "eb", "--spec", "C(3;2)", "--method", "brute",
             "--cache", cache)
-        store = json.loads(open(cache).read())
+        store = json.loads(Path(cache).read_text())
         assert len(store) == 2
 
     def test_version_mismatch_recomputes(self, capsys, tmp_path):
@@ -168,7 +168,7 @@ class TestCache:
         assert degraded["flags"] == ["davenport-inexact"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["value"] == 8
-        store = json.loads(open(cache).read())
+        store = json.loads(Path(cache).read_text())
         assert store["C(2;2)xC(1;2)xC(1;6)|eb|formula"]["result"]["value"] == 8
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 

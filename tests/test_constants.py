@@ -530,6 +530,21 @@ class TestErdosBurgess:
             erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "both", Budget(time_budget_s=0.3))
         assert info.value.elapsed_ms >= 400
 
+    def test_both_stamps_node_budget_errors_with_its_own_time(self, monkeypatch):
+        # The formula half takes 0.3 s; the brute half runs out of nodes
+        # well before the deadline, and the error counts from the call's start.
+        exact = constants.eb_exact
+
+        def slow_exact(s, budget):
+            time.sleep(0.3)
+            return exact(s, budget)
+
+        monkeypatch.setattr(constants, "eb_exact", slow_exact)
+        with pytest.raises(BudgetExceeded, match=r"node budget 100 exhausted") as info:
+            erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "both", Budget(node_budget=100))
+        assert info.value.nodes == 101
+        assert info.value.elapsed_ms >= 300
+
     def test_formula_only(self):
         r = erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "formula")
         assert r.value == 7 and r.nodes == 0

@@ -745,9 +745,14 @@ class TestSearchKernel:
     # record that a node with 4 elements left made and one with 5 left
     # reads, so a limit of 62,000 falls inside a batch across lengths; the
     # davenport-memo search counts its nodes 134,744 to 140,710 as one
-    # recorded subtree, so a limit of 137,000 falls inside that one.
+    # recorded subtree, so a limit of 137,000 falls inside that one.  The
+    # eb-probes search probes length 8, which ends at its 342nd node on a
+    # hit with one element left, then length 9, which fails: limits of 341
+    # and 342 put the node over the limit at the end of the successful
+    # probe and at the start of the failing one.
     SEARCHES = [
         (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, (7560,)),
+        (lambda b: eb_bruteforce(parse_spec("C(1;2)xC(1;3)xC(3;2)"), b), 113479, (341, 342)),
         (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406, ()),
         (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, ()),
         (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, ()),
@@ -756,7 +761,8 @@ class TestSearchKernel:
     ]
 
     @pytest.mark.parametrize("run,total,inner", SEARCHES,
-                             ids=["eb", "davenport", "lhat", "l", "eb-twins", "davenport-memo"])
+                             ids=["eb", "eb-probes", "davenport", "lhat", "l", "eb-twins",
+                                  "davenport-memo"])
     def test_budget_error_is_one_over_the_limit(self, run, total, inner):
         for limit in (1, 4095, 4096, 4097, total - 1) + inner:
             with pytest.raises(BudgetExceeded) as info:
