@@ -41,7 +41,8 @@ def _budget(args) -> Budget:
     command without --threads searches on 1 thread)."""
     threads = getattr(args, "threads", 1)
     if threads < 1 or args.node_budget < 1 or args.time_budget < 1:
-        raise SpecError("threads and budgets must be positive")
+        what = "threads and budgets" if hasattr(args, "threads") else "budgets"
+        raise SpecError(f"{what} must be positive")
     return Budget(node_budget=args.node_budget, time_budget_s=float(args.time_budget),
                   threads=threads)
 

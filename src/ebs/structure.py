@@ -383,13 +383,17 @@ def _lhat_watch(c: CyclicSpec, alphabet: list[int]):
     """The on_free callback of the lhat search, and a function that reads
     lhat off the finished walk: the max length of a free sequence without
     free-mode structure, plus one; 1 when every free sequence is
-    structured, 0 for the trivial semigroup."""
+    structured, 0 for the trivial semigroup.
+
+    on_free returns worst, the longest unstructured length so far: a free
+    sequence no longer than that cannot raise it."""
     worst = 0
 
-    def on_free(stack: list[int]) -> None:
+    def on_free(stack: list[int]) -> int:
         nonlocal worst
         if len(stack) > worst and not _structured_free(c, [alphabet[i] for i in stack]):
             worst = len(stack)
+        return worst
 
     def value() -> int:
         if c.k == 1 and c.n == 1:
@@ -420,6 +424,9 @@ def _l_watch(c: CyclicSpec, alphabet: list[int]):
       sub-multiset sum of the prefix is a multiple of n at most T - cap.
       This also drops a = cap, which is not in the alphabet: V = the whole
       prefix leaves the idempotent alone.
+
+    on_free returns worst - 1: a prefix shorter than worst makes a minimal
+    sequence no longer than worst, so it cannot raise it.
     """
     cap, n = c.cap, c.n
     top = alphabet[-1] if alphabet else 0
@@ -429,7 +436,7 @@ def _l_watch(c: CyclicSpec, alphabet: list[int]):
     # per depth of the free prefix: its index total and its subset-sum bitmask
     totals, sums = {0: 0}, {0: 1}
 
-    def on_free(stack: list[int]) -> None:
+    def on_free(stack: list[int]) -> int:
         nonlocal worst
         d = len(stack)
         v = alphabet[stack[-1]]
@@ -437,14 +444,15 @@ def _l_watch(c: CyclicSpec, alphabet: list[int]):
         reach = sums[d] = sums[d - 1] | sums[d - 1] << v
         # only an idempotent sum longer than the worst so far matters
         if d < worst:
-            return
+            return worst - 1
         lo = max(v, cap - total)
         for a in range(lo + (-total - lo) % n, top + 1, n):
             if any(reach >> m & 1 for m in range(n, total + a - cap + 1, n)):
                 continue  # not minimal
             if not _structured_minimal(c, [alphabet[i] for i in stack] + [a]):
                 worst = d + 1
-                return
+                break
+        return worst - 1
 
     return on_free, lambda: worst + 1
 
@@ -452,7 +460,8 @@ def _l_watch(c: CyclicSpec, alphabet: list[int]):
 def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
     """Brute values from one walk over the free sequences, one per watch
     kind (_lhat_watch, _l_watch) in the order given, and the nodes
-    searched."""
+    searched.  With several watches, on_free returns the least depth they
+    return: a node matters while one of them needs it."""
     meter = SearchMeter(budget)
     meter.check_states(c.cap)
     alphabet, engine = _search_engine(c)
@@ -460,9 +469,8 @@ def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
     if len(watches) == 1:
         on_free = watches[0][0]
     else:
-        def on_free(stack: list[int]) -> None:
-            for watch, _ in watches:
-                watch(stack)
+        def on_free(stack: list[int]) -> int:
+            return min([watch(stack) for watch, _ in watches])
 
     search_free(engine, meter, on_free=on_free)
     return [value() for _, value in watches], meter.nodes

@@ -382,6 +382,12 @@ class TestUsage:
             assert code == 1, (flag, value)
             assert "budgets must be positive" in err
 
+    def test_nonpositive_budget_names_no_threads_without_the_option(self, capsys):
+        code, _, err = run(capsys, "const", "lhat", "--spec", "C(3;3)", "--time-budget", "0")
+        assert code == 1
+        assert "error: budgets must be positive" in err
+        assert "threads" not in err
+
     @pytest.mark.parametrize("argv", [
         ("spec", "parse", "--spec", "C(3;2)xC(1;4)"),
         ("seq", "check", "--spec", "C(3;2)", "--file", "{seq}", "--predicate", "free"),

@@ -634,6 +634,60 @@ class TestSearchKernel:
         search_free(engine, meter, forbidden=forbidden, start=start, on_free=on_free)
         return len(best) + 1, meter.nodes, best
 
+    # the longest free stack with a property that a longer stack may lose
+    # and regain, so nodes below the longest so far still matter
+    PROPERTIES = {
+        "sum-mod-3": lambda stack: sum(stack) % 3 == 0,
+        "ends-equal": lambda stack: stack[0] == stack[-1],
+        "odd-last-two-labels": lambda stack: stack[-1] % 2 == 1 and len(set(stack)) == 2,
+    }
+    SOUND_ENGINES = [(3, 3), (2, 2, 2), (2, 6), (4, 4), (3, 6), (2, 2, 6), "C(3;2)xC(1;4)",
+                     "C(2;4)xC(3;4)", "C(4;2)xC(1;6)", "C(1;2)xC(1;3)xC(3;2)"]
+
+    @classmethod
+    def watched(cls, case, prop, threshold):
+        """(first longest stack with the property, nodes, on_free calls) of
+        an enumeration on a fresh engine; with threshold, on_free returns
+        the longest length so far, else None."""
+        engine = (ReachEngine.for_spec(parse_spec(case)) if isinstance(case, str)
+                  else ReachEngine.for_group(GroupSpec(case)))
+        has = cls.PROPERTIES[prop]
+        best: list[int] = []
+        calls = 0
+
+        def on_free(stack):
+            nonlocal calls
+            calls += 1
+            if len(stack) > len(best) and has(stack):
+                best[:] = stack
+            return len(best) if threshold else None
+
+        meter = SearchMeter(Budget())
+        assert search_free(engine, meter, on_free=on_free) is True
+        return best, meter.nodes, calls
+
+    @pytest.fixture(scope="class")
+    def unwatched(self):
+        return {(case, prop): self.watched(case, prop, False)
+                for case in self.SOUND_ENGINES for prop in self.PROPERTIES}
+
+    @pytest.mark.parametrize("entries", [0, 1, 1000, sequences.SEARCH_MEMO_ENTRIES])
+    def test_enumeration_skips_only_what_the_watch_gives_up(self, monkeypatch, unwatched,
+                                                            entries):
+        # A watch that returns the depth it no longer needs has the subtrees
+        # within it counted from the records, not reported: with no room,
+        # with less room than any record takes, with room that runs out
+        # mid-search, or with the default, it finds what it finds when it
+        # returns None and sees every free node, and the count is the same.
+        # Leaves within that depth are never reported, memo or not, so
+        # every search reports fewer nodes (on C(1;2)xC(1;3)xC(3;2) with
+        # the sum property, 766 of 24,091 at the default room).
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
+        for (case, prop), (best, nodes, calls) in unwatched.items():
+            got = self.watched(case, prop, True)
+            assert got[:2] == (best, nodes), (case, prop)
+            assert got[2] < calls, (case, prop)
+
     @pytest.fixture(scope="class")
     def enumerated(self):
         return {p: self.enumerated_longest(p) for p in self.DAVENPORT_GROUPS}
@@ -749,13 +803,21 @@ class TestSearchKernel:
     # eb-probes search probes length 8, which ends at its 342nd node on a
     # hit with one element left, then length 9, which fails: limits of 341
     # and 342 put the node over the limit at the end of the successful
-    # probe and at the start of the failing one.
+    # probe and at the start of the failing one.  The lhat and l searches
+    # count a subtree from its record, without reporting it, once it lies
+    # within the depth their watch has given up.  The lhat search counts
+    # its nodes 22,361 to 22,928 so from a node two elements deep, and
+    # 37,486 to 37,738 from one a single element deep, so limits of 22,600
+    # and 37,600 fall inside those batches; the l search counts its nodes
+    # 9,572 to 10,063 so from a node three elements deep, and 12,124 to
+    # 12,348 from one four deep, across 12,288, where the meter also checks
+    # the clock, so limits of 9,800 and 12,300 fall inside those.
     SEARCHES = [
         (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, (7560,)),
         (lambda b: eb_bruteforce(parse_spec("C(1;2)xC(1;3)xC(3;2)"), b), 113479, (341, 342)),
         (lambda b: davenport(GroupSpec((3, 6)), "brute", b), 42406, ()),
-        (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, ()),
-        (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, ()),
+        (lambda b: lhat(CyclicSpec(15, 6), "brute", b), 37983, (22600, 37600)),
+        (lambda b: l_const(CyclicSpec(15, 6), "brute", b), 37983, (9800, 12300)),
         (lambda b: eb_bruteforce(parse_spec("C(2;4)xC(3;4)"), b), 407332, (250000, 62000)),
         (lambda b: davenport(GroupSpec((2, 2, 6)), "brute", b), 249408, (137000,)),
     ]

@@ -313,6 +313,33 @@ class TestLhatAndL:
         lh, l = lhat(CyclicSpec(k, n), "brute"), l_const(CyclicSpec(k, n), "brute")
         assert (lh.value, lh.nodes, l.value, l.nodes) == (lhat_value, nodes, l_value, nodes)
 
+    # (k, n, on_free calls of lhat, of l): C(16;7) has 13,671 free nodes
+    # and C(1;16) 7,235; the rest lie within the depth the watch has given
+    # up, and are counted from the records or skipped as leaves
+    WATCH_CALLS = [(16, 7, 1239, 1388), (1, 16, 2281, 2281)]
+
+    @pytest.mark.parametrize("k,n,lhat_calls,l_calls", WATCH_CALLS)
+    def test_watch_sees_only_the_nodes_it_needs(self, monkeypatch, k, n, lhat_calls, l_calls):
+        calls = []
+
+        def counting(kind):
+            def watch(c, alphabet):
+                on_free, value = kind(c, alphabet)
+
+                def counted(stack):
+                    calls.append(len(stack))
+                    return on_free(stack)
+
+                return counted, value
+            return watch
+
+        for name in ("_lhat_watch", "_l_watch"):
+            monkeypatch.setattr(structure, name, counting(getattr(structure, name)))
+        for const, want in ((lhat, lhat_calls), (l_const, l_calls)):
+            calls.clear()
+            const(CyclicSpec(k, n), "brute")
+            assert len(calls) == want, const.__name__
+
     def test_structure_grid_pinned(self):
         want = {(1, n): (GRID_C1N["lhat"][n - 1], GRID_C1N["l"][n - 1]) for n in range(1, 17)}
         for n, (lhats, ls) in GRID_ROWS.items():
