@@ -15,22 +15,20 @@ elements is one int bitset; an element past cap_i is an alias of its capped
 twin, and every set the search makes holds both or neither.  The search
 carries a sequence's forbidden set, the elements whose addition would
 complete the idempotent, not its reach set, and steps it by a few masked
-shifts.  One depth-first kernel, search_free, runs every exhaustive search
-on it: the Erdos-Burgess and Davenport searches, and the lhat/l searches
-of the structure module (arity 1).  A node's live labels are one bitset
-too: a child's are its parent's from its own bit on, less its own
-forbidden set.  The nodes of the plain one-candidate-at-a-time search are
-counted by arithmetic.  The existence searches (Erdos-Burgess) and the
-Davenport search, which looks for the longest free extension, run one
-walker and share one memo per engine, one record per forbidden set.  Every
-node takes one path through it: a node with one element left stops at its
-first live label; any other is counted from the record of its forbidden set,
-if that record shows it fails, or walks its live labels in one loop.  The
-counts of a recorded subtree are its children's node counts and depths, so
-the counts are those of the full search.  The lhat/l searches enumerate
-the free nodes through one callback, on_free, which returns the depth it
-no longer needs; the enumeration reads and writes the same records, and
-counts a subtree within that depth from its record, not reporting it.
+shifts.  One depth-first walker, search_free, runs every exhaustive search
+on it: the Erdos-Burgess existence probes, the Davenport search for the
+longest free extension, and the lhat/l searches of the structure module
+(arity 1), which report the free nodes to a callback, on_free, that returns
+the depth it no longer needs.  A node's live labels are one bitset too: a
+child's are its parent's from its own bit on, less its own forbidden set.
+The nodes of the plain one-candidate-at-a-time search are counted by
+arithmetic.  The searches over an engine share one memo, one record per
+forbidden set, and every node takes one path: an existence node with one
+element left stops at its first live label; any other is counted from the
+record of its forbidden set, if that record shows it cannot reach the depth
+still asked (or that the callback still needs), or walks its live labels in
+one loop.  The counts of a recorded subtree are its children's node counts
+and depths, so the counts are those of the full search.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -552,15 +550,22 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     hit at position q, so positions no label owns cost nothing.  The count
     is handed to the meter when it reaches meter.next_check() and at the end.
 
-    The existence and longest-extension searches run one walker: it returns
-    a node's depth, the length of its longest free extension, or the length
-    asked as soon as it reaches it.  Each node takes one path: with one
-    element left it returns at its first live label, the hit; any other, the
-    root included, is read off its record (below) or walks its live labels.
-    A node's own attempts are counted when it returns, so the running count
-    may lag, but the totals and budget verdicts are those above.  A probe
-    that fails has walked its subtree in full, so its count is the full
-    subtree's, whatever length was asked.
+    One walker runs all three: it returns a node's depth, the length of its
+    longest free extension, or left, the length still asked, as soon as it
+    reaches it.  Each node takes one path: with one element left it returns
+    at its first live label, the hit; any other, the root included, is read
+    off its record (below) or walks its live labels.  A node's own attempts
+    are counted when it returns, so the running count may lag, but the
+    totals and budget verdicts are those above.  A probe that fails has
+    walked its subtree in full, so its count is the full subtree's,
+    whatever length was asked.  on_free makes the walker report instead of
+    stop: it returns care, an int or None (0), and free nodes at depth <=
+    care (stack length) can no longer change what it finds.  A node's left
+    is then care - depth + 1, moved whenever care moves, so a node whose
+    record shows its subtree lies within care is counted from it, neither
+    walked nor reported, as a failing probe's is; any other is reported on
+    entry and walked in full, with no hit and no one-element stop.  A leaf
+    is reported only past care.
 
     A node's live labels follow from its forbidden set F and its start, and
     so do its children's forbidden sets, so its subtree depends only on F
@@ -571,8 +576,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     children is read off the record's last ones: it fails at left elements
     exactly when the greatest of their depths is below left, and then costs
     tail[p] plus their counts, not searched again.  Otherwise it is walked,
-    and reaches left.  Existence probes record every node they walk in
-    full, the longest search only subtrees of _RECORD_NODES or more nodes.
+    and reaches left.  The longest search records only subtrees of
+    _RECORD_NODES or more nodes, the others every node they walk in full.
     The records are the engine's (ReachEngine.records), shared by every
     search over it, one per forbidden set (in C(3;1), [2] and [1, 1] share
     one): a record is written once and never replaced, and all take at
@@ -581,15 +586,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     length, uncounted and unmetered: it reads the records, and its first
     hit is the first longest extension in depth-first order, whose elements
     it collects on the way back up.
-
-    Enumeration (on_free) returns care, an int or None: free nodes at
-    depth <= care (stack length) can no longer change what the callback
-    finds, and None means every node matters.  It shares the records: a
-    node whose record shows its subtree lies within care is counted from
-    it, neither walked nor reported; any other is reported and walked in
-    full, and records its subtree, whatever its size.  A leaf within care
-    is counted but not reported.  care is read from each call, so the
-    callback may raise it as it goes.
     """
     up, down, tail = engine.up, engine.down, engine.tail
     records = engine.records
@@ -599,7 +595,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     stack: list[int] = []
     hit: list[int] = []  # a hit's alphabet indices, deepest first
     key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its figures
-    least = _RECORD_NODES if length is None else 0  # the fewest nodes a record counts
+    # the fewest nodes a record counts
+    least = _RECORD_NODES if length is None and on_free is None else 0
 
     def settle():
         nonlocal mark
@@ -608,9 +605,10 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
 
     def walk(F, live, start, left):
         # the depth of a node at bit position start with live labels live
-        # (not empty), or left (>= 1) as soon as it reaches left
-        nonlocal count, room
-        if left == 1:  # the first live label is the hit
+        # (not empty), or left (>= 1) as soon as it reaches left; with
+        # on_free, which it never stops for, left is care - depth + 1
+        nonlocal count, room, care
+        if left == 1 and on_free is None:  # the first live label is the hit
             c = (live & -live).bit_length() - 1
             count += tail[start] - tail[c] + 1
             hit.append(n - tail[c])
@@ -628,6 +626,10 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     return depth
         entered = count
         rest = left - 1  # what a child has left
+        if stack:  # a free node below the root, reported on entry
+            was = care
+            care = on_free(stack) or 0
+            rest += care - was
         sizes, depths = [], []  # per child, in live order
         deepest = 1  # the greatest of depths
         while live:
@@ -641,6 +643,12 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             kids = live ^ (live & out)
             live ^= low
             if not kids:  # the child rejects every label from b on
+                if rest <= 0:  # a leaf deeper than care, reported
+                    stack.append(n - tail[b])
+                    was = care
+                    care = on_free(stack) or 0
+                    rest += care - was
+                    stack.pop()
                 count += tail[b]
                 sizes.append(tail[b])
                 depths.append(1)
@@ -648,11 +656,18 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             if count >= mark:
                 settle()
             before = count
-            depth = walk(out, kids, b, rest)
-            if depth == rest:
-                count += tail[start] - tail[b] + 1
-                hit.append(n - tail[b])
-                return left
+            if on_free is None:
+                depth = walk(out, kids, b, rest)
+                if depth == rest:
+                    count += tail[start] - tail[b] + 1
+                    hit.append(n - tail[b])
+                    return left
+            else:
+                stack.append(n - tail[b])
+                was = care
+                depth = walk(out, kids, b, rest)
+                rest += care - was
+                stack.pop()
             sizes.append(count - before)
             depths.append(1 + depth)
             if depth >= deepest:
@@ -664,64 +679,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         # forbidden set keeps its first record
         cost = key_cost + 2 * len(sizes)
         if known is None and count - entered >= least and cost <= room:
-            room -= cost
-            sizes += depths
-            records[F] = sizes
-        return deepest
-
-    def enumerate_free(F, live, start, depth):
-        # the depth of a free node `depth` elements below the root, with
-        # live labels live (not empty); reported to on_free unless its
-        # subtree is counted from a record
-        nonlocal count, room, care
-        known = records.get(F)
-        if known is not None:
-            k = live.bit_count()
-            if 2 * k <= len(known):
-                deepest = max(known[-k:])
-                if depth + deepest <= care:  # no node of it matters
-                    half = len(known) >> 1
-                    count += tail[start] + sum(known[half - k:half])
-                    if count >= mark:
-                        settle()
-                    return deepest
-        if depth:
-            care = on_free(stack) or 0
-        count += tail[start]
-        if count >= mark:
-            settle()
-        depth += 1  # the children's
-        sizes, depths = [], []  # per child, in live order
-        deepest = 1
-        while live:
-            low = live & -live
-            b = low.bit_length() - 1
-            out = F
-            for m, sh in up[b]:
-                out |= (F & m) >> sh
-            for m, sh in down[b]:
-                out |= (F & m) << sh
-            kids = live ^ (live & out)
-            live ^= low
-            stack.append(n - tail[b])
-            if kids:
-                before = count
-                sub = enumerate_free(out, kids, b, depth)
-                sizes.append(count - before)
-                depths.append(1 + sub)
-                if sub >= deepest:
-                    deepest = 1 + sub
-            else:  # a leaf: it tries and rejects every label from b on
-                if depth > care:
-                    care = on_free(stack) or 0
-                count += tail[b]
-                if count >= mark:
-                    settle()
-                sizes.append(tail[b])
-                depths.append(1)
-            stack.pop()
-        cost = key_cost + 2 * len(sizes)
-        if known is None and cost <= room:
             room -= cost
             sizes += depths
             records[F] = sizes
@@ -739,7 +696,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             if on_free is None:
                 result = [] if length is None else False
         elif on_free is not None:
-            enumerate_free(F, live, at, 0)
+            walk(F, live, at, 1)  # the root's left: care - 0 + 1
         elif length is None:
             depth = walk(F, live, at, _UNREACHED)
             # the witness: walk again to the first extension of that length,
@@ -751,10 +708,10 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         else:
             result = walk(F, live, at, length) == length
     finally:
-        # The recursive closures refer to themselves, and the cycle holds
+        # The recursive closure refers to itself, and the cycle holds
         # the engine's lists; break it, so that they are freed on return
         # and not at some later cycle collection.
-        walk = enumerate_free = None
+        walk = None
         engine.room = room
     # a hit returns without a check; this one settles it
     meter.tick(count - meter.nodes)

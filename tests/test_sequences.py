@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -644,13 +645,18 @@ class TestSearchKernel:
     SOUND_ENGINES = [(3, 3), (2, 2, 2), (2, 6), (4, 4), (3, 6), (2, 2, 6), "C(3;2)xC(1;4)",
                      "C(2;4)xC(3;4)", "C(4;2)xC(1;6)", "C(1;2)xC(1;3)xC(3;2)"]
 
+    @staticmethod
+    def engine_of(case):
+        """A fresh engine of a spec label or of a group's periods."""
+        return (ReachEngine.for_spec(parse_spec(case)) if isinstance(case, str)
+                else ReachEngine.for_group(GroupSpec(case)))
+
     @classmethod
-    def watched(cls, case, prop, threshold):
+    def watched(cls, case, prop, threshold, engine=None):
         """(first longest stack with the property, nodes, on_free calls) of
-        an enumeration on a fresh engine; with threshold, on_free returns
-        the longest length so far, else None."""
-        engine = (ReachEngine.for_spec(parse_spec(case)) if isinstance(case, str)
-                  else ReachEngine.for_group(GroupSpec(case)))
+        an enumeration on `engine`, else a fresh one; with threshold,
+        on_free returns the longest length so far, else None."""
+        engine = engine or cls.engine_of(case)
         has = cls.PROPERTIES[prop]
         best: list[int] = []
         calls = 0
@@ -687,6 +693,57 @@ class TestSearchKernel:
             got = self.watched(case, prop, True)
             assert got[:2] == (best, nodes), (case, prop)
             assert got[2] < calls, (case, prop)
+
+    @pytest.mark.parametrize("entries", [0, 1000, sequences.SEARCH_MEMO_ENTRIES])
+    @pytest.mark.parametrize("case", [(2, 6), (3, 6), "C(3;2)xC(1;4)", "C(1;2)xC(1;3)xC(3;2)"],
+                             ids=str)
+    def test_modes_share_one_engine(self, monkeypatch, case, entries):
+        # The thresholded watch, the longest search and the probes walk one
+        # memo: run on one engine in every order, each meets records that
+        # the others made (the watch's, of every subtree it walks in full,
+        # and the longest search's, of 64 nodes or more), and each finds
+        # and counts what it does on a fresh engine.
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
+
+        def watch(engine):
+            return self.watched(case, "sum-mod-3", True, engine)[:2]
+
+        def longest(engine):
+            meter = SearchMeter(Budget())
+            return search_free(engine, meter), meter.nodes
+
+        def probes(engine):
+            found = []
+            for length in (size, size + 1):
+                meter = SearchMeter(Budget())
+                found.append((search_free(engine, meter, length), meter.nodes))
+            return found
+
+        size = len(longest(self.engine_of(case))[0])
+        runs = {"watch": watch, "longest": longest, "probes": probes}
+        fresh = {name: run(self.engine_of(case)) for name, run in runs.items()}
+        assert [found for found, _ in fresh["probes"]] == [True, False]
+        for order in itertools.permutations(runs):
+            engine = self.engine_of(case)
+            for name in order:
+                assert runs[name](engine) == fresh[name], (order, name)
+
+    @pytest.mark.parametrize("mode", [{"length": 3}, {"length": 7}, {},
+                                      {"on_free": lambda stack: len(stack) - 1}],
+                             ids=["hit", "failing-probe", "longest", "watch"])
+    def test_search_leaves_no_cycle(self, mode):
+        # The walker is a closure that refers to itself; search_free breaks
+        # that cycle on its way out, so the walker and its lists are freed
+        # on return, with no work left to the cycle collector.
+        engine = ReachEngine.for_group(GroupSpec((2, 6)))
+        meter = SearchMeter(Budget())
+        gc.collect()
+        gc.disable()
+        try:
+            search_free(engine, meter, **mode)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.fixture(scope="class")
     def enumerated(self):
@@ -806,11 +863,11 @@ class TestSearchKernel:
     # probe and at the start of the failing one.  The lhat and l searches
     # count a subtree from its record, without reporting it, once it lies
     # within the depth their watch has given up.  The lhat search counts
-    # its nodes 22,361 to 22,928 so from a node two elements deep, and
-    # 37,486 to 37,738 from one a single element deep, so limits of 22,600
+    # its nodes 22,324 to 22,891 so from a node two elements deep, and
+    # 37,467 to 37,719 from one a single element deep, so limits of 22,600
     # and 37,600 fall inside those batches; the l search counts its nodes
-    # 9,572 to 10,063 so from a node three elements deep, and 12,124 to
-    # 12,348 from one four deep, across 12,288, where the meter also checks
+    # 9,515 to 10,006 so from a node three elements deep, and 12,275 to
+    # 12,376 from one four deep, across 12,288, where the meter also checks
     # the clock, so limits of 9,800 and 12,300 fall inside those.
     SEARCHES = [
         (lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b), 8039, (7560,)),
