@@ -484,7 +484,8 @@ class ReachEngine:
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
         if alphabet is None:
-            alphabet = [a for a in s.elements() if a != s.caps]
+            caps = s.caps  # a property that builds a new tuple at each read
+            alphabet = [a for a in s.elements() if a != caps]
         labels = sorted(set(alphabet))  # one bit per label: a repeat would share it
         # digits d and e stand for indices d + 1 and e + 1, summing to d + e + 2
         coords = [(c.size, [_capped(c.cap, c.n, v + 2) - 1 for v in range(2 * c.size - 1)])
@@ -565,7 +566,9 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     record shows its subtree lies within care is counted from it, neither
     walked nor reported, as a failing probe's is; any other is reported on
     entry and walked in full, with no hit and no one-element stop.  A leaf
-    is reported only past care.
+    is reported only past care.  A walked node is reported before anything
+    below it, so a reported stack's prefix, unless empty, was the last stack
+    reported at its depth: a watch may keep its state per depth.
 
     A node's live labels follow from its forbidden set F and its start, and
     so do its children's forbidden sets, so its subtree depends only on F

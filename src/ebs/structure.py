@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .config import SUBSET_SUM_BOUND, Budget, SearchMeter
@@ -97,11 +99,6 @@ def _sums_mask(vals) -> int:
     return acc
 
 
-def _fills(vals, total: int) -> bool:
-    """True iff the subset sums of vals (total: their sum) fill [0, total]."""
-    return _sums_mask(vals) == (1 << (total + 1)) - 1
-
-
 def subset_sums(h: IntSeq) -> frozenset[int]:
     """All nonempty sub-multiset sums, by bitmask dynamic programming."""
     if h.total > SUBSET_SUM_BOUND:
@@ -116,7 +113,7 @@ def is_behaving(h: IntSeq) -> bool:
         raise PreconditionError("behaving is undefined for the empty sequence")
     if h.total > SUBSET_SUM_BOUND:
         raise BudgetExceeded(f"subset-sum total {h.total} over bound {SUBSET_SUM_BOUND}")
-    return _fills(h.entries, h.total)
+    return _sums_mask(h.entries) == (2 << h.total) - 1
 
 
 def behaving_bound_classify(h: IntSeq) -> str:
@@ -143,28 +140,53 @@ def behaving_bound_classify(h: IntSeq) -> str:
 # ---------------------------------------------------------------------------
 # Savchev-Chen decomposition
 
+@cache
 def _units(n: int) -> list[int]:
     if n == 1:
         return [1]
     return [c for c in range(1, n) if math.gcd(c, n) == 1]
 
 
-def _lpr(v: int, n: int) -> int:
-    """Least positive residue: representative of v mod n in [1, n]."""
-    return (v % n) or n
+def _rows(c: CyclicSpec, vals) -> tuple[Iterable[list[int]], int]:
+    """The structure tests' rows over vals, and the most a behaving row may
+    total: vals itself, up to cap - 1, for k > n; for k <= n, made as they
+    are read, per unit u of Z_n ascending, the least positive residues (in
+    [1, n]) of u^{-1} * vals, up to n - 1."""
+    if c.k > c.n:
+        return [list(vals)], c.cap - 1
+    n = c.n
+    invs = (pow(u, -1, n) for u in _units(n))
+    return ([inv * v % n or n for v in vals] for inv in invs), n - 1
 
 
-def _unit_multiple(n: int, vals) -> tuple[int, list[int]] | None:
-    """The least unit u of Z_n for which the least positive residues hs of
-    u^{-1} * vals are behaving with total <= n - 1, as (u, hs); None if
-    there is none."""
-    for u in _units(n):
-        inv = pow(u, -1, n)
-        hs = [_lpr(inv * v, n) for v in vals]
-        total = sum(hs)
-        if total <= n - 1 and _fills(hs, total):
-            return u, hs
-    return None
+def _grow(state, i: int, limit: int) -> list:
+    """A structure state, (row, total, subset-sum mask) per row totalling at
+    most limit, after one more value, entry i of each row."""
+    out = []
+    for row, total, mask in state:
+        h = row[i]
+        if total + h <= limit:
+            out.append((row, total + h, mask | mask << h))
+    return out
+
+
+def _fold(rows, limit: int, upto: int) -> list:
+    """The structure state of the first upto entries of the rows, as _grow
+    leaves it: a row's total only grows."""
+    return [(row, total, _sums_mask(row[:upto]))
+            for row in rows if (total := sum(row[:upto])) <= limit]
+
+
+def _behaves(state) -> bool:
+    """Free-mode structure: some row's subset sums fill [0, total]."""
+    return any(mask == (2 << total) - 1 for _, total, mask in state)
+
+
+def _closes(c: CyclicSpec, state, i: int, limit: int) -> bool:
+    """Minimal-mode structure of the state's values and entry i: some row
+    totals exactly limit + 1, and for k > n its subset sums fill [0, cap]."""
+    return any(total > limit and (c.k <= c.n or mask == (2 << total) - 1)
+               for _, total, mask in _grow(state, i, limit + 1))
 
 
 def _residues_of(t) -> list[int]:
@@ -188,10 +210,13 @@ def savchev_chen(n: int, t) -> tuple[int, IntSeq] | None:
     if n < 2:
         raise PreconditionError(f"modulus must be >= 2, got {n}")
     residues = _residues_of(t)
-    found = _unit_multiple(n, residues) if residues else None
-    if found is None:
+    if not residues:
         return None
-    return found[0], IntSeq(tuple(found[1]))
+    rows, limit = _rows(CyclicSpec(1, n), residues)  # the rows of Z_n
+    for u, row in zip(_units(n), rows):
+        if _behaves(_fold([row], limit, len(row))):
+            return u, IntSeq(tuple(row))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +239,16 @@ def _structured_free(c: CyclicSpec, vals) -> bool:
     """Free-mode structure: behaving index values with total <= cap - 1 when
     k > n; some unit multiple of the residues behaving with total <= n - 1
     when k <= n."""
-    if c.k > c.n:
-        total = sum(vals)
-        return total <= c.cap - 1 and _fills(vals, total)
-    return _unit_multiple(c.n, vals) is not None
+    rows, limit = _rows(c, vals)
+    return _behaves(_fold(rows, limit, len(vals)))
 
 
 def _structured_minimal(c: CyclicSpec, vals) -> bool:
     """Minimal-mode structure: behaving index values with total exactly cap
     when k > n; some unit multiple of the residues whose least positive
     residues total exactly n when k <= n."""
-    total = sum(vals)
-    if c.k > c.n:
-        return total == c.cap and _fills(vals, total)
-    n = c.n
-    for u in _units(n):
-        inv = pow(u, -1, n)
-        if sum(_lpr(inv * v, n) for v in vals) == n:
-            return True
-    return False
+    rows, limit = _rows(c, vals)
+    return _closes(c, _fold(rows, limit, len(vals) - 1), len(vals) - 1, limit)
 
 
 def has_structure(c: CyclicSpec, t: Seq, mode: str) -> bool:
@@ -385,22 +401,28 @@ def _lhat_watch(c: CyclicSpec, alphabet: list[int]):
     free-mode structure, plus one; 1 when every free sequence is
     structured, 0 for the trivial semigroup.
 
+    states[j] is the structure state (_grow) of stack[:j], grown when first
+    needed.  The walker reports a node before anything below it, so a
+    report at depth d drops only earlier stacks' states, at d and deeper.
+
     on_free returns worst, the longest unstructured length so far: a free
     sequence no longer than that cannot raise it."""
+    rows, limit = _rows(c, alphabet)
+    states = [_fold(rows, limit, 0)]
     worst = 0
 
     def on_free(stack: list[int]) -> int:
         nonlocal worst
-        if len(stack) > worst and not _structured_free(c, [alphabet[i] for i in stack]):
-            worst = len(stack)
+        d = len(stack)
+        del states[d:]
+        if d > worst:
+            for i in stack[len(states) - 1:]:
+                states.append(_grow(states[-1], i, limit))
+            if not _behaves(states[d]):
+                worst = d
         return worst
 
-    def value() -> int:
-        if c.k == 1 and c.n == 1:
-            return 0
-        return worst + 1 if worst else 1
-
-    return on_free, value
+    return on_free, lambda: worst + 1 if worst or c.size > 1 else 0
 
 
 def _l_watch(c: CyclicSpec, alphabet: list[int]):
@@ -420,36 +442,41 @@ def _l_watch(c: CyclicSpec, alphabet: list[int]):
     - Minimality by one subset-sum bitmask: the prefix is free, so a proper
       idempotent-sum subsequence must keep a and leave out a nonempty part V
       of the prefix, and T - sum(V) is idempotent iff sum(V) = 0 (mod n) and
-      sum(V) <= T - cap.  So the candidate is minimal iff no nonempty
-      sub-multiset sum of the prefix is a multiple of n at most T - cap.
-      This also drops a = cap, which is not in the alphabet: V = the whole
+      sum(V) <= T - cap.  So the candidate is minimal iff T - cap is below
+      the least positive multiple of n among the prefix's subset sums, all
+      below cap (the prefix is free): one AND with a comb finds it.  This
+      also drops a = cap, the one value the alphabet skips: V = the whole
       prefix leaves the idempotent alone.
+    - Structure by the prefix's structure state and a (_closes).  It keeps
+      each prefix's total, subset-sum bitmask and state as _lhat_watch does.
 
     on_free returns worst - 1: a prefix shorter than worst makes a minimal
     sequence no longer than worst, so it cannot raise it.
     """
     cap, n = c.cap, c.n
     top = alphabet[-1] if alphabet else 0
-    worst = 0
-    if not _structured_minimal(c, [cap]):
-        worst = 1
-    # per depth of the free prefix: its index total and its subset-sum bitmask
-    totals, sums = {0: 0}, {0: 1}
+    rows, limit = _rows(c, alphabet)
+    worst = 0 if _structured_minimal(c, [cap]) else 1
+    comb = sum(1 << m for m in range(n, cap, n))
+    prefixes = [(0, 1, _fold(rows, limit, 0))]
 
     def on_free(stack: list[int]) -> int:
         nonlocal worst
         d = len(stack)
-        v = alphabet[stack[-1]]
-        total = totals[d] = totals[d - 1] + v
-        reach = sums[d] = sums[d - 1] | sums[d - 1] << v
+        del prefixes[d:]
         # only an idempotent sum longer than the worst so far matters
         if d < worst:
             return worst - 1
+        for i in stack[len(prefixes) - 1:]:  # the last is stack[-1]
+            total, reach, state = prefixes[-1]
+            v = alphabet[i]
+            prefixes.append((total + v, reach | reach << v, _grow(state, i, limit)))
+        total, reach, state = prefixes[d]
         lo = max(v, cap - total)
-        for a in range(lo + (-total - lo) % n, top + 1, n):
-            if any(reach >> m & 1 for m in range(n, total + a - cap + 1, n)):
-                continue  # not minimal
-            if not _structured_minimal(c, [alphabet[i] for i in stack] + [a]):
+        zero = reach & comb  # subset sums = 0 (mod n): T - cap must stay below the least
+        hi = min(top, (zero & -zero).bit_length() - 2 + cap - total) if zero else top
+        for a in range(lo + (-total - lo) % n, hi + 1, n):
+            if not _closes(c, state, a - 1 - (a > cap), limit):  # a's alphabet index
                 worst = d + 1
                 break
         return worst - 1

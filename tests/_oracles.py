@@ -224,6 +224,39 @@ def naive_l(k: int, n: int) -> int:
     return worst + 1
 
 
+def naive_lhat(k: int, n: int) -> int:
+    """lhat over C(k;n): 1 + the longest idempotent-sum free sequence
+    without free-mode structure (1 if every one has it), and 0 for the
+    trivial semigroup.  Walks every non-decreasing free index sequence over
+    [1, k + n - 1]; structure is decided from its definition: behaving with
+    total at most cap - 1 for k > n, some unit u with the least positive
+    residues of u^-1 v behaving with total at most n - 1 for k <= n."""
+    if k == n == 1:
+        return 0
+    coords = [(k, n)]
+    (cap,) = idempotent_of(coords)
+
+    def structured(vals):
+        if k > n:
+            return sum(vals) <= cap - 1 and naive_is_behaving(vals)
+        return any(sum(hs) <= n - 1 and naive_is_behaving(hs)
+                   for hs in ([_lpr(pow(u, -1, n) * v, n) for v in vals] for u in _units(n)))
+
+    worst = 0
+
+    def extend(seq, start):
+        nonlocal worst
+        for v in range(start, k + n):
+            cand = seq + [v]
+            if naive_is_free(coords, [(x,) for x in cand]):
+                if not structured(cand):
+                    worst = max(worst, len(cand))
+                extend(cand, v)
+
+    extend([], 1)
+    return worst + 1 if worst else 1
+
+
 def naive_lhat_small_k(n: int) -> int:
     """lhat over C(k;n) for k <= n: 1 + the longest zero-sum free sequence
     over Z_n with no unit multiple behaving with total <= n - 1 (0 if
@@ -245,6 +278,77 @@ def naive_lhat_small_k(n: int) -> int:
             worst = length
         length += 1
     return worst + 1
+
+
+def _fills(vals) -> bool:
+    """Do the subset sums of vals fill [0, sum(vals)]? (bitmask DP)"""
+    acc = 1
+    for v in vals:
+        acc |= acc << v
+    return acc == (2 << sum(vals)) - 1
+
+
+def recomputing_lhat_watch(k: int, n: int, alphabet):
+    """An on_free watch of the lhat search, and the value it reads off, that
+    tests each reported stack's free-mode structure from scratch: k > n,
+    behaving index values totalling at most cap - 1; k <= n, some unit u
+    with the least positive residues of u^-1 v behaving and totalling at
+    most n - 1.  It returns the longest unstructured length so far."""
+    (cap,) = idempotent_of([(k, n)])
+    limit, units = (cap - 1, [1]) if k > n else (n - 1, _units(n))
+    worst = 0
+
+    def on_free(stack):
+        nonlocal worst
+        vals = [alphabet[i] for i in stack]
+        rows = ([vals] if k > n else
+                [[_lpr(pow(u, -1, n) * v, n) for v in vals] for u in units])
+        if len(stack) > worst and not any(sum(hs) <= limit and _fills(hs) for hs in rows):
+            worst = len(stack)
+        return worst
+
+    return on_free, lambda: 0 if k == n == 1 else (worst + 1 if worst else 1)
+
+
+def recomputing_l_watch(k: int, n: int, alphabet):
+    """An on_free watch of the l search, and the value it reads off, that
+    tests every minimal completion of each reported stack from scratch: a
+    last index value a, at least the stack's last, making the total an
+    idempotent sum (at least cap, divisible by n), minimal when no
+    nonempty part of the stack sums to a multiple of n at most total -
+    cap, and structured when (k > n) the whole is behaving with total
+    exactly cap, or (k <= n) some unit multiple's least positive residues
+    total exactly n.  It returns one less than the longest unstructured
+    length so far."""
+    (cap,) = idempotent_of([(k, n)])
+    top = alphabet[-1] if alphabet else 0
+
+    def structured(vals):
+        if k > n:
+            return sum(vals) == cap and _fills(vals)
+        return any(sum(_lpr(pow(u, -1, n) * v, n) for v in vals) == n for u in _units(n))
+
+    worst = 0 if structured([cap]) else 1
+
+    def on_free(stack):
+        nonlocal worst
+        vals = [alphabet[i] for i in stack]
+        total = sum(vals)
+        reach = 1
+        for v in vals:
+            reach |= reach << v
+        if len(stack) >= worst:
+            for a in range(max(vals[-1], cap - total), top + 1):
+                if (total + a) % n:
+                    continue
+                if any(reach >> m & 1 for m in range(n, total + a - cap + 1, n)):
+                    continue  # not minimal
+                if not structured(vals + [a]):
+                    worst = len(stack) + 1
+                    break
+        return worst - 1
+
+    return on_free, lambda: worst + 1
 
 
 def enumerate_zsf(n: int, length: int):

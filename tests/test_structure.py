@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from ebs import structure
+from ebs import sequences, structure
 from ebs.config import Budget
 from ebs.constants import BRUTE, THM61
 from ebs.errors import BudgetExceeded, PreconditionError, SpecError
@@ -280,6 +280,8 @@ GRID_ROWS = {
         (8, 8, 8, 8, 8, 8, 8, 15, 15)),
 }
 GRID_NODES = 873990  # summed over the grid, for each of the two searches
+GRID_SPECS = [(1, n) for n in range(1, 17)] + [
+    (k, n) for n in GRID_ROWS for k in range(n + 1, 17)]
 
 # small C(k;n) in both regimes, each checked against the definition-level
 # oracle in a fraction of a second
@@ -289,6 +291,24 @@ L_ORACLE_SPECS = [
     (2, 1), (5, 1), (8, 1), (3, 2), (5, 2), (9, 2), (4, 3), (5, 3), (7, 3),
     (8, 3), (5, 4), (6, 4), (6, 5), (7, 5), (7, 6),
 ]
+
+
+def side_by_side(kind, scratch, calls):
+    """A watch kind that runs kind's watch and the from-scratch one of
+    _oracles side by side, asserts that they answer each report alike,
+    logs the reports' stacks in calls, and reads off both values."""
+    def watch(c, alphabet):
+        on_free, value = kind(c, alphabet)
+        on_scratch, scratch_value = scratch(c.k, c.n, alphabet)
+
+        def both(stack):
+            calls.append(tuple(stack))
+            got = on_free(stack)
+            assert got == on_scratch(stack), (c, calls[-1])
+            return got
+
+        return both, lambda: (value(), scratch_value())
+    return watch
 
 
 class TestLhatAndL:
@@ -344,7 +364,7 @@ class TestLhatAndL:
         want = {(1, n): (GRID_C1N["lhat"][n - 1], GRID_C1N["l"][n - 1]) for n in range(1, 17)}
         for n, (lhats, ls) in GRID_ROWS.items():
             want.update({(k, n): pair for k, pair in zip(range(n + 1, 17), zip(lhats, ls))})
-        assert len(want) == 100
+        assert list(want) == GRID_SPECS and len(want) == 100
         got, nodes = {}, {"lhat": 0, "l": 0}
         for (k, n) in want:
             lh, l = lhat(CyclicSpec(k, n), "brute"), l_const(CyclicSpec(k, n), "brute")
@@ -354,9 +374,46 @@ class TestLhatAndL:
         assert got == want
         assert nodes == {"lhat": GRID_NODES, "l": GRID_NODES}
 
+    @pytest.mark.parametrize("entries", [0, sequences.SEARCH_MEMO_ENTRIES])
+    def test_watches_match_recomputing_ones(self, monkeypatch, entries):
+        # The watches keep the structure states of a stack's prefixes from
+        # report to report, which holds only in the walker's reporting
+        # order.  Beside watches that test every stack from scratch, on the
+        # structure_check grid and C(15;6), with and without the memo, every
+        # on_free answer and every value agrees.
+        monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
+        pairs = {"lhat": (structure._lhat_watch, oracle.recomputing_lhat_watch),
+                 "l": (structure._l_watch, oracle.recomputing_l_watch)}
+        calls = {"lhat": [], "l": []}
+        for k, n in GRID_SPECS + [(15, 6)]:
+            for name, (kind, scratch) in pairs.items():
+                ((got, want),), _ = structure._brute_walk(
+                    CyclicSpec(k, n), Budget(), (side_by_side(kind, scratch, calls[name]),))
+                assert got == want, (k, n, name)
+        assert len(calls["lhat"]) > 20000 and len(calls["l"]) > 20000
+
+    @pytest.mark.parametrize("k,n", [(16, 7), (15, 6), (9, 4), (5, 2)])
+    def test_watches_on_every_first_term(self, k, n):
+        # A one-term stack needs only the root's state, so fresh watches
+        # answer each alike, the walk's order aside.  Among them are stacks
+        # whose minimal completions run up to the largest index value,
+        # which the walk reports only when they are too short to change
+        # its answer.
+        c = CyclicSpec(k, n)
+        alphabet = [v for v in range(1, c.size + 1) if v != c.cap]
+        for kind, scratch in ((structure._lhat_watch, oracle.recomputing_lhat_watch),
+                              (structure._l_watch, oracle.recomputing_l_watch)):
+            for i in range(len(alphabet)):
+                got = kind(c, alphabet)[0]([i])
+                assert got == scratch(k, n, alphabet)[0]([i]), (kind.__name__, alphabet[i])
+
     @pytest.mark.parametrize("k,n", L_ORACLE_SPECS)
     def test_l_brute_matches_naive(self, k, n):
         assert l_const(CyclicSpec(k, n), "brute").value == oracle.naive_l(k, n)
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k, n in L_ORACLE_SPECS if k > n])
+    def test_lhat_brute_matches_naive_above_period(self, k, n):
+        assert lhat(CyclicSpec(k, n), "brute").value == oracle.naive_lhat(k, n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_lhat_brute_matches_naive_below_period(self, n):
