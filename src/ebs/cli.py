@@ -37,14 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args) -> Budget:
-    """The one Budget of a run, from the options its command declares (a
-    command without --threads searches on 1 thread)."""
-    threads = getattr(args, "threads", 1)
-    if threads < 1 or args.node_budget < 1 or args.time_budget < 1:
-        what = "threads and budgets" if hasattr(args, "threads") else "budgets"
-        raise SpecError(f"{what} must be positive")
-    return Budget(node_budget=args.node_budget, time_budget_s=float(args.time_budget),
-                  threads=threads)
+    """The one Budget of a run, from its budget options."""
+    if args.node_budget < 1 or args.time_budget < 1:
+        raise SpecError("budgets must be positive")
+    return Budget(node_budget=args.node_budget, time_budget_s=float(args.time_budget))
 
 
 def _parse_ints(text: str,
@@ -308,11 +304,9 @@ def _cmd_explore(args) -> int:
 # parser wiring
 
 def _add_options(p: argparse.ArgumentParser, json_flag: bool = True, budget: bool = False,
-                 threads: bool = False, cache: bool = False) -> None:
+                 cache: bool = False) -> None:
     if json_flag:
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-    if threads:
-        p.add_argument("--threads", type=int, default=1)
     if budget:
         p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                        dest="node_budget")
@@ -346,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             cp.add_argument("--spec", required=True)
         cp.add_argument("--method", choices=("formula", "brute", "both"),
                         default="formula")
-        _add_options(cp, budget=True, threads=quantity == "eb", cache=True)
+        _add_options(cp, budget=True, cache=True)
         cp.set_defaults(handler=_cmd_const, quantity=quantity)
 
     seq_p = sub.add_parser("seq", help="sequence predicates")
@@ -383,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         ep.add_argument("--max-k", type=int, required=True, dest="max_k")
         ep.add_argument("--max-n", type=int, required=True, dest="max_n")
         ep.add_argument("--out", default=None, help="JSON-lines report path")
-        _add_options(ep, json_flag=False, budget=True, threads=kind == "conjecture41")
+        _add_options(ep, json_flag=False, budget=True)
         ep.set_defaults(handler=_cmd_explore, kind=kind)
 
     return parser

@@ -29,22 +29,17 @@ class Budget:
     """Resource limits for brute-force searches.
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
-    is wall clock from the start of a search, its setup included (pool tasks
-    stop at the search's deadline, not at their own start plus the budget);
-    state_cap caps the subset-sum states: the capped states of a search
-    engine's space (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and
-    l), checked before the engine is built.  The engine's bitsets hold one
+    is wall clock from the start of a search, its setup included; state_cap
+    caps the subset-sum states: the capped states of a search engine's
+    space (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l),
+    checked before the engine is built.  The engine's bitsets hold one
     bit per element, under 2^r * prod(cap_i) for rank r.  The one-shot
     predicates never see a Budget: they bound the states their walk reaches
     by their own state_cap argument, default DEFAULT_STATE_CAP.
-    threads > 1 fans each probe of an eb brute search out to a process
-    pool, one task per first element and at most one worker per task;
-    Davenport and l-hat/l searches run in the calling process at any thread
-    count.  The CLI, like the library, searches on one thread unless asked
-    (--threads N).  The node budget is global: a task reports its count,
-    also when it runs out; the caller's meter adds the counts in alphabet
-    order up to the first hit and raises, as the serial search would, so
-    node counts and budget verdicts are the same at every thread count.
+    Every search runs in the calling process.  threads is read by nothing:
+    it stays only because the benchmark scripts (perfbench/workloads.py and
+    perfbench/run.py) still pass Budget(threads=...), and goes when they
+    stop.
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET
@@ -63,12 +58,11 @@ class SearchMeter:
 
     __slots__ = ("budget", "nodes", "started", "_limit")
 
-    def __init__(self, budget: Budget, started: float | None = None):
+    def __init__(self, budget: Budget):
         self.budget = budget
         self.nodes = 0
-        # the time.monotonic() the time budget counts from: now, or the
-        # start of the search that a pool task belongs to
-        self.started = time.monotonic() if started is None else started
+        # the time.monotonic() the time budget counts from
+        self.started = time.monotonic()
         # Budget is frozen, so the node limit can be read once here.
         self._limit = budget.node_budget
 

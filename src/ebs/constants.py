@@ -45,13 +45,6 @@ BRUTE = "BRUTE"
 
 QUANTITIES = ("davenport", "erdos_burgess", "lhat", "l")
 
-# concurrent.futures.ProcessPoolExecutor, imported by eb_bruteforce when it
-# first builds a pool: it pulls in multiprocessing, which a process that
-# never searches on several threads does not need.  The pool class is read
-# from this attribute, so a subclass bound here (perfbench/tracing.py binds
-# one) is the pool that gets built.
-ProcessPoolExecutor = None
-
 
 @dataclass(frozen=True)
 class ConstResult:
@@ -398,60 +391,6 @@ def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 # ---------------------------------------------------------------------------
 # brute force
 
-# The search engine of a pool worker process, built once per worker by
-# _init_worker from the spec, so that tasks need not carry it and share its
-# memo.
-_worker_engine: ReachEngine | None = None
-
-
-def _init_worker(s: ProductSpec) -> None:
-    global _worker_engine
-    _worker_engine = ReachEngine.for_spec(s)
-
-
-def _exists_task(length: int, first_idx: int, budget: Budget, started: float):
-    """Worker: does a free sequence of the given length starting with
-    alphabet[first_idx] exist?  Returns (found, nodes), (False, nodes) when
-    it runs out of budget.  The time budget counts from `started`, the
-    search's start, so a task that starts late stops at the same deadline."""
-    engine = _worker_engine
-    meter = SearchMeter(budget, started)
-    try:
-        meter.check_time()
-        meter.tick()
-        found = search_free(engine, meter, length - 1, engine.step(engine.root, first_idx),
-                            first_idx)
-    except BudgetExceeded:
-        found = False
-    return found, meter.nodes
-
-
-def _exists_free(engine: ReachEngine, length: int, meter: SearchMeter, pool) -> bool:
-    """Does a free sequence of the given length exist?
-
-    With a pool, one task per first element; the results are read in
-    alphabet order and counted up to the first hit, so the nodes counted and
-    the budget verdict are those of the serial search at any thread count.
-    """
-    if pool is None:
-        return search_free(engine, meter, length)
-    budget = meter.budget
-    meter.check_time()
-    # A task stops once it alone has spent what is left of the node budget,
-    # or at the search's deadline (time.monotonic() reads one clock in every
-    # process), where the serial search would have stopped too; this meter
-    # then raises.  Returning closes the map, cancelling unstarted tasks.
-    left = dataclasses.replace(budget, node_budget=budget.node_budget - meter.nodes)
-    n = len(engine.labels)
-    for hit, nodes in pool.map(_exists_task, [length] * n, range(n), [left] * n,
-                               [meter.started] * n):
-        meter.tick(nodes)
-        meter.check_time()
-        if hit:
-            return True
-    return False
-
-
 def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     """Exact I(S) by iterative deepening from eb_bounds.lower - 1: the answer
     is the first length admitting no idempotent-sum free sequence.
@@ -463,32 +402,19 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     exceeding it raises an internal error.  The time budget covers the
     bounds and the engine build as well as the search.
     """
-    global ProcessPoolExecutor
     meter = SearchMeter(budget)
     meter.check_states(math.prod(s.caps))
     bounds = eb_bounds(s, budget)
     engine = ReachEngine.for_spec(s)
     meter.check_time()
-    pool = None
-    try:
-        if budget.threads > 1 and len(engine.labels) > 1:
-            if ProcessPoolExecutor is None:
-                from concurrent.futures import ProcessPoolExecutor
-            # a probe has one task per label, so more workers would idle
-            pool = ProcessPoolExecutor(max_workers=min(budget.threads, len(engine.labels)),
-                                       initializer=_init_worker, initargs=(s,))
-        for value in range(bounds.lower, bounds.upper + 1):
-            if not _exists_free(engine, value, meter, pool):
-                break
-        else:
-            raise RuntimeError(
-                f"internal error: free sequence of length {bounds.upper} found above "
-                f"the proven upper bound {bounds.upper} for {format_spec(s)}"
-            )
-    finally:
-        # a probe that raised keeps its map, and its unstarted tasks, open
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for value in range(bounds.lower, bounds.upper + 1):
+        if not search_free(engine, meter, value):
+            break
+    else:
+        raise RuntimeError(
+            f"internal error: free sequence of length {bounds.upper} found above "
+            f"the proven upper bound {bounds.upper} for {format_spec(s)}"
+        )
     return ConstResult("erdos_burgess", value, value, value, BRUTE, "brute",
                        nodes=meter.nodes, elapsed_ms=meter.elapsed_ms())
 

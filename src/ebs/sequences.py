@@ -398,8 +398,7 @@ class ReachEngine:
 
     records holds the memo that every search over the engine shares, one
     record per forbidden set of a subtree walked in full, and room the
-    entries it may still take (see search_free).  A pool worker builds its
-    engine once, so the tasks it runs share it too.
+    entries it may still take (see search_free).
     """
 
     __slots__ = ("labels", "num_states", "root", "pos", "owned", "tail", "up", "down",
@@ -483,15 +482,15 @@ class ReachEngine:
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
+        caps = s.caps  # a property that builds a new tuple at each read
         if alphabet is None:
-            caps = s.caps  # a property that builds a new tuple at each read
             alphabet = [a for a in s.elements() if a != caps]
         labels = sorted(set(alphabet))  # one bit per label: a repeat would share it
         # digits d and e stand for indices d + 1 and e + 1, summing to d + e + 2
-        coords = [(c.size, [_capped(c.cap, c.n, v + 2) - 1 for v in range(2 * c.size - 1)])
-                  for c in s.coords]
+        coords = [(c.size, [_capped(cap, c.n, v + 2) - 1 for v in range(2 * c.size - 1)])
+                  for c, cap in zip(s.coords, caps)]
         return cls._build(labels, [tuple(v - 1 for v in a) for a in labels], coords,
-                          [c.cap - 1 for c in s.coords])
+                          [cap - 1 for cap in caps])
 
     @classmethod
     def for_group(cls, g: GroupSpec) -> "ReachEngine":

@@ -62,12 +62,10 @@ class TestConstCommands:
         assert code == 2 and "budget" in err
 
     def test_budget_exit_reports_progress(self, capsys):
-        for threads in ("1", "2"):
-            code, _, err = run(capsys, "const", "eb", "--spec", "C(30;1)xC(1;29)",
-                               "--method", "brute", "--node-budget", "100",
-                               "--threads", threads)
-            assert code == 2
-            assert "nodes 101, elapsed" in err
+        code, _, err = run(capsys, "const", "eb", "--spec", "C(30;1)xC(1;29)",
+                           "--method", "brute", "--node-budget", "100")
+        assert code == 2
+        assert "nodes 101, elapsed" in err
 
     def test_davenport_brute(self, capsys):
         code, out, _ = run(capsys, "const", "davenport", "--group", "2,2",
@@ -375,18 +373,24 @@ class TestUsage:
 
     def test_nonpositive_budget(self, capsys):
         for flag, value in (("--node-budget", "-5"), ("--node-budget", "0"),
-                            ("--time-budget", "0"), ("--threads", "0"),
-                            ("--threads", "-1")):
+                            ("--time-budget", "0")):
             code, _, err = run(capsys, "const", "eb", "--spec", "C(2;2)",
                                flag, value)
             assert code == 1, (flag, value)
             assert "budgets must be positive" in err
 
     def test_nonpositive_budget_names_no_threads_without_the_option(self, capsys):
-        code, _, err = run(capsys, "const", "lhat", "--spec", "C(3;3)", "--time-budget", "0")
-        assert code == 1
-        assert "error: budgets must be positive" in err
-        assert "threads" not in err
+        # every command that takes a budget gives the same message
+        for argv in (("const", "eb", "--spec", "C(2;2)"),
+                     ("const", "davenport", "--group", "2,4"),
+                     ("const", "lhat", "--spec", "C(3;3)"),
+                     ("const", "l", "--spec", "C(3;3)"),
+                     ("explore", "conjecture41", "--max-k", "2", "--max-n", "2"),
+                     ("explore", "lhat-gap", "--max-k", "2", "--max-n", "2"),
+                     ("explore", "l-gap", "--max-k", "2", "--max-n", "2")):
+            code, out, err = run(capsys, *argv, "--time-budget", "0")
+            assert (code, out) == (1, ""), argv
+            assert err == "error: budgets must be positive\n", argv
 
     @pytest.mark.parametrize("argv", [
         ("spec", "parse", "--spec", "C(3;2)xC(1;4)"),
@@ -418,6 +422,7 @@ class TestUsage:
         ("struct", "behaving", "--ints", "1,2", "--time-budget", "1"),
         ("const", "lhat", "--spec", "C(7;2)", "--threads", "2"),
         ("explore", "lhat-gap", "--max-k", "3", "--max-n", "2", "--json"),
+        ("const", "eb", "--spec", "C(2;2)", "--threads", "2"),
     ])
     def test_option_a_command_does_not_read(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -426,47 +431,22 @@ class TestUsage:
 
 
 class TestCliConfig:
-    """The thread count of a run, read from the pool a brute eb search
-    builds: --threads N, else 1; the environment is not read."""
+    """The arguments are the whole configuration of a run."""
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
+    def test_environment_is_not_read(self, capsys, monkeypatch, tmp_path):
+        def search() -> dict:
+            code, out, _ = run(capsys, "const", "eb", "--spec", "C(3;2)xC(1;4)",
+                               "--method", "brute", "--json")
+            d = json.loads(out)
+            assert (code, d["value"], d["nodes"]) == (0, 7, 8039)
+            return d
 
-        from ebs import constants
-
-        built = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(constants, "ProcessPoolExecutor", CountingPool)
-        return built
-
-    def search(self, capsys, *flags) -> dict:
-        code, out, _ = run(capsys, "const", "eb", "--spec", "C(3;2)xC(1;4)",
-                           "--method", "brute", "--json", *flags)
-        d = json.loads(out)
-        assert (code, d["value"], d["nodes"]) == (0, 7, 8039)
-        return d
-
-    def test_no_flag_builds_no_pool(self, capsys, built):
-        self.search(capsys)
-        assert built == []
-
-    def test_threads_flag_builds_one_pool(self, capsys, built):
-        self.search(capsys, "--threads", "2")
-        assert built == [2]
-
-    def test_environment_is_not_read(self, capsys, monkeypatch, tmp_path, built):
-        clean = self.search(capsys)
+        clean = search()
         monkeypatch.setenv("EBS_THREADS", "abc")
         monkeypatch.setenv("EBS_CACHE", str(tmp_path / "cache.json"))
-        d = self.search(capsys)
+        d = search()
         assert {**d, "elapsed_ms": 0} == {**clean, "elapsed_ms": 0}
-        assert built == [] and list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSurface:
@@ -478,7 +458,7 @@ class TestSurface:
     EXTRA = {
         "spec parse": {"--spec"} | JSON,
         "spec format": {"--spec"},
-        "const eb": {"--spec", "--method", "--cache", "--threads"} | JSON | BUDGET,
+        "const eb": {"--spec", "--method", "--cache"} | JSON | BUDGET,
         "const davenport": {"--group", "--method", "--cache"} | JSON | BUDGET,
         "const lhat": {"--spec", "--method", "--cache"} | JSON | BUDGET,
         "const l": {"--spec", "--method", "--cache"} | JSON | BUDGET,
@@ -486,7 +466,7 @@ class TestSurface:
         "struct behaving": {"--ints"} | JSON,
         "struct classify": {"--spec", "--file"} | JSON,
         "struct savchev-chen": {"--group", "--ints"} | JSON,
-        "explore conjecture41": {"--max-k", "--max-n", "--out", "--threads"} | BUDGET,
+        "explore conjecture41": {"--max-k", "--max-n", "--out"} | BUDGET,
         "explore lhat-gap": {"--max-k", "--max-n", "--out"} | BUDGET,
         "explore l-gap": {"--max-k", "--max-n", "--out"} | BUDGET,
     }
@@ -521,21 +501,28 @@ class TestStartup:
     """A short command imports only the layers it runs.  Each case runs in a
     fresh interpreter, because this process has imported everything."""
 
-    HEAVY = {"ebs.constants", "ebs.sequences", "ebs.structure", "concurrent.futures"}
+    HEAVY = {"ebs.constants", "ebs.sequences", "ebs.structure", "concurrent.futures",
+             "multiprocessing"}
+    # runs `main`, the command line given as arguments, unless another body
+    # is given; the body sets `code`, the exit status
     PROBE = (
         "import sys\n"
+        "{body}\n"
+        "print('modules:', ' '.join(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    MAIN = (
         "from ebs.cli import main\n"
         "try:\n"
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "print('modules:', ' '.join(sorted(sys.modules)))\n"
-        "sys.exit(code)\n"
+        "    code = exc.code"
     )
 
-    def loaded(self, *argv):
+    def loaded(self, *argv, body=MAIN):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env,
+        probe = self.PROBE.format(body=body)
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         *out, last = proc.stdout.splitlines()
@@ -562,8 +549,19 @@ class TestStartup:
 
     def test_single_thread_by_default(self):
         heavy, out = self.loaded("const", "eb", "--spec", "C(3;2)xC(1;4)", "--method", "brute")
-        assert "concurrent.futures" not in heavy
+        assert heavy.isdisjoint({"concurrent.futures", "multiprocessing"})
         assert "value: 7" in out and "nodes: 8039" in out
+
+    def test_library_search_starts_no_pool(self):
+        # Budget.threads is read by nothing: a search asked for 2 runs in
+        # the calling process like any other
+        heavy, out = self.loaded(body=(
+            "from ebs import Budget, eb_bruteforce, parse_spec\n"
+            "r = eb_bruteforce(parse_spec('C(3;2)xC(1;4)'), Budget(threads=2))\n"
+            "print(r.value, r.nodes)\n"
+            "code = 0"))
+        assert heavy.isdisjoint({"concurrent.futures", "multiprocessing"})
+        assert out == ["7 8039"]
 
     def test_seq_check(self, tmp_path):
         f = tmp_path / "seq.txt"

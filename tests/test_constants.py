@@ -1,4 +1,3 @@
-import multiprocessing
 import time
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from ebs import constants, sequences
-from ebs.config import Budget, SearchMeter
+from ebs.config import Budget
 from ebs.constants import (
     BRUTE,
     COR31_DIV,
@@ -294,15 +293,13 @@ class TestEbBruteforce:
         with pytest.raises(BudgetExceeded):
             eb_bruteforce(parse_spec("C(30;1)xC(1;29)"), Budget(node_budget=500))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_budget_is_global(self, threads):
-        # 16,465 nodes in all; the budget runs out in the last probe.  At
-        # any thread count the error reports where a one-node-at-a-time
-        # search raises: one node over the limit.
+    def test_budget_is_global(self):
+        # 16,465 nodes in all; the budget runs out in the last probe.  The
+        # error reports where a one-node-at-a-time search raises: one node
+        # over the limit, counted over every probe.
         for limit in (10000, 16000):
             with pytest.raises(BudgetExceeded) as info:
-                eb_bruteforce(parse_spec("C(1;2)xC(7;3)"),
-                              Budget(node_budget=limit, threads=threads))
+                eb_bruteforce(parse_spec("C(1;2)xC(7;3)"), Budget(node_budget=limit))
             assert info.value.nodes == limit + 1
             assert f"node budget {limit} exhausted" in str(info.value)
 
@@ -315,15 +312,14 @@ class TestEbBruteforce:
         assert time.monotonic() - t0 < 3
 
     def test_pool_tasks_share_the_deadline(self):
-        # Far over budget: every task stops at the search's deadline, so a
-        # task that starts late does not keep the pool's shutdown waiting
-        # past it.  The count-exact memo counts the default 10^8 nodes in
-        # about 0.5 s here, so the node budget is raised out of the way and
-        # only the deadline can end the search.
+        # Far over budget, and the search stops at its deadline.  The
+        # count-exact memo counts the default 10^8 nodes in about 0.5 s
+        # here, so the node budget is raised out of the way and only the
+        # deadline can end the search.
         t0 = time.monotonic()
         with pytest.raises(BudgetExceeded, match="time budget"):
             eb_bruteforce(parse_spec("C(7;2)xC(2;7)"),
-                          Budget(node_budget=10**12, time_budget_s=0.5, threads=2))
+                          Budget(node_budget=10**12, time_budget_s=0.5))
         assert time.monotonic() - t0 < 1.0
 
     def test_time_budget_covers_setup(self, monkeypatch):
@@ -337,111 +333,29 @@ class TestEbBruteforce:
         with pytest.raises(BudgetExceeded, match="time budget"):
             eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(time_budget_s=0.1))
 
-    def test_pool_task_reports_its_count(self, monkeypatch):
-        # A task that runs out raises nothing: it returns its count, one
-        # node past its node budget or what it had counted at the shared
-        # deadline, and the caller's meter gives the verdict.
-        s = parse_spec("C(3;2)xC(1;4)")
-        monkeypatch.setattr(constants, "_worker_engine", ReachEngine.for_spec(s))
-        task = constants._exists_task
-        assert task(7, 0, Budget(node_budget=5), time.monotonic()) == (False, 6)
-        assert task(7, 0, Budget(time_budget_s=1), time.monotonic() - 2) == (False, 0)
-
-    def test_stopped_tasks_give_no_verdict(self):
-        # Tasks that stopped at the deadline report (False, 0): no nodes to
-        # tick, so the probe must read the clock itself and raise, not take
-        # them for "no free sequence".
-        engine = ReachEngine.for_spec(parse_spec("C(3;2)xC(1;4)"))
-
-        class LatePool:
-            def map(self, fn, *iterables):
-                time.sleep(0.2)
-                return iter([(False, 0)] * len(engine.labels))
-
-        with pytest.raises(BudgetExceeded, match="time budget"):
-            constants._exists_free(engine, 7, SearchMeter(Budget(time_budget_s=0.1)), LatePool())
-
     def test_thread_determinism(self):
-        # The last two find free sequences while probing, so a pool that
-        # counted the tasks after the first hit would report more nodes.
+        # The last two find free sequences while probing, so their counts
+        # include probes that stop at a hit.
         for label, value, nodes in [("C(3;2)xC(1;4)", 7, 8039),
                                     ("C(1;2)xC(7;3)", 12, 16465),
                                     ("C(1;3)xC(7;2)", 12, 70565)]:
-            s = parse_spec(label)
-            serial = eb_bruteforce(s, Budget(threads=1))
-            par = eb_bruteforce(s, Budget(threads=2))
-            assert serial.value == par.value == value
-            assert serial.nodes == par.nodes == nodes
+            r = eb_bruteforce(parse_spec(label))
+            assert (r.value, r.nodes) == (value, nodes), label
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_twin_node_counts_pinned(self, threads):
+    def test_twin_node_counts_pinned(self):
         # Specs with twins (labels past a cap that share a capped state),
         # whose searches re-enter one reach set at one depth many times.
         for label, value, nodes in [("C(2;4)xC(3;4)", 7, 407332),
                                     ("C(4;2)xC(1;6)", 9, 408472),
                                     ("C(4;3)xC(2;5)", 16, 5365848),
                                     ("C(5;5)xC(1;5)", 9, 24329746)]:
-            r = eb_bruteforce(parse_spec(label), Budget(threads=threads))
+            r = eb_bruteforce(parse_spec(label))
             assert (r.value, r.nodes) == (value, nodes), label
 
     def test_rank2_grid_nodes_pinned(self):
         # The node total of the 786 specs of the acceptance grid, so that a
         # kernel change that moves any count fails here.
         assert sum(eb_bruteforce(s).nodes for s in rank2_grid(20)) == 12385516
-
-    def test_pool_class_read_from_module(self, monkeypatch):
-        # The pool class is looked up as constants.ProcessPoolExecutor when a
-        # pool is built, so a replacement bound there is the one used.
-        from concurrent.futures import ProcessPoolExecutor
-
-        built = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append((kwargs.get("max_workers"), kwargs["initargs"]))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(constants, "ProcessPoolExecutor", CountingPool)
-        s = parse_spec("C(3;2)xC(1;4)")
-        serial = eb_bruteforce(s, Budget(threads=1))
-        assert built == []
-        par = eb_bruteforce(s, Budget(threads=2))
-        # the workers build the engine from the spec; none is pickled
-        assert built == [(2, (s,))]
-        assert (par.value, par.nodes) == (serial.value, serial.nodes) == (7, 8039)
-
-    def test_pool_workers_capped_at_task_count(self, monkeypatch):
-        # A probe of C(3;2)xC(1;4) has 15 tasks, one per label, so a pool
-        # asked for 64 threads gets 15 workers.  The real pool behind the
-        # recording class starts at most 2, so that the test forks few.
-        from concurrent.futures import ProcessPoolExecutor
-
-        requested = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, max_workers, **kwargs):
-                requested.append(max_workers)
-                super().__init__(*args, max_workers=min(max_workers, 2), **kwargs)
-
-        monkeypatch.setattr(constants, "ProcessPoolExecutor", RecordingPool)
-        r = eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(threads=64))
-        assert requested == [15]
-        assert (r.value, r.nodes) == (7, 8039)
-
-    def test_pool_under_spawn(self, monkeypatch):
-        # Workers that start from a fresh interpreter receive the spec
-        # pickled and build the engine from it, as under the forkserver
-        # default of Python 3.14 on Linux.
-        from concurrent.futures import ProcessPoolExecutor
-
-        class SpawnPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                kwargs["mp_context"] = multiprocessing.get_context("spawn")
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(constants, "ProcessPoolExecutor", SpawnPool)
-        r = eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(threads=2))
-        assert (r.value, r.nodes) == (7, 8039)
 
 
 class TestDavenportOnce:
