@@ -17,10 +17,11 @@ SUBSET_SUM_BOUND = 10**6
 # C(3;1) the free sequences [2] and [1, 1] reach {2} and {1, 2} and share
 # the forbidden set {1, 2, 3}, so one record).  A record takes one entry
 # per figure it holds (a subtree count, or a depth), one for itself, and
-# one per 256 packed bits of its key, which holds one bit per element of
-# the engine's space.  A figure of 256 or less costs 8 bytes, a list slot
-# on a cached small int; a larger one about 36, the slot and an int of its
-# own.
+# one per 256 bits of its key's span: the key is the forbidden set's
+# window, one bit per element of the engine's space, spread over the
+# padded fields of ReachEngine's packing up to the last element's bit.  A
+# figure of 256 or less costs 8 bytes, a list slot on a cached small int;
+# a larger one about 36, the slot and an int of its own.
 SEARCH_MEMO_ENTRIES = 10**6
 
 
@@ -33,7 +34,8 @@ class Budget:
     caps the subset-sum states: the capped states of a search engine's
     space (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l),
     checked before the engine is built.  The engine's bitsets hold one
-    bit per element, under 2^r * prod(cap_i) for rank r.  The one-shot
+    bit per element, under 2^r * prod(cap_i) for rank r, in fields padded
+    to about twice their size per coordinate.  The one-shot
     predicates never see a Budget: they bound the states their walk reaches
     by their own state_cap argument, default DEFAULT_STATE_CAP.
     Every search runs in the calling process.  threads is read by nothing:

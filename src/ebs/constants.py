@@ -392,19 +392,26 @@ def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 # brute force
 
 def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
-    """Exact I(S) by iterative deepening from eb_bounds.lower - 1: the answer
-    is the first length admitting no idempotent-sum free sequence.
+    """Exact I(S) by iterative deepening from the proven lower bound: the
+    answer is the first length admitting no idempotent-sum free sequence.
+
+    The bounds take D(G_S) from the formula alone, and where it gives only
+    an interval, its ends: 1 + d*(G_S) is always a lower bound of D, so
+    the search never resolves D by a search of its own.  The probes start
+    lower than eb_bounds would have them, and the node count grows, only
+    where D(G_S) > 1 + d*(G_S); no group the tests or the benchmark reach
+    has that.
 
     Enumerates non-decreasing sequences over the non-idempotent elements,
     carrying the elements whose addition would complete the idempotent
-    (the forbidden set, one bit per element) and pruning any extension that realizes the idempotent
-    profile.  Termination is guaranteed by the proven upper bound;
-    exceeding it raises an internal error.  The time budget covers the
-    bounds and the engine build as well as the search.
+    (the forbidden set, see ReachEngine) and pruning any extension that
+    realizes the idempotent profile.  Termination is guaranteed by the
+    proven upper bound; exceeding it raises an internal error.  The time
+    budget covers the bounds and the engine build as well as the search.
     """
     meter = SearchMeter(budget)
     meter.check_states(math.prod(s.caps))
-    bounds = eb_bounds(s, budget)
+    bounds = _eb_bounds(s, davenport(group_of(s), "formula", budget))
     engine = ReachEngine.for_spec(s)
     meter.check_time()
     for value in range(bounds.lower, bounds.upper + 1):

@@ -14,8 +14,10 @@ The search engine, ReachEngine, gives each element a bit, and a set of
 elements is one int bitset; an element past cap_i is an alias of its capped
 twin, and every set the search makes holds both or neither.  The search
 carries a sequence's forbidden set, the elements whose addition would
-complete the idempotent, not its reach set, and steps it by a few masked
-shifts.  One depth-first walker, search_free, runs every exhaustive search
+complete the idempotent, not its reach set.  Each coordinate's field is
+padded with periodic copies of its last period, so a step is one shift,
+and the padding is filled again by one masked multiply per coordinate.
+One depth-first walker, search_free, runs every exhaustive search
 on it: the Erdos-Burgess existence probes, the Davenport search for the
 longest free extension, and the lhat/l searches of the structure module
 (arity 1), which report the free nodes to a callback, on_free, that returns
@@ -342,143 +344,97 @@ def format_seq(t: Seq) -> str:
 # ---------------------------------------------------------------------------
 # packed search engine
 
-def _digit_mask(digits, stride: int, comb: int) -> int:
-    """Bitset of the packed elements whose digit in one coordinate (given by
-    its stride) lies in `digits`.
-
-    The coordinate's digits repeat with period stride * size across the
-    packed space, so the mask is one period's block times the coordinate's
-    comb, a bit at the start of every period; the block is narrower than the
-    period, so the product has no carries.
-    """
-    block = 0
-    run = (1 << stride) - 1
-    for d in digits:
-        block |= run << (d * stride)
-    return block * comb
-
-
 class ReachEngine:
     """Precomputed bitset translations for exhaustive free-sequence searches.
 
-    One bit per element.  Coordinate i of an element of C(k_i;n_i) is a
-    digit in [0, k_i + n_i - 1), the index less 1; a group packs residues,
-    digit r in [0, n_i).  Mixed-radix packing, the last coordinate least
-    significant, gives sorted elements increasing bit positions, and a set
-    of elements is one int.  The width num_states is prod(k_i + n_i - 1),
-    under 2^r * prod(cap_i), or |G|.  Label ai owns bit pos[ai] (owned: all
-    of them); labels may skip positions, as an explicit alphabet does, or
-    the structure engine, which leaves out the idempotent.
+    Coordinate i of an element of C(k_i;n_i) is a digit in [0, size_i),
+    the index less 1, size_i = k_i + n_i - 1; a group packs residues, digit
+    r in [0, n_i), size_i = n_i.  Each coordinate owns a field of bits,
+    size_i padded by whole periods n_i to at least 2 size_i - 1 + o_i
+    (o_i = 1 in a semigroup, whose digits d and e stand for indices summing
+    to digit d + e + 1, and 0 in a group), and mixed-radix packing over the
+    fields, the last coordinate least significant, gives sorted elements
+    increasing bit positions, so a set of elements is one int.  The
+    elements own the window, win: num_states = prod(size_i) bits, under
+    2^r * prod(cap_i), or |G|, of a padded width.  Label ai owns bit pos[ai]
+    (owned: all of them); labels may skip positions, as an explicit
+    alphabet does, or the structure engine, which leaves out the idempotent.
 
     The search carries a sequence's forbidden set F, not its reach set S:
     the elements x with p + x capped to the idempotent (see _capped) for
     some p in S or p the empty sum.  Appending c makes the idempotent
     reachable exactly when c is in F, so F alone decides which elements a
-    node rejects.  The empty sequence has F = {idempotent} (root; bit 0,
-    the zero sum, in a group), and appending b gives F | (F - b), where
-    F - b holds the x with x + b in F.  An element past cap_i is an alias
-    of its capped twin (7 of 4 in C(5;3)): they share a state, so every F
-    holds both or neither.  Distinct reach sets may share one F: in C(3;1)
-    the free sequences [2] and [1, 1] reach {2} and {1, 2}, and both forbid
+    node rejects.  The empty sequence has F = {idempotent} (root; the zero
+    sum in a group), and appending b gives F | (F - b), where F - b holds
+    the x with x + b in F.  An element past cap_i is an alias of its capped
+    twin (7 of 4 in C(5;3)): they share a state, so every F holds both or
+    neither.  Distinct reach sets may share one F: in C(3;1) the free
+    sequences [2] and [1, 1] reach {2} and {1, 2}, and both forbid
     {1, 2, 3}.  In a group S -> F is one-to-one.
 
-    Adding b moves every digit of a coordinate by a fixed displacement,
-    except where the capped sum wraps.  So b's translation is a set of
-    pieces, one per distinct packed displacement, each the product of
-    per-coordinate digit groups read off the coordinate's table of digit
-    sums.  A piece is kept as (mask, shift), the mask holding the elements
-    it moves onto, so it is read backwards: F - b is the union of (F & mask)
-    >> shift over the pieces that move up and (F & mask) << shift over
-    those that move down (a zero shift adds nothing), and no int outgrows
-    the packed space.  Equal pieces are one object.  Lists indexed by bit
-    position hold the label's pieces there, up and down, and tail[p], the
-    labels at or after position p (tail[num_states] = 0), from which the
+    From digit size_i - n_i on, a coordinate's states repeat with period
+    n_i, so F holds in each field's padding the periodic copies of the last
+    n_i digits of the window: extend(W) rebuilds F from its window W = F &
+    win with one masked multiply per coordinate.  Then the sum x + b of
+    window elements, uncapped, lies inside the fields and in F exactly when
+    its capped state does: F - b is F >> shift[p] on the window, p the bit
+    of b and shift[p] the position of b's digits plus o_i each.  Lists
+    indexed by bit position hold the label's shift there and tail[p], the
+    labels at or after position p (0 past the window), from which the
     search counts its nodes.  No table of pairs is needed: a child's live
     labels are its parent's, from its own on, less the child's F.
 
     records holds the memo that every search over the engine shares, one
-    record per forbidden set of a subtree walked in full, and room the
-    entries it may still take (see search_free).
+    record per forbidden set of a subtree walked in full, keyed by its
+    window, and room the entries it may still take (see search_free).
     """
 
-    __slots__ = ("labels", "num_states", "root", "pos", "owned", "tail", "up", "down",
-                 "records", "room")
-
-    def __init__(self, labels, num_states, root, pos, owned, tail, up, down):
-        self.labels = labels  # alphabet, in search order
-        self.num_states = num_states
-        self.root = root  # the forbidden set of the empty sequence
-        self.pos, self.owned, self.tail = pos, owned, tail
-        self.up, self.down = up, down
-        self.records: dict[int, list[int]] = {}
-        self.room = SEARCH_MEMO_ENTRIES
+    __slots__ = ("labels", "num_states", "width", "win", "ext", "root", "pos", "owned",
+                 "tail", "shift", "records", "room")
 
     @classmethod
     def _build(cls, labels, digits, coords, target) -> "ReachEngine":
         """Engine over `labels`, whose element digits are `digits` (one tuple
         per label, in increasing packed order), with coords[i] = (size_i,
-        to_i): coordinate i has digits [0, size_i), and to_i[d + e] is the
-        digit of the sum of digits d and e.  target: the idempotent's digits.
+        n_i, o_i): coordinate i has digits [0, size_i), whose states repeat
+        with period n_i from digit size_i - n_i on, and the digits d and e
+        sum to digit d + e + o_i before capping.  target: the idempotent's
+        digits.
         """
-        sizes = [size for size, _ in coords]
-        strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
-        width = math.prod(sizes)
-        full = (1 << width) - 1
-        # per coordinate: the (mask, shift) groups of each label digit; twins
-        # move every digit alike, and share one list of groups
-        groups = []
-        for i, (stride, (size, to)) in enumerate(zip(strides, coords)):
-            comb = full // ((1 << stride * size) - 1)
-            by_row: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            by_digit = {}
-            for e in {ds[i] for ds in digits}:
-                row = tuple(to[e:e + size])  # the digit each digit d moves to
-                if row not in by_row:
-                    by_shift: dict[int, list[int]] = {}
-                    for d, f in enumerate(row):
-                        by_shift.setdefault((f - d) * stride, []).append(d)
-                    by_row[row] = [(_digit_mask(ds, stride, comb), shift)
-                                   for shift, ds in by_shift.items()]
-                by_digit[e] = by_row[row]
-            groups.append(by_digit)
-
-        pos = [sum(d * st for d, st in zip(ds, strides)) for ds in digits]
-        up, down = [None] * width, [None] * width
-        made = {}  # (up, down) by the groups they come from: twins share them
-        pieces: dict[tuple[int, int], tuple[int, int]] = {}  # equal pieces, one object
-        for p, ds in zip(pos, digits):
-            parts = [g[d] for g, d in zip(groups, ds)]
-            key = tuple(map(id, parts))
-            both = made.get(key)
-            if both is None:
-                merged: dict[int, int] = {}
-                for combo in itertools.product(*parts):
-                    mask, shift = -1, 0
-                    for m, sh in combo:
-                        mask &= m
-                        shift += sh
-                    merged[shift] = merged.get(shift, 0) | mask
-                # a zero shift only re-adds elements already in the set; each
-                # mask is shifted onto the elements its piece moves onto
-                ups, downs = [], []
-                for sh, m in merged.items():
-                    if sh > 0:
-                        q = (m << sh, sh)
-                        ups.append(pieces.setdefault(q, q))
-                    elif sh < 0:
-                        q = (m >> -sh, -sh)
-                        downs.append(pieces.setdefault(q, q))
-                both = made[key] = (tuple(ups), tuple(downs))
-            up[p], down[p] = both
+        self = cls.__new__(cls)
+        fields = [size + n * -(-(size - 1 + o) // n) for size, n, o in coords]
+        strides = [math.prod(fields[i + 1:]) for i in range(len(fields))]
+        self.width = width = math.prod(fields)
+        self.num_states = math.prod(size for size, _, _ in coords)
+        # the window and, per coordinate, the extension: shift the last n
+        # digits down to digit 0, keep digits [0, n), and copy them onto
+        # each period of the padding with one product (the copies are
+        # disjoint, so it has no carries)
+        win, ext = 1, []
+        for (size, n, _), field, stride in zip(coords, fields, strides):
+            win *= ((1 << size * stride) - 1) // ((1 << stride) - 1)
+            keep = ((1 << width) - 1) // ((1 << field * stride) - 1) * ((1 << n * stride) - 1)
+            copies = sum(1 << d * stride for d in range(size, field, n))
+            if copies:
+                ext.append(((size - n) * stride, keep, copies))
+        self.win, self.ext = win, tuple(ext)
+        self.labels = tuple(labels)  # alphabet, in search order
+        self.pos = [sum(d * st for d, st in zip(ds, strides)) for ds in digits]
+        span = win.bit_length()
+        self.shift = [0] * span
+        for p, ds in zip(self.pos, digits):
+            self.shift[p] = sum((d + o) * st for d, (_, _, o), st in zip(ds, coords, strides))
         # tail: the labels at or after each position, summed from the end;
         # owned: every label's bit, marks read as a binary numeral
-        marks = [0] * (width + 1)
-        for p in pos:
+        marks = [0] * (span + 1)
+        for p in self.pos:
             marks[p] = 1
-        tail = list(itertools.accumulate(reversed(marks)))[::-1]
-        owned = int("".join(map(str, reversed(marks))), 2)
-        root = 1 << sum(d * st for d, st in zip(target, strides))
-        return cls(tuple(labels), width, root, pos, owned, tail, up, down)
+        self.tail = list(itertools.accumulate(reversed(marks)))[::-1]
+        self.owned = int("".join(map(str, reversed(marks))), 2)
+        self.root = self.extend(1 << sum(d * st for d, st in zip(target, strides)))
+        self.records: dict[int, list[int]] = {}
+        self.room = SEARCH_MEMO_ENTRIES
+        return self
 
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
@@ -486,20 +442,22 @@ class ReachEngine:
         if alphabet is None:
             alphabet = [a for a in s.elements() if a != caps]
         labels = sorted(set(alphabet))  # one bit per label: a repeat would share it
-        # digits d and e stand for indices d + 1 and e + 1, summing to d + e + 2
-        coords = [(c.size, [_capped(cap, c.n, v + 2) - 1 for v in range(2 * c.size - 1)])
-                  for c, cap in zip(s.coords, caps)]
-        return cls._build(labels, [tuple(v - 1 for v in a) for a in labels], coords,
-                          [cap - 1 for cap in caps])
+        return cls._build(labels, [tuple(v - 1 for v in a) for a in labels],
+                          [(c.size, c.n, 1) for c in s.coords], [cap - 1 for cap in caps])
 
     @classmethod
     def for_group(cls, g: GroupSpec) -> "ReachEngine":
-        """Engine over the nonzero residues in residue order, label ai at bit
-        ai + 1 and the zero sum at bit 0."""
+        """Engine over the nonzero residues in residue order, the zero sum
+        at bit 0."""
         zero = (0,) * len(g.periods)
         labels = [a for a in g.elements() if a != zero]
-        return cls._build(labels, labels, [(n, [v % n for v in range(2 * n - 1)])
-                                           for n in g.periods], zero)
+        return cls._build(labels, labels, [(n, n, 0) for n in g.periods], zero)
+
+    def extend(self, window: int) -> int:
+        """The forbidden set whose window is `window`: its padding filled."""
+        for drop, keep, copies in self.ext:
+            window |= (window >> drop & keep) * copies
+        return window
 
     def step(self, forbidden: int, ai: int) -> int | None:
         """Forbidden set after appending alphabet element ai, or None if ai
@@ -507,12 +465,7 @@ class ReachEngine:
         p = self.pos[ai]
         if forbidden >> p & 1:
             return None
-        out = forbidden
-        for m, sh in self.up[p]:
-            out |= (forbidden & m) >> sh
-        for m, sh in self.down[p]:
-            out |= (forbidden & m) << sh
-        return out
+        return self.extend((forbidden | forbidden >> self.shift[p]) & self.win)
 
 
 # The fewest nodes a subtree of the longest-extension search must count to
@@ -543,12 +496,15 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
 
     A node's live labels are a bitset, those from its own on that its
     forbidden set does not hold, visited lowest bit first (alphabet order).
-    Forbidden sets grow along a path, so child b's live labels are its
-    parent's from b on less its own forbidden set.  Nodes are counted as the
-    search that tries one label at a time counts them: a node entered at
-    bit position p costs tail[p], or tail[p] - tail[q] + 1 if it stops at a
-    hit at position q, so positions no label owns cost nothing.  The count
-    is handed to the meter when it reaches meter.next_check() and at the end.
+    A node carries its forbidden set's window W (ReachEngine) and, once
+    past the record check below, extends it to F.  Forbidden sets grow
+    along a path, so child b's live labels are its parent's from b on less
+    F - b = F >> shift[b], and its window is W | (F - b) & win.  Nodes are
+    counted as the search that tries one label at a time counts them: a
+    node entered at bit position p costs tail[p], or tail[p] - tail[q] + 1
+    if it stops at a hit at position q, so positions no label owns cost
+    nothing.  The count is handed to the meter when it reaches
+    meter.next_check() and at the end.
 
     One walker runs all three: it returns a node's depth, the length of its
     longest free extension, or left, the length still asked, as soon as it
@@ -572,31 +528,31 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     A node's live labels follow from its forbidden set F and its start, and
     so do its children's forbidden sets, so its subtree depends only on F
     and start, and the live labels of one F, in order, are suffixes of one
-    list.  So a node walked in full records under F its children's node
-    counts and depths, in live order, and a later node with the same F,
-    whatever its reach set, with no more live labels than the record has
-    children is read off the record's last ones: it fails at left elements
-    exactly when the greatest of their depths is below left, and then costs
-    tail[p] plus their counts, not searched again.  Otherwise it is walked,
-    and reaches left.  The longest search records only subtrees of
-    _RECORD_NODES or more nodes, the others every node they walk in full.
-    The records are the engine's (ReachEngine.records), shared by every
-    search over it, one per forbidden set (in C(3;1), [2] and [1, 1] share
-    one): a record is written once and never replaced, and all take at
-    most config.SEARCH_MEMO_ENTRIES entries.  The longest search finds
-    its witness by walking again as an existence search of the longest
-    length, uncounted and unmetered: it reads the records, and its first
-    hit is the first longest extension in depth-first order, whose elements
-    it collects on the way back up.
+    list.  So a node walked in full records under F's window its
+    children's node counts and depths, in live order, and a later node
+    with the same F, whatever its reach set, with no more live labels than
+    the record has children is read off the record's last ones: it fails
+    at left elements exactly when the greatest of their depths is below
+    left, and then costs tail[p] plus their counts, not searched again.
+    Otherwise it is walked, and reaches left.  The longest search records
+    only subtrees of _RECORD_NODES or more nodes, the others every node
+    they walk in full.  The records are the engine's (ReachEngine.records),
+    shared by every search over it, one per forbidden set (in C(3;1), [2]
+    and [1, 1] share one): a record is written once and never replaced,
+    and all take at most config.SEARCH_MEMO_ENTRIES entries.  The longest
+    search finds its witness by walking again as an existence search of
+    the longest length, uncounted and unmetered: it reads the records, and
+    its first hit is the first longest extension in depth-first order,
+    whose elements it collects on the way back up.
     """
-    up, down, tail = engine.up, engine.down, engine.tail
+    shift, tail, win, ext = engine.shift, engine.tail, engine.win, engine.ext
     records = engine.records
     n = len(engine.labels)  # n - tail[p] is the alphabet index of the label at p
     count = meter.nodes
     mark = meter.next_check()
     stack: list[int] = []
     hit: list[int] = []  # a hit's alphabet indices, deepest first
-    key_cost = 1 + engine.num_states // 256  # the entries a record takes beside its figures
+    key_cost = 1 + win.bit_length() // 256  # the entries a record takes beside its figures
     # the fewest nodes a record counts
     least = _RECORD_NODES if length is None and on_free is None else 0
 
@@ -605,17 +561,18 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         meter.tick(count - meter.nodes)
         mark = meter.next_check()
 
-    def walk(F, live, start, left):
-        # the depth of a node at bit position start with live labels live
-        # (not empty), or left (>= 1) as soon as it reaches left; with
-        # on_free, which it never stops for, left is care - depth + 1
+    def walk(W, live, start, left):
+        # the depth of a node with window W at bit position start with live
+        # labels live (not empty), or left (>= 1) as soon as it reaches
+        # left; with on_free, which it never stops for, left is
+        # care - depth + 1
         nonlocal count, room, care
         if left == 1 and on_free is None:  # the first live label is the hit
             c = (live & -live).bit_length() - 1
             count += tail[start] - tail[c] + 1
             hit.append(n - tail[c])
             return 1
-        known = records.get(F)
+        known = records.get(W)
         if known is not None:
             k = live.bit_count()
             if 2 * k <= len(known):
@@ -634,15 +591,14 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             rest += care - was
         sizes, depths = [], []  # per child, in live order
         deepest = 1  # the greatest of depths
+        F = W
+        for drop, keep, copies in ext:  # ReachEngine.extend, inline
+            F |= (F >> drop & keep) * copies
         while live:
             low = live & -live
             b = low.bit_length() - 1
-            out = F
-            for m, sh in up[b]:
-                out |= (F & m) >> sh
-            for m, sh in down[b]:
-                out |= (F & m) << sh
-            kids = live ^ (live & out)
+            t = F >> shift[b]  # F - b, on the window
+            kids = live & ~t
             live ^= low
             if not kids:  # the child rejects every label from b on
                 if rest <= 0:  # a leaf deeper than care, reported
@@ -659,7 +615,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 settle()
             before = count
             if on_free is None:
-                depth = walk(out, kids, b, rest)
+                depth = walk(W | t & win, kids, b, rest)
                 if depth == rest:
                     count += tail[start] - tail[b] + 1
                     hit.append(n - tail[b])
@@ -667,7 +623,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             else:
                 stack.append(n - tail[b])
                 was = care
-                depth = walk(out, kids, b, rest)
+                depth = walk(W | t & win, kids, b, rest)
                 rest += care - was
                 stack.pop()
             sizes.append(count - before)
@@ -683,13 +639,13 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         if known is None and count - entered >= least and cost <= room:
             room -= cost
             sizes += depths
-            records[F] = sizes
+            records[W] = sizes
         return deepest
 
-    F = forbidden | engine.root
+    W = (forbidden | engine.root) & win
     result = True
-    at = engine.pos[start] if start < n else engine.num_states  # start's bit position
-    live = engine.owned >> at << at & ~F
+    at = engine.pos[start] if start < n else len(tail) - 1  # start's bit position
+    live = engine.owned >> at << at & ~W
     room = engine.room
     care = 0  # on_free's last answer; None reads as 0, the unreported root's depth
     try:
@@ -698,17 +654,17 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             if on_free is None:
                 result = [] if length is None else False
         elif on_free is not None:
-            walk(F, live, at, 1)  # the root's left: care - 0 + 1
+            walk(W, live, at, 1)  # the root's left: care - 0 + 1
         elif length is None:
-            depth = walk(F, live, at, _UNREACHED)
+            depth = walk(W, live, at, _UNREACHED)
             # the witness: walk again to the first extension of that length,
             # reading the records, uncounted and unmetered
             counted, mark = count, _UNREACHED
-            walk(F, live, at, depth)
+            walk(W, live, at, depth)
             count = counted
             result = hit[::-1]
         else:
-            result = walk(F, live, at, length) == length
+            result = walk(W, live, at, length) == length
     finally:
         # The recursive closure refers to itself, and the cycle holds
         # the engine's lists; break it, so that they are freed on return

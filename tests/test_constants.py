@@ -41,6 +41,17 @@ from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free
 from test_acceptance import rank2_grid
 
 
+def slow_build(monkeypatch):
+    """Make every engine build take 0.2 s longer."""
+    build = ReachEngine._build.__func__
+
+    def slow(cls, *args):
+        time.sleep(0.2)
+        return build(cls, *args)
+
+    monkeypatch.setattr(ReachEngine, "_build", classmethod(slow))
+
+
 class TestInvariantFactors:
     @pytest.mark.parametrize("periods,expected", [
         ((1,), ()),
@@ -323,13 +334,8 @@ class TestEbBruteforce:
         assert time.monotonic() - t0 < 1.0
 
     def test_time_budget_covers_setup(self, monkeypatch):
-        resolve = constants._resolve_davenport
-
-        def slow_resolve(g, budget):
-            time.sleep(0.2)
-            return resolve(g, budget)
-
-        monkeypatch.setattr(constants, "_resolve_davenport", slow_resolve)
+        # the engine build takes 0.2 s of a 0.1 s budget
+        slow_build(monkeypatch)
         with pytest.raises(BudgetExceeded, match="time budget"):
             eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(time_budget_s=0.1))
 
@@ -383,6 +389,14 @@ class TestDavenportOnce:
         assert "davenport-inexact" in r.flags
         assert len(brute_calls) == 1
 
+    def test_both(self, brute_calls):
+        # Z2+Z2+Z6: the formula half resolves D by search, and the brute
+        # half takes its bounds from the formula, so it searches for no D
+        s = parse_spec("C(1;2)xC(1;2)xC(1;6)")
+        assert (eb_bruteforce(s).nodes, brute_calls) == (289695, [])
+        r = erdos_burgess(s, "both")
+        assert (r.value, r.nodes, len(brute_calls)) == (8, 289695, 1)
+
 
 class TestCrossCheck:
     """method="both" raises when the brute value contradicts the formula."""
@@ -431,8 +445,9 @@ class TestErdosBurgess:
         assert "formula-refuted" in r.flags
 
     def test_both_runs_under_one_deadline(self, monkeypatch):
-        # Each half resolves D once, 0.2 s each: the brute half gets the
-        # 0.1 s the formula half left, so the call stops on its own budget.
+        # The formula half resolves D and the brute half builds its
+        # engine, 0.2 s each: the brute half gets the 0.1 s the formula
+        # half left, so the call stops on its own budget.
         resolve = constants._resolve_davenport
 
         def slow_resolve(g, budget):
@@ -440,6 +455,7 @@ class TestErdosBurgess:
             return resolve(g, budget)
 
         monkeypatch.setattr(constants, "_resolve_davenport", slow_resolve)
+        slow_build(monkeypatch)
         with pytest.raises(BudgetExceeded, match=r"time budget 0\.3s exhausted") as info:
             erdos_burgess(parse_spec("C(3;2)xC(1;4)"), "both", Budget(time_budget_s=0.3))
         assert info.value.elapsed_ms >= 400

@@ -374,7 +374,7 @@ class TestReachEngine:
                     if nxt is None:
                         hit = True
                         break
-                    assert nxt & forbidden == forbidden and nxt.bit_length() <= engine.num_states
+                    assert nxt & forbidden == forbidden and nxt.bit_length() <= engine.width
                     forbidden = nxt
                 t = Seq(tuple(labels[ai] for ai in combo))
                 assert hit == (not is_idempotent_sum_free(s, t)), t
@@ -433,6 +433,59 @@ class TestReachEngine:
         self.assert_step_identity(engine,
                                   lambda terms: is_idempotent_sum_free(s, Seq(tuple(terms))))
 
+    @pytest.mark.parametrize("kind", ["spec", "group", "structure"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_elementwise_definition(self, kind, data):
+        # Each element's bit is read off an engine over every element but
+        # the idempotent, whose bit is the root's window; the elements own
+        # the window, in increasing order.  From every F that a drawn word
+        # reaches, step(F, a) is None exactly when F holds a, and otherwise
+        # holds x exactly when F holds x or the capped x + a, on every
+        # window bit; every F reached is the extension of its window.
+        # Drawn: n = 1 coordinates, k > n (twins), groups of rank <= 3, and
+        # the structure alphabets.
+        if kind == "group":
+            periods = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+            engine = full = ReachEngine.for_group(GroupSpec(periods))
+            elements = list(GroupSpec(periods).elements())
+
+            def plus(x, a):
+                return tuple((u + v) % n for u, v, n in zip(x, a, periods))
+        else:
+            pairs = data.draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                                       min_size=1, max_size=1 if kind == "structure" else 3))
+            s = ProductSpec.of(*pairs)
+            full = ReachEngine.for_spec(s)
+            engine = _search_engine(s.coords[0])[1] if kind == "structure" else full
+            elements = list(s.elements())
+
+            def plus(x, a):
+                return tuple(_capped(c.cap, c.n, u + v) for u, v, c in zip(x, a, s.coords))
+        bit = dict(zip(full.labels, full.pos))
+        (missing,) = set(elements) - set(bit)
+        bit[missing] = (full.root & full.win).bit_length() - 1
+        assert [bit[x] for x in elements] == sorted(bit.values())
+        assert sum(1 << p for p in bit.values()) == full.win
+        assert full.win.bit_count() == full.num_states == engine.num_states == len(elements)
+        assert all(bit[a] == p for a, p in zip(engine.labels, engine.pos))
+        n = len(engine.labels)
+        word = data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+        F = engine.root
+        assert {x for x in elements if F >> bit[x] & 1} == {missing}
+        for ai in [*word, None]:
+            assert F == engine.extend(F & engine.win) and F >> engine.width == 0
+            held = {x for x in elements if F >> bit[x] & 1}
+            for b, a in enumerate(engine.labels):
+                after = engine.step(F, b)
+                if a in held:
+                    assert after is None, a
+                else:
+                    assert {x for x in elements if after >> bit[x] & 1} == held | {
+                        x for x in elements if plus(x, a) in held}, a
+            if ai is None or (F := engine.step(F, ai)) is None:
+                break
+
     def test_repeated_alphabet_element_is_one_label(self):
         # each label owns one bit, so an explicit alphabet keeps one copy of
         # a repeated element; the search is that of the alphabet without it
@@ -451,9 +504,12 @@ class TestReachEngine:
         engine = ReachEngine.for_spec(s, alphabet=[idempotent(s), (1, 1)])
         ai = engine.labels.index(idempotent(s))
         assert engine.step(engine.root, ai) is None
-        # (1, 1) forbids the target and the state (3, 2), whose digits (2, 1)
-        # pack to 2 * 3 + 1 = 7: 3 + 1 = 4 = cap in C(3;2), 2 + 1 = 3 = cap in C(1;3)
-        assert engine.step(engine.root, engine.labels.index((1, 1))) == engine.root | 1 << 7
+        # (1, 1) forbids the target and the state (3, 2): 3 + 1 = 4 = cap in
+        # C(3;2), 2 + 1 = 3 = cap in C(1;3).  Its digits (2, 1) pack to
+        # 2 * 6 + 1 = 13 over fields of 4 + 4 = 8 and 3 + 3 = 6 bits.
+        F = engine.step(engine.root, engine.labels.index((1, 1)))
+        assert F & engine.win == (engine.root & engine.win) | 1 << 13
+        assert F == engine.extend(engine.root | 1 << 13)
 
 
 class TestSearchKernel:
@@ -561,10 +617,21 @@ class TestSearchKernel:
         for k in [*range(value, 0, -1), *range(1, value + 1)]:
             assert probe(engine, k) == fresh[k], k
         assert engine.records, "the failing probe records the subtrees it walks in full"
-        # a record replaced by a longer one gives its entries back
-        key_cost = 1 + engine.num_states // 256
+        # each record takes its figures and its key's entries of the room
+        key_cost = 1 + engine.win.bit_length() // 256
         assert sequences.SEARCH_MEMO_ENTRIES - engine.room == sum(
             key_cost + len(record) for record in engine.records.values())
+
+    def test_record_key_cost_counts_the_window_span(self):
+        # A record's key is its window, whose span here is 300 bits, for
+        # 180 elements: each record takes 2 entries beside its figures.
+        engine = ReachEngine.for_spec(parse_spec("C(1;3)xC(60;1)"), [(1, 1), (2, 1), (1, 2)])
+        assert (engine.num_states, engine.win.bit_length()) == (180, 300)
+        meter = SearchMeter(Budget())
+        assert search_free(engine, meter, 61) is False
+        assert meter.nodes == 21035 and engine.records
+        assert sequences.SEARCH_MEMO_ENTRIES - engine.room == sum(
+            2 + len(record) for record in engine.records.values())
 
     @pytest.mark.parametrize("label", ["C(2;2)xC(3;3)", "C(3;2)xC(2;3)", "Z2+Z2+Z6"])
     def test_failing_probe_counts_the_enumeration(self, label):
