@@ -30,7 +30,8 @@ class Budget:
     """Resource limits for brute-force searches.
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
-    is wall clock from the start of a search, its setup included; state_cap
+    is wall clock from the start of a brute call, its setup (bounds, engine
+    build) included, since every search reads the clock first; state_cap
     caps the subset-sum states: the capped states of a search engine's
     space (prod(cap_i) for I(S), |G| for D(G), cap for l-hat and l),
     checked before the engine is built.  The engine's bitsets hold one
@@ -53,9 +54,9 @@ class Budget:
 class SearchMeter:
     """Mutable node/time counter checked periodically inside search loops.
 
-    tick(k) hands over a batch of k nodes and ends as k single ticks would:
-    past the limit it reports limit + 1 nodes, and across a multiple of 4096
-    it checks the clock.
+    settle(count) takes a search's running node count: past the limit it
+    raises, reporting limit + 1, and across a multiple of 4096 it reads the
+    clock.  It returns the next multiple of 4096, or limit + 1 if lower.
     """
 
     __slots__ = ("budget", "nodes", "started", "_limit")
@@ -68,25 +69,18 @@ class SearchMeter:
         # Budget is frozen, so the node limit can be read once here.
         self._limit = budget.node_budget
 
-    def tick(self, count: int = 1) -> None:
-        before = self.nodes
-        self.nodes += count
-        if self.nodes > self._limit:
+    def settle(self, count: int) -> int:
+        if count > self._limit:
             self.nodes = self._limit + 1
             raise BudgetExceeded(
                 f"node budget {self._limit} exhausted",
                 nodes=self.nodes,
                 elapsed_ms=self.elapsed_ms(),
             )
-        # Wall-clock checks are amortized: only every 4096th node looks at
-        # the clock.
-        if before >> 12 != self.nodes >> 12:
+        before, self.nodes = self.nodes, count
+        if before >> 12 != count >> 12:
             self.check_time()
-
-    def next_check(self) -> int:
-        """The node count at which a batching search must next call tick:
-        the next multiple of 4096, or the first count over the limit."""
-        return min(((self.nodes >> 12) + 1) << 12, self._limit + 1)
+        return min(((count >> 12) + 1) << 12, self._limit + 1)
 
     def check_states(self, count: int) -> None:
         """Raise BudgetExceeded if a search over count capped states would

@@ -407,13 +407,12 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     (the forbidden set, see ReachEngine) and pruning any extension that
     realizes the idempotent profile.  Termination is guaranteed by the
     proven upper bound; exceeding it raises an internal error.  The time
-    budget covers the bounds and the engine build as well as the search.
+    budget covers the bounds and engine build: search_free checks it first.
     """
     meter = SearchMeter(budget)
     meter.check_states(math.prod(s.caps))
     bounds = _eb_bounds(s, davenport(group_of(s), "formula", budget))
     engine = ReachEngine.for_spec(s)
-    meter.check_time()
     for value in range(bounds.lower, bounds.upper + 1):
         if not search_free(engine, meter, value):
             break

@@ -24,13 +24,13 @@ longest free extension, and the lhat/l searches of the structure module
 the depth it no longer needs.  A node's live labels are one bitset too: a
 child's are its parent's from its own bit on, less its own forbidden set.
 The nodes of the plain one-candidate-at-a-time search are counted by
-arithmetic.  The searches over an engine share one memo, one record per
-forbidden set, and every node takes one path: an existence node with one
-element left stops at its first live label; any other is counted from the
-record of its forbidden set, if that record shows it cannot reach the depth
-still asked (or that the callback still needs), or walks its live labels in
-one loop.  The counts of a recorded subtree are its children's node counts
-and depths, so the counts are those of the full search.
+arithmetic and metered in batches after one clock read for the setup.  The
+searches over an engine share one memo, one record per forbidden set, and
+every node takes one path: an existence node with one element left stops at
+its first live label; any other is counted from the record of its forbidden
+set, if that record shows it cannot reach the depth still asked (or the
+callback still needs), or walks its live labels in one loop.  A record holds
+its children's node counts and depths, so the counts are the full search's.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -470,10 +470,10 @@ class ReachEngine:
 
 # The fewest nodes a subtree of the longest-extension search must count to
 # be recorded: smaller ones are cheaper to walk again than to keep.
-# Recording every subtree there raised the peak RSS of the deep_search
-# benchmark from 26.3 to 29.3 MB and moved its wall time by under 5%; the
-# existence probes and the enumeration record every subtree they walk in
-# full.
+# Recording every subtree there took davenport((2, 2, 10), "brute") from
+# 34.1 to 43.2 MB peak RSS, slower in 3 of 3 runs, and the deep_search
+# benchmark from 27.5 to 27.7 MB, 5% faster (2-CPU Xeon, Python 3.11).
+# The existence probes and the enumeration record each subtree walked in full.
 _RECORD_NODES = 64
 
 # A depth no free extension reaches: the longest-extension search walks
@@ -503,8 +503,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     counted as the search that tries one label at a time counts them: a
     node entered at bit position p costs tail[p], or tail[p] - tail[q] + 1
     if it stops at a hit at position q, so positions no label owns cost
-    nothing.  The count is handed to the meter when it reaches
-    meter.next_check() and at the end.
+    nothing.  It reads the clock on entry, so setup counts, and hands the
+    count to meter.settle at the mark settle returned, and at the end.
 
     One walker runs all three: it returns a node's depth, the length of its
     longest free extension, or left, the length still asked, as soon as it
@@ -517,7 +517,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     whatever length was asked.  on_free makes the walker report instead of
     stop: it returns care, an int or None (0), and free nodes at depth <=
     care (stack length) can no longer change what it finds.  A node's left
-    is then care - depth + 1, moved whenever care moves, so a node whose
+    is then care - depth + 1 (a child's: care - len(stack)), so a node whose
     record shows its subtree lies within care is counted from it, neither
     walked nor reported, as a failing probe's is; any other is reported on
     entry and walked in full, with no hit and no one-element stop.  A leaf
@@ -548,25 +548,21 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     shift, tail, win, ext = engine.shift, engine.tail, engine.win, engine.ext
     records = engine.records
     n = len(engine.labels)  # n - tail[p] is the alphabet index of the label at p
+    meter.check_time()  # the caller's setup counts against the time budget
     count = meter.nodes
-    mark = meter.next_check()
+    mark = meter.settle(count)
     stack: list[int] = []
     hit: list[int] = []  # a hit's alphabet indices, deepest first
     key_cost = 1 + win.bit_length() // 256  # the entries a record takes beside its figures
     # the fewest nodes a record counts
     least = _RECORD_NODES if length is None and on_free is None else 0
 
-    def settle():
-        nonlocal mark
-        meter.tick(count - meter.nodes)
-        mark = meter.next_check()
-
     def walk(W, live, start, left):
         # the depth of a node with window W at bit position start with live
         # labels live (not empty), or left (>= 1) as soon as it reaches
         # left; with on_free, which it never stops for, left is
         # care - depth + 1
-        nonlocal count, room, care
+        nonlocal count, room, care, mark
         if left == 1 and on_free is None:  # the first live label is the hit
             c = (live & -live).bit_length() - 1
             count += tail[start] - tail[c] + 1
@@ -581,14 +577,13 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     half = len(known) >> 1
                     count += tail[start] + sum(known[half - k:half])
                     if count >= mark:
-                        settle()
+                        mark = meter.settle(count)
                     return depth
         entered = count
         rest = left - 1  # what a child has left
         if stack:  # a free node below the root, reported on entry
-            was = care
             care = on_free(stack) or 0
-            rest += care - was
+            rest = care - len(stack)
         sizes, depths = [], []  # per child, in live order
         deepest = 1  # the greatest of depths
         F = W
@@ -603,16 +598,15 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
             if not kids:  # the child rejects every label from b on
                 if rest <= 0:  # a leaf deeper than care, reported
                     stack.append(n - tail[b])
-                    was = care
                     care = on_free(stack) or 0
-                    rest += care - was
                     stack.pop()
+                    rest = care - len(stack)
                 count += tail[b]
                 sizes.append(tail[b])
                 depths.append(1)
                 continue
             if count >= mark:
-                settle()
+                mark = meter.settle(count)
             before = count
             if on_free is None:
                 depth = walk(W | t & win, kids, b, rest)
@@ -622,17 +616,16 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     return left
             else:
                 stack.append(n - tail[b])
-                was = care
                 depth = walk(W | t & win, kids, b, rest)
-                rest += care - was
                 stack.pop()
+                rest = care - len(stack)
             sizes.append(count - before)
             depths.append(1 + depth)
             if depth >= deepest:
                 deepest = 1 + depth
         count += tail[start]
         if count >= mark:
-            settle()
+            mark = meter.settle(count)
         # a record holds its children's node counts, then their depths; a
         # forbidden set keeps its first record
         cost = key_cost + 2 * len(sizes)
@@ -672,5 +665,5 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         walk = None
         engine.room = room
     # a hit returns without a check; this one settles it
-    meter.tick(count - meter.nodes)
+    meter.settle(count)
     return result

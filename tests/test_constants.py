@@ -36,8 +36,9 @@ from ebs.constants import (
     reduce_spec,
 )
 from ebs.errors import BudgetExceeded, SpecError
-from ebs.semigroup import GroupSpec, ProductSpec, parse_spec
+from ebs.semigroup import CyclicSpec, GroupSpec, ProductSpec, parse_spec
 from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free
+from ebs.structure import l_const, lhat
 from test_acceptance import rank2_grid
 
 
@@ -333,11 +334,20 @@ class TestEbBruteforce:
                           Budget(node_budget=10**12, time_budget_s=0.5))
         assert time.monotonic() - t0 < 1.0
 
-    def test_time_budget_covers_setup(self, monkeypatch):
-        # the engine build takes 0.2 s of a 0.1 s budget
+    @pytest.mark.parametrize("run", [
+        lambda b: eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), b),
+        lambda b: davenport(GroupSpec((2, 4)), "brute", b),  # 242 nodes
+        lambda b: lhat(CyclicSpec(7, 2), "brute", b),  # 264 nodes
+        lambda b: l_const(CyclicSpec(7, 2), "brute", b),  # 264 nodes
+    ], ids=["eb", "davenport", "lhat", "l"])
+    def test_time_budget_covers_setup(self, monkeypatch, run):
+        # the engine build takes 0.2 s of a 0.1 s budget; the last three
+        # searches end below 4,096 nodes, where the meter's periodic clock
+        # check comes, so only the check as the search starts sees it
         slow_build(monkeypatch)
-        with pytest.raises(BudgetExceeded, match="time budget"):
-            eb_bruteforce(parse_spec("C(3;2)xC(1;4)"), Budget(time_budget_s=0.1))
+        with pytest.raises(BudgetExceeded, match="time budget") as info:
+            run(Budget(time_budget_s=0.1))
+        assert info.value.nodes == 0
 
     def test_thread_determinism(self):
         # The last two find free sequences while probing, so their counts

@@ -957,6 +957,20 @@ class TestSearchKernel:
         assert run(Budget(node_budget=total)).nodes == total
 
 
+class TestSearchMeter:
+    def test_settle_returns_the_next_mark_and_reads_the_clock_across_4096(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(SearchMeter, "check_time", lambda self: reads.append(self.nodes))
+        assert SearchMeter(Budget()).settle(0) == 4096
+        meter = SearchMeter(Budget(node_budget=5000))
+        assert meter.settle(4100) == 5001  # the first count over the limit
+        assert reads == [4100]
+        assert meter.settle(4200) == 5001 and reads == [4100]
+        with pytest.raises(BudgetExceeded, match="node budget 5000 exhausted") as info:
+            meter.settle(6000)
+        assert info.value.nodes == meter.nodes == 5001
+
+
 class TestPsiBridge:
     """For k <= n the semigroup predicates reduce to Z_n zero-sum
     predicates through the residue map."""
