@@ -21,7 +21,11 @@ SUBSET_SUM_BOUND = 10**6
 # window, one bit per element of the engine's space, spread over the
 # padded fields of ReachEngine's packing up to the last element's bit.  A
 # figure of 256 or less costs 8 bytes, a list slot on a cached small int;
-# a larger one about 36, the slot and an int of its own.
+# a larger one about 36, the slot and an int of its own.  Every search
+# records each subtree it walks in full while entries remain, so a full
+# memo is one of short records: davenport((2, 2, 10), "brute") fills it
+# with 121,579 records, 14,567 of their 878,420 figures over 256, in about
+# 25.6 MB (sys.getsizeof of the dict, keys, lists and large ints).
 SEARCH_MEMO_ENTRIES = 10**6
 
 

@@ -18,19 +18,23 @@ complete the idempotent, not its reach set.  Each coordinate's field is
 padded with periodic copies of its last period, so a step is one shift,
 and the padding is filled again by one masked multiply per coordinate.
 One depth-first walker, search_free, runs every exhaustive search
-on it: the Erdos-Burgess existence probes, the Davenport search for the
-longest free extension, and the lhat/l searches of the structure module
-(arity 1), which report the free nodes to a callback, on_free, that returns
-the depth it no longer needs.  A node's live labels are one bitset too: a
-child's are its parent's from its own bit on, less its own forbidden set.
-The nodes of the plain one-candidate-at-a-time search are counted by
-arithmetic and metered in batches after one clock read for the setup.  The
-searches over an engine share one memo, one record per forbidden set, and
-every node takes one path: an existence node with one element left stops at
-its first live label; any other is counted from the record of its forbidden
-set, if that record shows it cannot reach the depth still asked (or the
-callback still needs), or walks its live labels in one loop.  A record holds
-its children's node counts and depths, so the counts are the full search's.
+on it in one of two modes.  The Erdos-Burgess existence probes stop at the
+first free extension of a length.  The enumeration reports the free nodes
+to a callback, on_free, that returns the depth it no longer needs: the
+lhat/l searches of the structure module (arity 1), and the Davenport
+search for the longest free extension, whose callback keeps the first
+stack longer than the longest so far.  A node's live labels are one bitset
+too: a child's are its parent's from its own bit on, less its own
+forbidden set.  The nodes of the plain one-candidate-at-a-time search are
+counted by arithmetic and metered in batches after one clock read for the
+setup.  The searches over an engine share one memo, one record per
+forbidden set, and every node takes one path: an existence node with one
+element left stops at its first live label; any other is counted from the
+record of its forbidden set, if that record shows it cannot reach the
+depth still asked (or the callback still needs), or walks its live labels
+in one loop.  Every subtree walked in full, in either mode, is recorded
+while the memo has room.  A record holds its children's node counts and
+depths, so the counts are the full search's.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums; a state steps by per-term lookup rows, one per
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Sequence
@@ -468,19 +471,6 @@ class ReachEngine:
         return self.extend((forbidden | forbidden >> self.shift[p]) & self.win)
 
 
-# The fewest nodes a subtree of the longest-extension search must count to
-# be recorded: smaller ones are cheaper to walk again than to keep.
-# Recording every subtree there took davenport((2, 2, 10), "brute") from
-# 34.1 to 43.2 MB peak RSS, slower in 3 of 3 runs, and the deep_search
-# benchmark from 27.5 to 27.7 MB, 5% faster (2-CPU Xeon, Python 3.11).
-# The existence probes and the enumeration record each subtree walked in full.
-_RECORD_NODES = 64
-
-# A depth no free extension reaches: the longest-extension search walks
-# every subtree in full.
-_UNREACHED = sys.maxsize
-
-
 def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
                 forbidden: int = 0, start: int = 0, on_free=None) -> bool | list[int]:
     """Depth-first search over the non-decreasing free extensions of a
@@ -492,7 +482,9 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     exist?  It stops at the first.  With on_free: visit every free
     extension, calling on_free(stack) at each (stack: the alphabet indices
     added, reused); returns True.  With neither: the alphabet indices of the
-    first longest free extension in depth-first order.
+    first longest free extension in depth-first order, which the
+    enumeration finds under a watch that keeps the first stack longer than
+    the longest so far and gives up the depth of that longest.
 
     A node's live labels are a bitset, those from its own on that its
     forbidden set does not hold, visited lowest bit first (alphabet order).
@@ -506,45 +498,51 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     nothing.  It reads the clock on entry, so setup counts, and hands the
     count to meter.settle at the mark settle returned, and at the end.
 
-    One walker runs all three: it returns a node's depth, the length of its
-    longest free extension, or left, the length still asked, as soon as it
-    reaches it.  Each node takes one path: with one element left it returns
-    at its first live label, the hit; any other, the root included, is read
-    off its record (below) or walks its live labels.  A node's own attempts
-    are counted when it returns, so the running count may lag, but the
-    totals and budget verdicts are those above.  A probe that fails has
-    walked its subtree in full, so its count is the full subtree's,
-    whatever length was asked.  on_free makes the walker report instead of
-    stop: it returns care, an int or None (0), and free nodes at depth <=
-    care (stack length) can no longer change what it finds.  A node's left
-    is then care - depth + 1 (a child's: care - len(stack)), so a node whose
-    record shows its subtree lies within care is counted from it, neither
-    walked nor reported, as a failing probe's is; any other is reported on
-    entry and walked in full, with no hit and no one-element stop.  A leaf
-    is reported only past care.  A walked node is reported before anything
-    below it, so a reported stack's prefix, unless empty, was the last stack
-    reported at its depth: a watch may keep its state per depth.
+    One walker runs both modes, the probe and the enumeration: it returns a
+    node's depth, the length of its longest free extension, or left, the
+    length still asked, as soon as it reaches it.  Each node takes one
+    path: with one element left it returns at its first live label, the
+    hit; any other, the root included, is read off its record (below) or
+    walks its live labels.  A node's own attempts are counted when it
+    returns, so the running count may lag, but the totals and budget
+    verdicts are those above.  A probe that fails has walked its subtree in
+    full, so its count is the full subtree's, whatever length was asked.
+    on_free makes the walker report instead of stop: it returns care, an
+    int or None (0), and free nodes at depth <= care (stack length) can no
+    longer change what it finds.  A node's left is then care - depth + 1 (a
+    child's: care - len(stack)), so a node whose record shows its subtree
+    lies within care is counted from it, neither walked nor reported, as a
+    failing probe's is; any other is reported on entry and walked in full,
+    with no hit and no one-element stop.  A leaf is reported only past
+    care.  A walked node is reported before anything below it, so a
+    reported stack's prefix, unless empty, was the last stack reported at
+    its depth: a watch may keep its state per depth.
 
     A node's live labels follow from its forbidden set F and its start, and
     so do its children's forbidden sets, so its subtree depends only on F
     and start, and the live labels of one F, in order, are suffixes of one
-    list.  So a node walked in full records under F's window its
-    children's node counts and depths, in live order, and a later node
-    with the same F, whatever its reach set, with no more live labels than
-    the record has children is read off the record's last ones: it fails
-    at left elements exactly when the greatest of their depths is below
-    left, and then costs tail[p] plus their counts, not searched again.
-    Otherwise it is walked, and reaches left.  The longest search records
-    only subtrees of _RECORD_NODES or more nodes, the others every node
-    they walk in full.  The records are the engine's (ReachEngine.records),
-    shared by every search over it, one per forbidden set (in C(3;1), [2]
-    and [1, 1] share one): a record is written once and never replaced,
-    and all take at most config.SEARCH_MEMO_ENTRIES entries.  The longest
-    search finds its witness by walking again as an existence search of
-    the longest length, uncounted and unmetered: it reads the records, and
-    its first hit is the first longest extension in depth-first order,
-    whose elements it collects on the way back up.
+    list.  So every node walked in full, in either mode, records under F's
+    window its children's node counts and depths, in live order, and a
+    later node with the same F, whatever its reach set, with no more live
+    labels than the record has children is read off the record's last ones:
+    it fails at left elements exactly when the greatest of their depths is
+    below left, and then costs tail[p] plus their counts, not searched
+    again.  Otherwise it is walked, and reaches left.  The records are the
+    engine's (ReachEngine.records), shared by every search over it, one per
+    forbidden set (in C(3;1), [2] and [1, 1] share one): a record is
+    written once and never replaced, and all take at most
+    config.SEARCH_MEMO_ENTRIES entries.
     """
+    if length is None and on_free is None:
+        best: list[int] = []
+
+        def longest(stack):
+            if len(stack) > len(best):
+                best[:] = stack
+            return len(best)
+
+        search_free(engine, meter, None, forbidden, start, longest)
+        return best
     shift, tail, win, ext = engine.shift, engine.tail, engine.win, engine.ext
     records = engine.records
     n = len(engine.labels)  # n - tail[p] is the alphabet index of the label at p
@@ -552,10 +550,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     count = meter.nodes
     mark = meter.settle(count)
     stack: list[int] = []
-    hit: list[int] = []  # a hit's alphabet indices, deepest first
     key_cost = 1 + win.bit_length() // 256  # the entries a record takes beside its figures
-    # the fewest nodes a record counts
-    least = _RECORD_NODES if length is None and on_free is None else 0
 
     def walk(W, live, start, left):
         # the depth of a node with window W at bit position start with live
@@ -566,7 +561,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         if left == 1 and on_free is None:  # the first live label is the hit
             c = (live & -live).bit_length() - 1
             count += tail[start] - tail[c] + 1
-            hit.append(n - tail[c])
             return 1
         known = records.get(W)
         if known is not None:
@@ -579,7 +573,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     if count >= mark:
                         mark = meter.settle(count)
                     return depth
-        entered = count
         rest = left - 1  # what a child has left
         if stack:  # a free node below the root, reported on entry
             care = on_free(stack) or 0
@@ -612,7 +605,6 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 depth = walk(W | t & win, kids, b, rest)
                 if depth == rest:
                     count += tail[start] - tail[b] + 1
-                    hit.append(n - tail[b])
                     return left
             else:
                 stack.append(n - tail[b])
@@ -629,7 +621,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         # a record holds its children's node counts, then their depths; a
         # forbidden set keeps its first record
         cost = key_cost + 2 * len(sizes)
-        if known is None and count - entered >= least and cost <= room:
+        if known is None and cost <= room:
             room -= cost
             sizes += depths
             records[W] = sizes
@@ -644,18 +636,9 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     try:
         if not live:  # the node tries every label from start on
             count += tail[at]
-            if on_free is None:
-                result = [] if length is None else False
+            result = on_free is not None
         elif on_free is not None:
             walk(W, live, at, 1)  # the root's left: care - 0 + 1
-        elif length is None:
-            depth = walk(W, live, at, _UNREACHED)
-            # the witness: walk again to the first extension of that length,
-            # reading the records, uncounted and unmetered
-            counted, mark = count, _UNREACHED
-            walk(W, live, at, depth)
-            count = counted
-            result = hit[::-1]
         else:
             result = walk(W, live, at, length) == length
     finally:

@@ -315,12 +315,19 @@ class TestEbBruteforce:
             assert info.value.nodes == limit + 1
             assert f"node budget {limit} exhausted" in str(info.value)
 
-    def test_time_budget_checked_during_search(self):
-        # About 24 M nodes: a search that counts its nodes in batches must
-        # still look at the clock.
+    @pytest.mark.parametrize("run", [
+        lambda b: eb_bruteforce(parse_spec("C(1;2)xC(1;2)xC(1;10)"), b),  # 37,688,738 nodes
+        lambda b: davenport(GroupSpec((3, 3, 6)), "brute", b),  # over 10^8 nodes
+        lambda b: lhat(CyclicSpec(1, 40), "brute", b),  # 73,336,112 nodes
+        lambda b: l_const(CyclicSpec(1, 40), "brute", b),  # 73,336,112 nodes
+    ], ids=["eb", "davenport", "lhat", "l"])
+    def test_time_budget_checked_during_search(self, run):
+        # Each search runs for 2.3 s or more unbudgeted (2-CPU Xeon, Python
+        # 3.11), at least 5x the budget: a search that counts its nodes in
+        # batches must still look at the clock.
         t0 = time.monotonic()
         with pytest.raises(BudgetExceeded, match="time budget"):
-            eb_bruteforce(parse_spec("C(5;5)xC(1;5)"), Budget(time_budget_s=0.3))
+            run(Budget(time_budget_s=0.3))
         assert time.monotonic() - t0 < 3
 
     def test_pool_tasks_share_the_deadline(self):

@@ -767,9 +767,8 @@ class TestSearchKernel:
     def test_modes_share_one_engine(self, monkeypatch, case, entries):
         # The thresholded watch, the longest search and the probes walk one
         # memo: run on one engine in every order, each meets records that
-        # the others made (the watch's, of every subtree it walks in full,
-        # and the longest search's, of 64 nodes or more), and each finds
-        # and counts what it does on a fresh engine.
+        # the others made (each records every subtree it walks in full), and
+        # each finds and counts what it does on a fresh engine.
         monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
 
         def watch(engine):
@@ -816,16 +815,14 @@ class TestSearchKernel:
     def enumerated(self):
         return {p: self.enumerated_longest(p) for p in self.DAVENPORT_GROUPS}
 
-    @pytest.mark.parametrize("record_nodes", [1, sequences._RECORD_NODES])
     @pytest.mark.parametrize("entries", [0, 1, 1000, sequences.SEARCH_MEMO_ENTRIES])
-    def test_longest_matches_enumeration(self, monkeypatch, enumerated, entries, record_nodes):
-        # The longest-extension search counts recorded subtrees from the
-        # memo and reads its witness off the records: with no room, with
-        # less room than any record takes, with room that runs out
-        # mid-search, or with every subtree recorded, the value, node count
-        # and witness are those of the enumeration.
+    def test_longest_matches_enumeration(self, monkeypatch, enumerated, entries):
+        # The longest-extension search counts from the memo the recorded
+        # subtrees that its watch has given up: with no room, with less
+        # room than any record takes, with room that runs out mid-search,
+        # or with the default, the value, node count and witness are those
+        # of the unwatched enumeration.
         monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
-        monkeypatch.setattr(sequences, "_RECORD_NODES", record_nodes)
         for periods in self.DAVENPORT_GROUPS:
             engine = ReachEngine.for_group(GroupSpec(periods))
             meter = SearchMeter(Budget())
@@ -833,11 +830,10 @@ class TestSearchKernel:
             assert (len(best) + 1, meter.nodes, best) == enumerated[periods], periods
 
     @pytest.mark.parametrize("periods", [(2, 2, 6), (3, 6)], ids=["Z2+Z2+Z6", "Z3+Z6"])
-    def test_longest_from_every_two_element_start(self, monkeypatch, periods):
+    def test_longest_from_every_two_element_start(self, periods):
         # Below the root, the longest extension of a node often runs
         # through a recorded subtree, so each depth read off a record is
         # checked here: every sequence of two elements starts a search.
-        monkeypatch.setattr(sequences, "_RECORD_NODES", 1)
         engine = ReachEngine.for_group(GroupSpec(periods))
         n = len(engine.labels)
         for a in range(n):
@@ -855,10 +851,10 @@ class TestSearchKernel:
     @pytest.mark.parametrize("periods", [(2, 2, 6), (3, 6)], ids=["Z2+Z2+Z6", "Z3+Z6"])
     def test_longest_from_every_two_element_start_short_of_room(self, monkeypatch, periods,
                                                                 entries):
-        # The witness walk reads the records too: with none, or with room
+        # The longest watch reads the records too: with none, or with room
         # that runs out mid-search, each witness is still the enumeration's.
         monkeypatch.setattr(sequences, "SEARCH_MEMO_ENTRIES", entries)
-        self.test_longest_from_every_two_element_start(monkeypatch, periods)
+        self.test_longest_from_every_two_element_start(periods)
 
     @staticmethod
     def gapped_engine(case):
