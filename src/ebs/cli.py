@@ -7,7 +7,10 @@ exhausted, 3 an explore report with soundness bugs or anomalies.
 
 Only config, errors and semigroup are imported up front; each handler
 imports the library layers it runs, so that a short command such as
---version, spec parse or a cache hit starts without the search code.
+--version, spec parse or a cache hit starts without the search code.  No
+module imports dataclasses (and with it inspect, ast, dis and tokenize): the
+value classes are slotted, on config._Frozen.  Median of 21 fresh processes,
+2 CPUs, Python 3.11: bare interpreter 44 ms, `ebs --version` 68-70 ms.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import BudgetExceeded
 
@@ -29,9 +29,42 @@ SUBSET_SUM_BOUND = 10**6
 SEARCH_MEMO_ENTRIES = 10**6
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Resource limits for brute-force searches.
+class _Frozen:
+    """Value semantics for a slotted class whose fields are its __slots__,
+    set once in __init__ by object.__setattr__: equality and hash over the
+    fields, a dataclass-style repr, no assignment, copy/pickle via __init__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of them
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Budget(_Frozen):
+    """Resource limits for brute-force searches, fixed at construction and
+    taken as given: a limit already spent (a time_budget_s of 0 or less)
+    is a budget exit in the search, not a bad Budget.
 
     node_budget counts search-tree edges (attempted extensions); time_budget_s
     is wall clock from the start of a brute call, its setup (bounds, engine
@@ -49,10 +82,15 @@ class Budget:
     stop.
     """
 
-    node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget_s: float = DEFAULT_TIME_BUDGET_S
-    state_cap: int = DEFAULT_STATE_CAP
-    threads: int = 1
+    __slots__ = ("node_budget", "time_budget_s", "state_cap", "threads")
+
+    def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET,
+                 time_budget_s: float = DEFAULT_TIME_BUDGET_S,
+                 state_cap: int = DEFAULT_STATE_CAP, threads: int = 1):
+        object.__setattr__(self, "node_budget", node_budget)
+        object.__setattr__(self, "time_budget_s", time_budget_s)
+        object.__setattr__(self, "state_cap", state_cap)
+        object.__setattr__(self, "threads", threads)
 
 
 class SearchMeter:

@@ -10,13 +10,11 @@ otherwise.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import Budget, SearchMeter
+from .config import Budget, SearchMeter, _Frozen
 from .errors import BudgetExceeded, SpecError
 from .semigroup import (
     CyclicSpec,
@@ -46,31 +44,33 @@ BRUTE = "BRUTE"
 QUANTITIES = ("davenport", "erdos_burgess", "lhat", "l")
 
 
-@dataclass(frozen=True)
-class ConstResult:
+class ConstResult(_Frozen):
     """Outcome of a constant computation.
 
     value is None when only the [lower, upper] interval is known.
     """
 
-    quantity: str
-    value: int | None
-    lower: int
-    upper: int
-    rule: str | None
-    method: str
-    nodes: int = 0
-    elapsed_ms: int = 0
-    flags: tuple[str, ...] = ()
+    __slots__ = ("quantity", "value", "lower", "upper", "rule", "method", "nodes",
+                 "elapsed_ms", "flags")
 
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise SpecError(f"unknown quantity {self.quantity!r}")
-        if self.value is not None and not self.lower <= self.value <= self.upper:
+    def __init__(self, quantity: str, value: int | None, lower: int, upper: int,
+                 rule: str | None, method: str, nodes: int = 0, elapsed_ms: int = 0,
+                 flags: tuple[str, ...] = ()):
+        if quantity not in QUANTITIES:
+            raise SpecError(f"unknown quantity {quantity!r}")
+        if value is not None and not lower <= value <= upper:
             raise RuntimeError(
-                f"internal error: value {self.value} outside "
-                f"[{self.lower}, {self.upper}] for {self.quantity}"
+                f"internal error: value {value} outside [{lower}, {upper}] for {quantity}"
             )
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+        object.__setattr__(self, "flags", flags)
 
     def to_dict(self, spec_label: str) -> dict:
         out = {
@@ -439,7 +439,8 @@ def erdos_burgess(s: ProductSpec, method: str = "formula",
         f = eb_exact(s, budget)
         left = budget.time_budget_s - (time.monotonic() - meter.started)
         try:
-            b = eb_bruteforce(s, dataclasses.replace(budget, time_budget_s=left))
+            b = eb_bruteforce(s, Budget(budget.node_budget, left, budget.state_cap,
+                                        budget.threads))
         except BudgetExceeded as exc:
             meter.nodes = exc.nodes
             meter.check_time()  # past the call's deadline: say so

@@ -19,26 +19,26 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
+from .config import _Frozen
 from .errors import SpecError
 
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CyclicSpec:
+class CyclicSpec(_Frozen):
     """One cyclic semigroup, given by index ``k >= 1`` and period ``n >= 1``."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise SpecError(f"index must be a positive integer, got {self.k!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise SpecError(f"period must be a positive integer, got {self.n!r}")
+    def __init__(self, k: int, n: int):
+        if not isinstance(k, int) or k < 1:
+            raise SpecError(f"index must be a positive integer, got {k!r}")
+        if not isinstance(n, int) or n < 1:
+            raise SpecError(f"period must be a positive integer, got {n!r}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @property
     def size(self) -> int:
@@ -67,14 +67,13 @@ class CyclicSpec:
         return ProductSpec((self,))
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(_Frozen):
     """A finite direct product of cyclic semigroups, in coordinate order."""
 
-    coords: tuple[CyclicSpec, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords: tuple[CyclicSpec, ...]):
+        coords = tuple(coords)
         if not coords:
             raise SpecError("a product spec needs at least one coordinate")
         for c in coords:
@@ -104,14 +103,13 @@ class ProductSpec:
         return itertools.product(*(range(1, c.size + 1) for c in self.coords))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Frozen):
     """The abelian group prod Z_{n_i} attached to a product spec."""
 
-    periods: tuple[int, ...]
+    __slots__ = ("periods",)
 
-    def __post_init__(self):
-        periods = tuple(self.periods)
+    def __init__(self, periods: tuple[int, ...]):
+        periods = tuple(periods)
         if not periods:
             raise SpecError("a group spec needs at least one modulus")
         for n in periods:

@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_STATE_CAP, SEARCH_MEMO_ENTRIES, SearchMeter
+from .config import DEFAULT_STATE_CAP, SEARCH_MEMO_ENTRIES, SearchMeter, _Frozen
 from .errors import BudgetExceeded, SeqFileError, SpecError
 from .semigroup import (
     CyclicSpec,
@@ -72,14 +71,13 @@ def _as_term(t) -> tuple[int, ...]:
     return tuple(t)
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(_Frozen):
     """A multiset of semigroup elements or group residue vectors, sorted."""
 
-    terms: tuple[Element, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(_as_term(t) for t in self.terms)))
+    def __init__(self, terms: tuple[Element, ...]):
+        object.__setattr__(self, "terms", tuple(sorted(_as_term(t) for t in terms)))
 
     @classmethod
     def of(cls, *terms) -> "Seq":

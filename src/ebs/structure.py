@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .config import SUBSET_SUM_BOUND, Budget, SearchMeter
+from .config import SUBSET_SUM_BOUND, Budget, SearchMeter, _Frozen
 from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
@@ -41,14 +40,13 @@ N1_TWOS_V = "N1_TWOS_V"
 NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class IntSeq:
+class IntSeq(_Frozen):
     """A multiset of positive integers, stored sorted."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(sorted(self.entries))
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(sorted(entries))
         for v in entries:
             if not isinstance(v, int) or v < 1:
                 raise SpecError(f"entries must be positive integers, got {v!r}")
@@ -69,15 +67,18 @@ class IntSeq:
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
-class StructClass:
+class StructClass(_Frozen):
     """Classification outcome; when present, the witness (c, h) reconstructs
     the classified index values as c*h_i."""
 
-    tag: str
-    c: int | None = None
-    h: IntSeq | None = None
-    threshold_met: bool = False
+    __slots__ = ("tag", "c", "h", "threshold_met")
+
+    def __init__(self, tag: str, c: int | None = None, h: IntSeq | None = None,
+                 threshold_met: bool = False):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "threshold_met", threshold_met)
 
     def to_dict(self) -> dict:
         return {

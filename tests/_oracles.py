@@ -1,8 +1,9 @@
 """Deliberately naive reference implementations for cross-checking.
 
-Everything here enumerates index subsets directly (exponential in sequence
-length) and recomputes canonical forms from the k/n definitions, sharing no
-code with the package's reachability or search machinery.
+Everything here recomputes canonical forms from the k/n definitions,
+sharing no code with the package's reachability or search machinery.  Most
+of it enumerates index subsets directly (exponential in sequence length);
+memo_longest_free is a DP over reach sets, for specs too deep for that.
 """
 
 import itertools
@@ -182,6 +183,39 @@ def naive_extension_search(coords, elements, prefix, start, length=None):
 
     found = extend(list(prefix), [], start, -1 if length is None else length)
     return (best, nodes) if length is None else (found, nodes)
+
+
+def memo_longest_free(coords) -> int:
+    """The longest idempotent-sum free sequence over the product of the
+    C(k;n) in coords, by a DP keyed by (reach set, start index): depth(R, j)
+    is the longest non-decreasing extension by elements[j:] of a free
+    sequence whose nonempty subsequence sums are R.  Reach sets are
+    frozensets of index tuples summed by canon, so unlike the subset
+    enumerations above it reaches specs whose searches walk 10^5-10^6
+    nodes.  I(S) is 1 + the result; a group Z_n1+...+Z_nr runs as
+    C(1;n1)x...xC(1;nr), whose idempotent is the zero, giving D(G)."""
+    e = idempotent_of(coords)
+    every = list(itertools.product(*(range(1, k + n) for k, n in coords)))
+    elements = [t for t in every if t != e]
+    # plus[b][r] = r + b
+    plus = {b: {r: tuple(canon(k, n, x + y) for (k, n), x, y in zip(coords, r, b))
+                for r in every} for b in elements}
+    memo = {}
+
+    def depth(reach, start):
+        key = (reach, start)
+        if key not in memo:
+            best = 0
+            for j in range(start, len(elements)):
+                b = elements[j]
+                grown = {b, *reach}
+                grown.update(map(plus[b].__getitem__, reach))
+                if e not in grown:
+                    best = max(best, 1 + depth(frozenset(grown), j))
+            memo[key] = best
+        return memo[key]
+
+    return depth(frozenset(), 0)
 
 
 def _units(n: int):

@@ -498,11 +498,14 @@ class TestSurface:
 
 
 class TestStartup:
-    """A short command imports only the layers it runs.  Each case runs in a
-    fresh interpreter, because this process has imported everything."""
+    """A short command imports only the layers it runs, and no command
+    imports dataclasses or inspect.  Each case runs in a fresh interpreter,
+    because this process has imported everything."""
 
+    # no ebs command needs these; dataclasses brings inspect, ast, dis, tokenize
+    STDLIB = {"dataclasses", "inspect"}
     HEAVY = {"ebs.constants", "ebs.sequences", "ebs.structure", "concurrent.futures",
-             "multiprocessing"}
+             "multiprocessing", *STDLIB}
     # runs `main`, the command line given as arguments, unless another body
     # is given; the body sets `code`, the exit status
     PROBE = (
@@ -544,12 +547,12 @@ class TestStartup:
         code, first, _ = run(capsys, *argv)
         assert code == 0
         heavy, out = self.loaded(*argv)
-        assert heavy.isdisjoint({"ebs.constants", "ebs.structure"})
+        assert heavy.isdisjoint({"ebs.constants", "ebs.structure", *self.STDLIB})
         assert out == first.splitlines()
 
     def test_single_thread_by_default(self):
         heavy, out = self.loaded("const", "eb", "--spec", "C(3;2)xC(1;4)", "--method", "brute")
-        assert heavy.isdisjoint({"concurrent.futures", "multiprocessing"})
+        assert heavy.isdisjoint({"concurrent.futures", "multiprocessing", *self.STDLIB})
         assert "value: 7" in out and "nodes: 8039" in out
 
     def test_library_search_starts_no_pool(self):
@@ -560,7 +563,7 @@ class TestStartup:
             "r = eb_bruteforce(parse_spec('C(3;2)xC(1;4)'), Budget(threads=2))\n"
             "print(r.value, r.nodes)\n"
             "code = 0"))
-        assert heavy.isdisjoint({"concurrent.futures", "multiprocessing"})
+        assert heavy.isdisjoint({"concurrent.futures", "multiprocessing", *self.STDLIB})
         assert out == ["7 8039"]
 
     def test_seq_check(self, tmp_path):
@@ -568,5 +571,10 @@ class TestStartup:
         f.write_text("3\n3\n")
         heavy, out = self.loaded("seq", "check", "--spec", "C(3;2)", "--file", str(f),
                                  "--predicate", "free")
-        assert heavy.isdisjoint({"ebs.constants", "concurrent.futures"})
+        assert heavy.isdisjoint({"ebs.constants", "concurrent.futures", *self.STDLIB})
         assert "result: false" in out
+
+    def test_structure_constant(self):
+        heavy, out = self.loaded("const", "lhat", "--spec", "C(7;2)", "--json")
+        assert heavy == {"ebs.structure", "ebs.constants", "ebs.sequences"}
+        assert json.loads("\n".join(out))["value"] == 5

@@ -381,6 +381,21 @@ class TestEbBruteforce:
         assert sum(eb_bruteforce(s).nodes for s in rank2_grid(20)) == 12385516
 
 
+class TestMemoOracle:
+    """Brute values of specs whose searches walk 10^5 nodes or more, against
+    _oracles.memo_longest_free: a DP over reach sets that shares no code
+    with ReachEngine."""
+
+    @pytest.mark.parametrize("run, coords, value", [
+        (lambda: eb_bruteforce(parse_spec("C(1;2)xC(1;2)xC(1;6)")),
+         ((1, 2), (1, 2), (1, 6)), 8),
+        (lambda: eb_bruteforce(parse_spec("C(2;4)xC(3;4)")), ((2, 4), (3, 4)), 7),
+        (lambda: davenport(GroupSpec((2, 2, 6)), "brute"), ((1, 2), (1, 2), (1, 6)), 8),
+    ], ids=["eb-C(1;2)^2xC(1;6)", "eb-C(2;4)xC(3;4)", "davenport-Z2+Z2+Z6"])
+    def test_brute_matches_oracle(self, run, coords, value):
+        assert run().value == value == 1 + oracle.memo_longest_free(coords)
+
+
 class TestDavenportOnce:
     """An inexact formula D falls back to brute force; a top-level call
     makes that fallback once, however many rules and bounds use D."""
