@@ -11,7 +11,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "config": ("Budget",),
+    "config": ("Budget", "ConstResult"),
     "errors": ("BudgetExceeded", "PreconditionError", "SeqFileError", "SpecError"),
     "semigroup": ("CyclicSpec", "GroupSpec", "ProductSpec", "add", "canonical_index",
                   "element_count", "format_spec", "group_of", "idempotent", "parse_spec"),
@@ -19,7 +19,7 @@ _HOMES = {
                   "is_idempotent_sum_free", "is_minimal_idempotent_sum",
                   "is_minimal_zero_sum", "is_zero_sum_free", "psi", "read_seq_file",
                   "sigma"),
-    "constants": ("ConstResult", "davenport", "eb_bounds", "eb_bruteforce", "eb_exact",
+    "constants": ("davenport", "eb_bounds", "eb_bruteforce", "eb_exact",
                   "erdos_burgess", "explore_conjecture", "invariant_factors",
                   "reduce_spec"),
     "structure": ("IntSeq", "StructClass", "behaving_bound_classify",

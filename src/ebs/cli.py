@@ -7,7 +7,8 @@ exhausted, 3 an explore report with soundness bugs or anomalies.
 
 Only config, errors and semigroup are imported up front; each handler
 imports the library layers it runs, so that a short command such as
---version, spec parse or a cache hit starts without the search code.  No
+--version, spec parse or a cache hit starts without the search code, and
+const lhat and const l load structure and sequences but not constants.  No
 module imports dataclasses (and with it inspect, ast, dis and tokenize): the
 value classes are slotted, on config._Frozen.  Median of 21 fresh processes,
 2 CPUs, Python 3.11: bare interpreter 44 ms, `ebs --version` 68-70 ms.
@@ -78,15 +79,19 @@ def _result_lines(d: dict) -> list[str]:
 # result cache
 
 def _cache_read(path: str) -> dict:
+    """The cache file's store; {} when there is none, and {} with a warning
+    when it cannot be read or holds JSON other than an object."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return data if isinstance(data, dict) else {}
     except FileNotFoundError:
         return {}
     except (OSError, ValueError):
-        print(f"warning: ignoring unreadable cache {path}", file=sys.stderr)
-        return {}
+        data = None
+    if isinstance(data, dict):
+        return data
+    print(f"warning: ignoring unreadable cache {path}", file=sys.stderr)
+    return {}
 
 
 def _cache_write(path: str, store: dict) -> None:

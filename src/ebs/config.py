@@ -1,11 +1,13 @@
-"""Budget configuration and progress metering for exhaustive searches."""
+"""The value layer: _Frozen, the base that stores every value class's
+fields; ConstResult, the result of every constant (I(S), D(G), lhat, l);
+budget configuration; and progress metering for exhaustive searches."""
 
 from __future__ import annotations
 
 import time
 from operator import attrgetter
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, SpecError
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_TIME_BUDGET_S = 60.0
@@ -27,17 +29,29 @@ SUBSET_SUM_BOUND = 10**6
 # with 121,579 records, 14,567 of their 878,420 figures over 256, in about
 # 25.6 MB (sys.getsizeof of the dict, keys, lists and large ints).
 SEARCH_MEMO_ENTRIES = 10**6
+# the quantities a ConstResult may hold, and the rule tag of a brute value
+QUANTITIES = ("davenport", "erdos_burgess", "lhat", "l")
+BRUTE = "BRUTE"
+
+
+def _ms(t0: float) -> int:
+    """Whole milliseconds since the time.monotonic() reading t0."""
+    return int((time.monotonic() - t0) * 1000)
 
 
 class _Frozen:
     """Value semantics for a slotted class whose fields are its __slots__,
-    set once in __init__ by object.__setattr__: equality and hash over the
-    fields, a dataclass-style repr, no assignment, copy/pickle via __init__."""
+    set once by __init__, in that order: equality and hash over the fields,
+    a dataclass-style repr, no assignment, copy/pickle via __init__."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of them
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -87,10 +101,43 @@ class Budget(_Frozen):
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET,
                  time_budget_s: float = DEFAULT_TIME_BUDGET_S,
                  state_cap: int = DEFAULT_STATE_CAP, threads: int = 1):
-        object.__setattr__(self, "node_budget", node_budget)
-        object.__setattr__(self, "time_budget_s", time_budget_s)
-        object.__setattr__(self, "state_cap", state_cap)
-        object.__setattr__(self, "threads", threads)
+        super().__init__(node_budget, time_budget_s, state_cap, threads)
+
+
+class ConstResult(_Frozen):
+    """Outcome of a constant computation; value is None when only the
+    [lower, upper] interval is known."""
+
+    __slots__ = ("quantity", "value", "lower", "upper", "rule", "method", "nodes",
+                 "elapsed_ms", "flags")
+
+    def __init__(self, quantity: str, value: int | None, lower: int, upper: int,
+                 rule: str | None, method: str, nodes: int = 0, elapsed_ms: int = 0,
+                 flags: tuple[str, ...] = ()):
+        if quantity not in QUANTITIES:
+            raise SpecError(f"unknown quantity {quantity!r}")
+        if value is not None and not lower <= value <= upper:
+            raise RuntimeError(
+                f"internal error: value {value} outside [{lower}, {upper}] for {quantity}"
+            )
+        super().__init__(quantity, value, lower, upper, rule, method, nodes, elapsed_ms,
+                         flags)
+
+    def to_dict(self, spec_label: str) -> dict:
+        out = {
+            "spec": spec_label,
+            "quantity": self.quantity,
+            "method": self.method,
+            "value": self.value,
+            "lower": self.lower,
+            "upper": self.upper,
+            "rule": self.rule,
+            "nodes": self.nodes,
+            "elapsed_ms": self.elapsed_ms,
+        }
+        if self.flags:
+            out["flags"] = list(self.flags)
+        return out
 
 
 class SearchMeter:
@@ -114,11 +161,7 @@ class SearchMeter:
     def settle(self, count: int) -> int:
         if count > self._limit:
             self.nodes = self._limit + 1
-            raise BudgetExceeded(
-                f"node budget {self._limit} exhausted",
-                nodes=self.nodes,
-                elapsed_ms=self.elapsed_ms(),
-            )
+            raise self._exceeded(f"node budget {self._limit} exhausted")
         before, self.nodes = self.nodes, count
         if before >> 12 != count >> 12:
             self.check_time()
@@ -128,19 +171,15 @@ class SearchMeter:
         """Raise BudgetExceeded if a search over count capped states would
         pass the state cap; called before its engine is built."""
         if count > self.budget.state_cap:
-            raise BudgetExceeded(
-                f"state count {count} over cap {self.budget.state_cap}",
-                nodes=self.nodes,
-                elapsed_ms=self.elapsed_ms(),
-            )
+            raise self._exceeded(f"state count {count} over cap {self.budget.state_cap}")
 
     def check_time(self) -> None:
         if time.monotonic() - self.started > self.budget.time_budget_s:
-            raise BudgetExceeded(
-                f"time budget {self.budget.time_budget_s}s exhausted",
-                nodes=self.nodes,
-                elapsed_ms=self.elapsed_ms(),
-            )
+            raise self._exceeded(f"time budget {self.budget.time_budget_s}s exhausted")
 
     def elapsed_ms(self) -> int:
-        return int((time.monotonic() - self.started) * 1000)
+        return _ms(self.started)
+
+    def _exceeded(self, message: str) -> BudgetExceeded:
+        """The error a spent budget raises, with this search's progress."""
+        return BudgetExceeded(message, nodes=self.nodes, elapsed_ms=self.elapsed_ms())

@@ -1,11 +1,11 @@
 """Davenport and Erdos-Burgess constants: closed-form rules, bounds,
 reduction, brute-force oracles, and a rank-two conjecture explorer.
 
-Closed-form results carry a rule tag naming the case that produced them;
-brute-force results carry the BRUTE tag plus search statistics.  Every value
-rule needs the Davenport constant of the attached group, which is resolved
-by formula where exact (rank <= 2 or p-group) and by exhaustive search
-otherwise.
+Every result is a config.ConstResult.  Closed-form results carry a rule
+tag naming the case that produced them; brute-force results carry the
+BRUTE tag (config's) plus search statistics.  Every value rule needs the
+Davenport constant of the attached group, which is resolved by formula
+where exact (rank <= 2 or p-group) and by exhaustive search otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .config import Budget, SearchMeter, _Frozen
+from .config import BRUTE, Budget, ConstResult, SearchMeter, _ms
 from .errors import BudgetExceeded, SpecError
 from .semigroup import (
     CyclicSpec,
@@ -25,7 +25,7 @@ from .semigroup import (
 )
 from .sequences import ReachEngine, Seq, _lift, search_free
 
-# rule tags (fixed enumeration)
+# rule tags (fixed enumeration; BRUTE is config's, THM61 structure's)
 THM31_II_EQ = "THM31_II_EQ"
 THM31_III = "THM31_III"
 THM31_III_REFUTED = "THM31_III_REFUTED"
@@ -37,56 +37,7 @@ THM41_II = "THM41_II"
 THM32_REDUCE = "THM32_REDUCE"
 THM_D_RANK2 = "THM_D_RANK2"
 THM_D_PGROUP = "THM_D_PGROUP"
-THM61 = "THM61"
 D_BOUNDS = "D_BOUNDS"
-BRUTE = "BRUTE"
-
-QUANTITIES = ("davenport", "erdos_burgess", "lhat", "l")
-
-
-class ConstResult(_Frozen):
-    """Outcome of a constant computation.
-
-    value is None when only the [lower, upper] interval is known.
-    """
-
-    __slots__ = ("quantity", "value", "lower", "upper", "rule", "method", "nodes",
-                 "elapsed_ms", "flags")
-
-    def __init__(self, quantity: str, value: int | None, lower: int, upper: int,
-                 rule: str | None, method: str, nodes: int = 0, elapsed_ms: int = 0,
-                 flags: tuple[str, ...] = ()):
-        if quantity not in QUANTITIES:
-            raise SpecError(f"unknown quantity {quantity!r}")
-        if value is not None and not lower <= value <= upper:
-            raise RuntimeError(
-                f"internal error: value {value} outside [{lower}, {upper}] for {quantity}"
-            )
-        object.__setattr__(self, "quantity", quantity)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
-        object.__setattr__(self, "flags", flags)
-
-    def to_dict(self, spec_label: str) -> dict:
-        out = {
-            "spec": spec_label,
-            "quantity": self.quantity,
-            "method": self.method,
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "rule": self.rule,
-            "nodes": self.nodes,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.flags:
-            out["flags"] = list(self.flags)
-        return out
 
 
 class EbBounds(NamedTuple):
@@ -202,10 +153,6 @@ def _resolve_davenport(g: GroupSpec, budget: Budget) -> ConstResult:
         return davenport(g, "brute", budget)
     except BudgetExceeded:
         return res
-
-
-def _ms(t0: float) -> int:
-    return int((time.monotonic() - t0) * 1000)
 
 
 def _cross_check(what: str, f: ConstResult, b: ConstResult) -> str:

@@ -37,8 +37,7 @@ class CyclicSpec(_Frozen):
             raise SpecError(f"index must be a positive integer, got {k!r}")
         if not isinstance(n, int) or n < 1:
             raise SpecError(f"period must be a positive integer, got {n!r}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        super().__init__(k, n)
 
     @property
     def size(self) -> int:
@@ -79,7 +78,7 @@ class ProductSpec(_Frozen):
         for c in coords:
             if not isinstance(c, CyclicSpec):
                 raise SpecError(f"coordinate is not a CyclicSpec: {c!r}")
-        object.__setattr__(self, "coords", coords)
+        super().__init__(coords)
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "ProductSpec":
@@ -115,7 +114,7 @@ class GroupSpec(_Frozen):
         for n in periods:
             if not isinstance(n, int) or n < 1:
                 raise SpecError(f"modulus must be a positive integer, got {n!r}")
-        object.__setattr__(self, "periods", periods)
+        super().__init__(periods)
 
     @property
     def order(self) -> int:

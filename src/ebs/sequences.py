@@ -16,6 +16,7 @@ twin, and every set the search makes holds both or neither.  The search
 carries a sequence's forbidden set, the elements whose addition would
 complete the idempotent, not its reach set.  Each coordinate's field is
 padded with periodic copies of its last period, so a step is one shift,
+by the element's bit position plus one offset the whole engine shares,
 and the padding is filled again by one masked multiply per coordinate.
 One depth-first walker, search_free, runs every exhaustive search
 on it in one of two modes.  The Erdos-Burgess existence probes stop at the
@@ -77,7 +78,7 @@ class Seq(_Frozen):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[Element, ...]):
-        object.__setattr__(self, "terms", tuple(sorted(_as_term(t) for t in terms)))
+        super().__init__(tuple(sorted(_as_term(t) for t in terms)))
 
     @classmethod
     def of(cls, *terms) -> "Seq":
@@ -378,12 +379,13 @@ class ReachEngine:
     n_i digits of the window: extend(W) rebuilds F from its window W = F &
     win with one masked multiply per coordinate.  Then the sum x + b of
     window elements, uncapped, lies inside the fields and in F exactly when
-    its capped state does: F - b is F >> shift[p] on the window, p the bit
-    of b and shift[p] the position of b's digits plus o_i each.  Lists
-    indexed by bit position hold the label's shift there and tail[p], the
-    labels at or after position p (0 past the window), from which the
-    search counts its nodes.  No table of pairs is needed: a child's live
-    labels are its parent's, from its own on, less the child's F.
+    its capped state does: F - b is F >> (p + off) on the window, p the
+    bit of b and off the bit of the digits (o_1, ..., o_r), 0 in a group,
+    so that p + off is the bit of b's digits plus o_i each.  A list indexed
+    by bit position holds tail[p], the labels at or after position p (0
+    past the window), from which the search counts its nodes.  No table
+    of pairs is needed: a child's live labels are its parent's, from its
+    own on, less the child's F.
 
     records holds the memo that every search over the engine shares, one
     record per forbidden set of a subtree walked in full, keyed by its
@@ -391,7 +393,7 @@ class ReachEngine:
     """
 
     __slots__ = ("labels", "num_states", "width", "win", "ext", "root", "pos", "owned",
-                 "tail", "shift", "records", "room")
+                 "tail", "off", "records", "room")
 
     @classmethod
     def _build(cls, labels, digits, coords, target) -> "ReachEngine":
@@ -422,9 +424,7 @@ class ReachEngine:
         self.labels = tuple(labels)  # alphabet, in search order
         self.pos = [sum(d * st for d, st in zip(ds, strides)) for ds in digits]
         span = win.bit_length()
-        self.shift = [0] * span
-        for p, ds in zip(self.pos, digits):
-            self.shift[p] = sum((d + o) * st for d, (_, _, o), st in zip(ds, coords, strides))
+        self.off = sum(o * st for (_, _, o), st in zip(coords, strides))
         # tail: the labels at or after each position, summed from the end;
         # owned: every label's bit, marks read as a binary numeral
         marks = [0] * (span + 1)
@@ -466,7 +466,7 @@ class ReachEngine:
         p = self.pos[ai]
         if forbidden >> p & 1:
             return None
-        return self.extend((forbidden | forbidden >> self.shift[p]) & self.win)
+        return self.extend((forbidden | forbidden >> (p + self.off)) & self.win)
 
 
 def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = None,
@@ -489,7 +489,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
     A node carries its forbidden set's window W (ReachEngine) and, once
     past the record check below, extends it to F.  Forbidden sets grow
     along a path, so child b's live labels are its parent's from b on less
-    F - b = F >> shift[b], and its window is W | (F - b) & win.  Nodes are
+    F - b = F >> off >> b, and its window is W | (F - b) & win.  Nodes are
     counted as the search that tries one label at a time counts them: a
     node entered at bit position p costs tail[p], or tail[p] - tail[q] + 1
     if it stops at a hit at position q, so positions no label owns cost
@@ -541,7 +541,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
 
         search_free(engine, meter, None, forbidden, start, longest)
         return best
-    shift, tail, win, ext = engine.shift, engine.tail, engine.win, engine.ext
+    off, tail, win, ext = engine.off, engine.tail, engine.win, engine.ext
     records = engine.records
     n = len(engine.labels)  # n - tail[p] is the alphabet index of the label at p
     meter.check_time()  # the caller's setup counts against the time budget
@@ -580,10 +580,11 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         F = W
         for drop, keep, copies in ext:  # ReachEngine.extend, inline
             F |= (F >> drop & keep) * copies
+        F >>= off  # F - b is now F >> b
         while live:
             low = live & -live
             b = low.bit_length() - 1
-            t = F >> shift[b]  # F - b, on the window
+            t = F >> b  # F - b, on the window
             kids = live & ~t
             live ^= low
             if not kids:  # the child rejects every label from b on

@@ -7,7 +7,8 @@ are, up to a unit multiple mod n in the k <= n regime, a behaving sequence
 whose total is capped by (free mode) or exactly equal to (minimal mode) the
 idempotent index.  lhat and l are the least lengths beyond which every free,
 respectively minimal idempotent-sum, sequence has structure; both have
-closed forms with known gaps and exhaustive brute-force counterparts.
+closed forms with known gaps and exhaustive brute-force counterparts.  Their
+results are config.ConstResult values; nothing here imports constants.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import math
 import time
 from collections.abc import Iterable
 from functools import cache
-from typing import TYPE_CHECKING
 
-from .config import SUBSET_SUM_BOUND, Budget, SearchMeter, _Frozen
+from .config import BRUTE, SUBSET_SUM_BOUND, Budget, ConstResult, SearchMeter, _Frozen, _ms
 from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
@@ -29,8 +29,8 @@ from .sequences import (
     search_free,
 )
 
-if TYPE_CHECKING:
-    from .constants import ConstResult
+# the rule tag of the closed forms of lhat and l
+THM61 = "THM61"
 
 BEHAVING_I = "BEHAVING_I"
 TWO_POWER_II = "TWO_POWER_II"
@@ -50,7 +50,7 @@ class IntSeq(_Frozen):
         for v in entries:
             if not isinstance(v, int) or v < 1:
                 raise SpecError(f"entries must be positive integers, got {v!r}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @classmethod
     def of(cls, *ints: int) -> "IntSeq":
@@ -75,10 +75,7 @@ class StructClass(_Frozen):
 
     def __init__(self, tag: str, c: int | None = None, h: IntSeq | None = None,
                  threshold_met: bool = False):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "threshold_met", threshold_met)
+        super().__init__(tag, c, h, threshold_met)
 
     def to_dict(self) -> dict:
         return {
@@ -505,10 +502,6 @@ def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
 
 
 def _structure_const(c: CyclicSpec, quantity: str, method: str, budget: Budget) -> ConstResult:
-    # imported here, so that the structure tools load without the constants
-    # layer
-    from .constants import BRUTE, THM61, ConstResult, _ms
-
     t0 = time.monotonic()
     formula, watch = ((_lhat_formula, _lhat_watch) if quantity == "lhat"
                       else (_l_formula, _l_watch))
@@ -547,18 +540,18 @@ def l_const(c: CyclicSpec, method: str = "formula", budget: Budget = Budget()) -
 # gap explorers
 
 def _gap_rows(max_k: int, max_n: int, quantity: str, budget: Budget):
-    fn = lhat if quantity == "lhat" else l_const
+    formula = _lhat_formula if quantity == "lhat" else _l_formula
     # an l row also compares l with lhat, which the same walk finds
     kinds = (_lhat_watch,) if quantity == "lhat" else (_l_watch, _lhat_watch)
     for n in range(1, max_n + 1):
         for k in range(n + 1, max_k + 1):
             c = CyclicSpec(k, n)
-            f = fn(c, "formula")
+            value, lower, upper = formula(c)
             row = {
                 "spec": format_spec(c.as_product()),
-                "formula_value": f.value,
-                "lower": f.lower,
-                "upper": f.upper,
+                "formula_value": value,
+                "lower": lower,
+                "upper": upper,
             }
             try:
                 values, _nodes = _brute_walk(c, budget, kinds)
@@ -567,7 +560,7 @@ def _gap_rows(max_k: int, max_n: int, quantity: str, budget: Budget):
                 yield row
                 continue
             row["brute"] = values[0]
-            row["anomaly"] = not (f.lower <= values[0] <= f.upper)
+            row["anomaly"] = not (lower <= values[0] <= upper)
             if quantity == "l":
                 row["lhat_brute"] = values[1]
                 row["le_lhat_plus_1"] = values[0] <= values[1] + 1

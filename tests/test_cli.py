@@ -146,9 +146,12 @@ class TestCache:
         stored = json.loads(cache.read_text())["C(3;2)|eb|formula"]
         assert stored["version"] == __version__ and stored["result"]["value"] == 4
 
-    def test_corrupt_cache_warns_and_continues(self, capsys, tmp_path):
+    # unparsable, or JSON that is not an object: neither is a store
+    @pytest.mark.parametrize("text", ["not json", "[1, 2, 3]", '"store"', "null"],
+                             ids=["unparsable", "list", "string", "null"])
+    def test_corrupt_cache_warns_and_continues(self, capsys, tmp_path, text):
         cache = tmp_path / "cache.json"
-        cache.write_text("not json")
+        cache.write_text(text)
         code, out, err = run(capsys, "const", "eb", "--spec", "C(3;2)",
                              "--cache", str(cache), "--json")
         assert code == 0 and json.loads(out)["value"] == 4
@@ -576,5 +579,5 @@ class TestStartup:
 
     def test_structure_constant(self):
         heavy, out = self.loaded("const", "lhat", "--spec", "C(7;2)", "--json")
-        assert heavy == {"ebs.structure", "ebs.constants", "ebs.sequences"}
+        assert heavy == {"ebs.structure", "ebs.sequences"}
         assert json.loads("\n".join(out))["value"] == 5

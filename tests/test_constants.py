@@ -36,7 +36,7 @@ from ebs.constants import (
     reduce_spec,
 )
 from ebs.errors import BudgetExceeded, SpecError
-from ebs.semigroup import CyclicSpec, GroupSpec, ProductSpec, parse_spec
+from ebs.semigroup import CyclicSpec, GroupSpec, ProductSpec, format_spec, parse_spec
 from ebs.sequences import ReachEngine, is_idempotent_sum_free, is_zero_sum_free
 from ebs.structure import l_const, lhat
 from test_acceptance import rank2_grid
@@ -391,9 +391,20 @@ class TestMemoOracle:
          ((1, 2), (1, 2), (1, 6)), 8),
         (lambda: eb_bruteforce(parse_spec("C(2;4)xC(3;4)")), ((2, 4), (3, 4)), 7),
         (lambda: davenport(GroupSpec((2, 2, 6)), "brute"), ((1, 2), (1, 2), (1, 6)), 8),
-    ], ids=["eb-C(1;2)^2xC(1;6)", "eb-C(2;4)xC(3;4)", "davenport-Z2+Z2+Z6"])
+        (lambda: eb_bruteforce(parse_spec("C(1;3)xC(1;3)xC(1;3)")),
+         ((1, 3), (1, 3), (1, 3)), 7),
+        (lambda: eb_bruteforce(parse_spec("C(4;2)xC(1;6)")), ((4, 2), (1, 6)), 9),
+        (lambda: davenport(GroupSpec((3, 3, 3)), "brute"), ((1, 3), (1, 3), (1, 3)), 7),
+    ], ids=["eb-C(1;2)^2xC(1;6)", "eb-C(2;4)xC(3;4)", "davenport-Z2+Z2+Z6",
+            "eb-C(1;3)^3", "eb-C(4;2)xC(1;6)", "davenport-Z3^3"])
     def test_brute_matches_oracle(self, run, coords, value):
         assert run().value == value == 1 + oracle.memo_longest_free(coords)
+
+    @pytest.mark.parametrize("s", rank2_grid(20)[::40], ids=format_spec)
+    def test_rank_two_grid_sample_matches_oracle(self, s):
+        """Every 40th spec of the acceptance grid, 20 in all."""
+        coords = tuple((c.k, c.n) for c in s.coords)
+        assert eb_bruteforce(s).value == 1 + oracle.memo_longest_free(coords)
 
 
 class TestDavenportOnce:

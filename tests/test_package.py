@@ -151,3 +151,35 @@ def test_no_unused_imports():
                 unused += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                            if (a.asname or a.name).partition(".")[0] not in read]
     assert unused == []
+
+
+def test_only_frozen_stores_value_fields():
+    """Every value class hands its fields to config._Frozen.__init__: no
+    other class or module calls object.__setattr__."""
+    calls = []  # (module, top-level class or None, line)
+    for path in sorted((ROOT / "src" / "ebs").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            calls += [(path.name, owner, node.lineno) for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                      and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert calls
+    assert [c for c in calls if c[:2] != ("config.py", "_Frozen")] == []
+
+
+def test_structure_does_not_import_constants():
+    """structure builds its l-hat and l results from config: it imports
+    nothing from constants, in function bodies and TYPE_CHECKING blocks
+    included."""
+    path = ROOT / "src" / "ebs" / "structure.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for a in node.names for p in a.name.split(".")]
+        else:
+            continue
+        if "constants" in parts:
+            found.append(f"structure.py:{node.lineno}")
+    assert found == []

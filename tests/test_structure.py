@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from ebs import sequences, structure
 from ebs.config import Budget
-from ebs.constants import BRUTE, THM61
+from ebs.constants import BRUTE
 from ebs.errors import BudgetExceeded, PreconditionError, SpecError
 from ebs.semigroup import CyclicSpec
 from ebs.sequences import ReachEngine, Seq
@@ -17,6 +17,7 @@ from ebs.structure import (
     N1_TWOS_V,
     N2_SPECIAL_III,
     NONE,
+    THM61,
     TWO_POWER_II,
     IntSeq,
     StructClass,
