@@ -145,14 +145,16 @@ def davenport(g: GroupSpec, method: str = "formula", budget: Budget = Budget()) 
 
 def _resolve_davenport(g: GroupSpec, budget: Budget) -> ConstResult:
     """Exact D(G) if attainable: formula first, brute as fallback; on budget
-    exhaustion the formula interval is returned (value absent)."""
+    exhaustion the formula interval is returned (value absent), with the
+    nodes and elapsed_ms of the search that ran out."""
     res = davenport(g, "formula", budget)
     if res.value is not None:
         return res
     try:
         return davenport(g, "brute", budget)
-    except BudgetExceeded:
-        return res
+    except BudgetExceeded as exc:
+        return ConstResult(res.quantity, None, res.lower, res.upper, res.rule, res.method,
+                           exc.nodes, exc.elapsed_ms, res.flags)
 
 
 def _cross_check(what: str, f: ConstResult, b: ConstResult) -> str:
@@ -232,7 +234,8 @@ def reduce_spec(s: ProductSpec, budget: Budget = Budget()):
         return _reduced_spec(s)
     d_res = _resolve_davenport(group_of(s), budget)
     if d_res.value is None:
-        raise BudgetExceeded("Davenport constant not exactly resolvable within budget")
+        raise BudgetExceeded("Davenport constant not exactly resolvable within budget",
+                             d_res.nodes, d_res.elapsed_ms)
     return lead + d_res.value
 
 

@@ -38,11 +38,16 @@ while the memo has room.  A record holds its children's node counts and
 depths, so the counts are the full search's.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
-sequence's subsequence sums; a state steps by per-term lookup rows, one per
-coordinate, holding the capped x + v of each index x.  The states are a
-sparse dict of tuples, not a bitset: a dict grows with the states actually
-reached (at most 2^len - 1), a bitset with the whole packed space (12 terms
-over C(100;100)^3 reach at most 4,095 of its 1,000,000 states).
+sequence's subsequence sums, held as slices (_Slices).  The coordinate of
+smallest cap is dense: a slice holds one int bitmask of its capped totals,
+and is keyed by the capped totals of the other coordinates, which step by
+per-term lookup rows holding the capped x + v of each index x.  A mask
+steps by one shift, and the totals past the dense cap fold back onto their
+states by OR-ing period-wide blocks.  The slices are a sparse dict, not one
+bitset over the whole packed space: the dict grows with the keys actually
+reached (at most 2^len - 1), and a mask has at most cap + 1 bits, the
+smallest cap of the spec (12 terms over C(100;100)^3 reach at most 4,095
+of its 1,000,000 states, in at most 4,095 masks of 101 bits).
 """
 
 from __future__ import annotations
@@ -194,41 +199,106 @@ class _Row(dict):
         return y
 
 
+class _Slices:
+    """The layout of one walk's states over s.  The dense coordinate d has
+    the smallest cap (the first, if several tie); a slice is keyed by the
+    capped totals of the other coordinates and holds one int bitmask of
+    d's capped totals [0, cap_d].  A key steps by the other coordinates'
+    rows (_Row), a mask by one shift, folding the totals past cap_d back
+    onto their states."""
+
+    __slots__ = ("s", "d", "cap", "n", "others", "rows", "target")
+
+    def __init__(self, s: ProductSpec):
+        caps = s.caps
+        self.s = s
+        self.d = d = caps.index(min(caps))
+        self.cap, self.n = caps[d], s.coords[d].n
+        self.others = [i for i in range(len(caps)) if i != d]
+        self.rows: list[dict[int, _Row]] = [{} for _ in self.others]  # by value
+        self.target = tuple(caps[i] for i in self.others)
+
+    def holds(self, slices, key: tuple[int, ...], bit: int) -> bool:
+        return slices.get(key, 0) >> bit & 1 == 1
+
+    def holds_target(self, slices) -> bool:
+        return self.holds(slices, self.target, self.cap)
+
+    def _step(self, term) -> tuple[list[_Row], int]:
+        """The rows that step a key by term, and the shift of d's total."""
+        step = []
+        for i, by_value in zip(self.others, self.rows):
+            v = term[i]
+            row = by_value.get(v)
+            if row is None:
+                c = self.s.coords[i]
+                row = by_value[v] = _Row(c.cap, c.n, v)
+            step.append(row)
+        return step, _capped(self.cap, self.n, term[self.d])
+
+    def add(self, src, into, term) -> int:
+        """OR each state of the slices src, plus term, into the slices into;
+        return the number of states new to into."""
+        step, v = self._step(term)
+        cap, n = self.cap, self.n
+        full, base = (2 << cap) - 1, cap - n + 1
+        added = 0
+        for key, m in src.items():
+            q = tuple(map(getitem, step, key))
+            m <<= v
+            if m > full:
+                # a total y in (cap, 2 cap] has the state base + (y - cap - 1) % n:
+                # OR the n-bit blocks above cap together, halving, and place them
+                hi = m >> cap + 1
+                while hi >> n:
+                    w = ((hi.bit_length() + n - 1) // n + 1) // 2 * n
+                    hi = hi & (1 << w) - 1 | hi >> w
+                m = m & full | hi << base
+            old = into.get(q, 0)
+            m &= ~old
+            if m:
+                into[q] = old | m
+                added += m.bit_count()
+        return added
+
+    def source(self, src, term, key: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], int]:
+        """A state of the slices src that term steps onto (key, bit)."""
+        step, v = self._step(term)
+        for p, m in src.items():
+            if tuple(map(getitem, step, p)) != key:
+                continue
+            while m:
+                low = m & -m
+                b = low.bit_length() - 1
+                if _capped(self.cap, self.n, b + v) == bit:
+                    return p, b
+                m ^= low
+        raise RuntimeError(f"internal error: no state steps onto {key}, {bit}")
+
+
 def _walk(s: ProductSpec, t: Seq, state_cap: int):
     """Walk the capped subset-sum states of t one term at a time.
 
-    Returns (fewest, first, hit).  fewest maps each state reached, the empty
-    sum (all zeros) included, to the fewest terms that reach it; first maps
-    each other one to the term position and the state of its first
-    appearance; hit is the position of the first term at which the
-    idempotent is reachable (the walk stops after it, before it checks the
-    state cap), or None."""
-    target = s.caps
-    fewest: dict[tuple[int, ...], int] = {(0,) * s.arity: 0}
-    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    rows: list[dict[int, _Row]] = [{} for _ in target]  # per coordinate, by value
+    Returns (layout, before, hit).  before[j] holds the slices (see
+    _Slices) of the states reached before term j, the empty sum included;
+    hit is the position of the first term at which the idempotent is
+    reachable, or None.  The walk stops after the hit, before it checks the
+    state cap; before runs up to it.  The states counted against state_cap
+    are those reached, the empty sum included."""
+    layout = _Slices(s)
+    slices = {(0,) * len(layout.others): 1}  # the empty sum
+    before = []
+    reached = 1
     for pos, term in enumerate(t.terms):
         check_element(s, term)
-        step = []
-        for c, by_value, v in zip(s.coords, rows, term):
-            row = by_value.get(v)
-            if row is None:
-                row = by_value[v] = _Row(c.cap, c.n, v)
-            step.append(row)
         # the states before this term, so that it is added at most once
-        for p, m in list(fewest.items()):
-            q = tuple(map(getitem, step, p))
-            k = fewest.get(q)
-            if k is None:
-                fewest[q] = m + 1
-                first[q] = (pos, p)
-            elif m + 1 < k:
-                fewest[q] = m + 1
-        if target in fewest:
-            return fewest, first, pos
-        if len(fewest) > state_cap + 1:
+        before.append(slices.copy())
+        reached += layout.add(before[-1], slices, term)
+        if layout.holds_target(slices):
+            return layout, before, pos
+        if reached > state_cap + 1:
             raise BudgetExceeded(f"reach state cap {state_cap} exceeded")
-    return fewest, first, None
+    return layout, before, None
 
 
 def is_idempotent_sum_free(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -239,31 +309,44 @@ def is_idempotent_sum_free(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STAT
 
 def is_minimal_idempotent_sum(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff t is an idempotent sum and no proper nonempty subsequence is:
-    the idempotent is first reachable at the last term, and needs all
-    len(t) terms there."""
+    the idempotent is first reachable at the last term, and is no sum of a
+    proper subsequence there.
+
+    The sums of proper subsequences of the first j + 1 terms are those of
+    the first j terms (before[j]) and the proper ones of the first j, plus
+    term j; the empty subsequence of one term is proper."""
     if t.is_empty:
         raise SpecError("the empty sequence has no sum")
     if not is_idempotent_sum(s, t):
         return False
-    fewest, _, hit = _walk(s, t, state_cap)
-    return hit == len(t) - 1 and fewest[s.caps] == len(t)
+    layout, before, hit = _walk(s, t, state_cap)
+    if hit != len(t) - 1:
+        return False
+    proper: dict[tuple[int, ...], int] = {}
+    for slices, term in zip(before, t.terms):
+        stepped = slices.copy()
+        layout.add(proper, stepped, term)
+        proper = stepped
+    return not layout.holds_target(proper)
 
 
 def idempotent_witness(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CAP) -> Seq | None:
     """Some nonempty subsequence summing to the idempotent, or None.
 
-    Follows the chain of first appearances back from the idempotent; they
-    have strictly increasing term positions, so the chain is a valid
-    subsequence.
+    Walks back from the idempotent at the hit term: a state already
+    reached before term j skips t_j; any other is reached by t_j from a
+    state before it, which the walk back continues from, down to the empty
+    sum.
     """
-    _, first, hit = _walk(s, t, state_cap)
+    layout, before, hit = _walk(s, t, state_cap)
     if hit is None:
         return None
     picked = []
-    state = s.caps
-    while state in first:
-        pos, state = first[state]
-        picked.append(t.terms[pos])
+    key, bit = layout.target, layout.cap
+    for j in range(hit, -1, -1):
+        if not layout.holds(before[j], key, bit):
+            key, bit = layout.source(before[j], t.terms[j], key, bit)
+            picked.append(t.terms[j])
     return Seq(tuple(picked))
 
 

@@ -97,10 +97,16 @@ def _sums_mask(vals) -> int:
     return acc
 
 
+def _check_total(h: IntSeq) -> None:
+    """The subset-sum bitmask has total + 1 bits: a total past
+    SUBSET_SUM_BOUND is an input the structure operations do not take."""
+    if h.total > SUBSET_SUM_BOUND:
+        raise PreconditionError(f"subset-sum total {h.total} over bound {SUBSET_SUM_BOUND}")
+
+
 def subset_sums(h: IntSeq) -> frozenset[int]:
     """All nonempty sub-multiset sums, by bitmask dynamic programming."""
-    if h.total > SUBSET_SUM_BOUND:
-        raise BudgetExceeded(f"subset-sum total {h.total} over bound {SUBSET_SUM_BOUND}")
+    _check_total(h)
     acc = _sums_mask(h.entries)
     return frozenset(s for s in range(1, h.total + 1) if acc >> s & 1)
 
@@ -109,8 +115,7 @@ def is_behaving(h: IntSeq) -> bool:
     """True iff the nonempty subset sums are exactly [1, total]."""
     if len(h) == 0:
         raise PreconditionError("behaving is undefined for the empty sequence")
-    if h.total > SUBSET_SUM_BOUND:
-        raise BudgetExceeded(f"subset-sum total {h.total} over bound {SUBSET_SUM_BOUND}")
+    _check_total(h)
     return _sums_mask(h.entries) == (2 << h.total) - 1
 
 

@@ -260,6 +260,11 @@ class TestStructCommands:
         assert code == 0
         assert "behaving: false" in out and "class: eq_twos" in out
 
+    def test_behaving_total_past_bound_exit_1(self, capsys):
+        code, _, err = run(capsys, "struct", "behaving", "--ints", "2000000")
+        assert code == 1
+        assert "over bound 1000000" in err and "budget" not in err
+
     def test_classify_from_file(self, capsys, tmp_path):
         f = tmp_path / "t.seq"
         f.write_text("2\n2\n")

@@ -207,9 +207,13 @@ class TestBoundsAndReduce:
     def test_reduce_value_branch_over_budget(self):
         # D(Z_2 x Z_2 x Z_6) has no exact formula, so the value branch
         # resolves it by search, which a one-node budget cannot finish.
+        # The error carries the failed search's progress.
         s = parse_spec("C(9;1)xC(1;2)xC(1;2)xC(1;6)")
         with pytest.raises(BudgetExceeded, match="Davenport constant not exactly resolvable"):
             reduce_spec(s, Budget(node_budget=1))
+        with pytest.raises(BudgetExceeded) as info:
+            reduce_spec(s, Budget(node_budget=50))
+        assert info.value.nodes > 50
 
 
 RULE_TABLE = [

@@ -53,6 +53,13 @@ def all_seqs(s: ProductSpec, max_len: int):
             yield Seq(combo)
 
 
+def closing_term(s: ProductSpec, head) -> tuple[int, ...]:
+    """The term that makes head, plus it, sum to the idempotent."""
+    totals = [sum(col) for col in zip(*head)]
+    return tuple((-v) % c.n or c.n if v >= c.cap else c.cap - v
+                 for c, v in zip(s.coords, totals))
+
+
 def seq_strategy():
     def build(draw):
         pairs = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
@@ -114,6 +121,15 @@ class TestSums:
         assert sigma(s, t) == oracle.naive_sigma(coord_pairs(s), t.terms)
 
 
+# the layouts of the walk's slices: the dense (smallest-cap) coordinate
+# first or in the middle, folds of many periods above the dense cap, rank
+# one, and one huge coordinate beside the dense one
+SLICE_SPECS = [
+    "C(2;2)xC(7;3)xC(5;5)", "C(7;3)xC(2;2)xC(5;5)", "C(40;1)", "C(37;3)xC(9;2)",
+    "C(13;5)", "C(1000000;1)xC(3;2)",
+]
+
+
 class TestReachAgainstOracle:
     @pytest.mark.parametrize("label", SWEEP_SPECS)
     def test_exhaustive_small(self, label):
@@ -145,11 +161,9 @@ class TestReachAgainstOracle:
             st.tuples(*(st.integers(1, c.size) for c in s.coords)),
             min_size=1, max_size=5))
         # close the sequence up to an idempotent sum half the time (random
-        # draws almost never are one), so that the fewest-terms path runs
+        # draws almost never are one), so that the minimal walk runs
         if data.draw(st.booleans()):
-            totals = [sum(col) for col in zip(*terms)]
-            terms.append(tuple((-v) % c.n or c.n if v >= c.cap else c.cap - v
-                               for c, v in zip(s.coords, totals)))
+            terms.append(closing_term(s, terms))
         t = Seq(tuple(terms))
         assert is_minimal_idempotent_sum(s, t) == oracle.naive_is_minimal(pairs, terms)
         w = idempotent_witness(s, t)
@@ -158,6 +172,34 @@ class TestReachAgainstOracle:
         else:
             assert w is not None and Counter(w.terms) <= Counter(t.terms)
             assert is_idempotent_sum(s, w)
+
+    @pytest.mark.parametrize("label", SLICE_SPECS)
+    def test_slices_match_oracle(self, label):
+        s = parse_spec(label)
+        pairs = coord_pairs(s)
+        rng = random.Random(label)
+        free_seen, minimal_seen = set(), set()
+        for _ in range(150):
+            # small values keep some sequences free; the full range folds
+            tops = [rng.choice((c.size, max(1, c.cap // 4))) for c in s.coords]
+            terms = [tuple(rng.randint(1, top) for top in tops)
+                     for _ in range(rng.randint(1, 7))]
+            if rng.random() < 0.5:
+                terms.append(closing_term(s, terms))
+            t = Seq(tuple(terms))
+            free = oracle.naive_is_free(pairs, terms)
+            minimal = oracle.naive_is_minimal(pairs, terms)
+            assert is_idempotent_sum_free(s, t) == free, terms
+            assert is_minimal_idempotent_sum(s, t) == minimal, terms
+            w = idempotent_witness(s, t)
+            if free:
+                assert w is None
+            else:
+                assert w is not None and Counter(w.terms) <= Counter(t.terms), (terms, w)
+                assert is_idempotent_sum(s, w), (terms, w)
+            free_seen.add(free)
+            minimal_seen.add(minimal)
+        assert free_seen == minimal_seen == {True, False}
 
     @given(seq_strategy())
     @settings(max_examples=150, deadline=None)
@@ -222,6 +264,23 @@ class TestCappedState:
         assert held == twins, "no forbidden set holds the twins"
 
 
+def cap_pin_seqs(label: str, seed: int):
+    """A free and a minimal sequence over label: the coordinate of largest
+    cap totals below it in the free one and exactly it in the minimal one,
+    whose last term completes the idempotent."""
+    s = parse_spec(label)
+    rng = random.Random(seed)
+    caps = s.caps
+    i = caps.index(max(caps))
+    length = min(9, caps[i] - 1)
+    cuts = sorted(rng.sample(range(1, caps[i]), length))
+    terms = [[rng.randint(1, c.size) for c in s.coords] for _ in range(length)]
+    for term, a, b in zip(terms, [0] + cuts, cuts):
+        term[i] = b - a
+    head = [tuple(term) for term in terms[:-1]]
+    return s, Seq(tuple(map(tuple, terms))), Seq(tuple(head) + (closing_term(s, head),))
+
+
 class TestStateCap:
     """state_cap bounds the states a walk actually reaches, not the packed
     space of the spec."""
@@ -261,6 +320,26 @@ class TestStateCap:
         assert is_minimal_idempotent_sum(s, minimal, state_cap=5000)
         assert idempotent_witness(s, minimal, state_cap=5000) == minimal
         assert not is_idempotent_sum_free(s, minimal, state_cap=5000)
+
+    # the largest state_cap at which each predicate raises: the capped states
+    # the walk reaches, the empty sum included, less 2.  The figures were
+    # taken from the walk that kept one dict entry per state, before the
+    # slices, so they catch any drift in what the cap counts.
+    @pytest.mark.parametrize("label,seed,free_pin,minimal_pin", [
+        ("C(40;11)xC(25;13)", 1, 279, 160),
+        ("C(5;2)xC(4;3)xC(3;5)xC(2;7)", 2, 58, 30),
+        ("C(7;3)xC(2;2)xC(12;5)", 3, 56, 75),
+    ])
+    def test_largest_raising_cap_pinned(self, label, seed, free_pin, minimal_pin):
+        s, free, minimal = cap_pin_seqs(label, seed)
+        cases = [(p, free, free_pin) for p in (is_idempotent_sum_free, idempotent_witness)]
+        cases += [(p, minimal, minimal_pin) for p in
+                  (is_idempotent_sum_free, idempotent_witness, is_minimal_idempotent_sum)]
+        for predicate, t, pin in cases:
+            with pytest.raises(BudgetExceeded):
+                predicate(s, t, state_cap=pin)
+            predicate(s, t, state_cap=pin + 1)
+        assert is_idempotent_sum_free(s, free) and is_minimal_idempotent_sum(s, minimal)
 
 
 class TestWitness:

@@ -57,8 +57,11 @@ class TestSubsetSums:
         assert subset_sums(IntSeq(tuple(ints))) == oracle.naive_subset_sums(ints)
 
     def test_bound(self):
-        with pytest.raises(BudgetExceeded):
-            subset_sums(IntSeq.of(10**7))
+        # a total past the bound is an input the operations do not take,
+        # not a spent budget: no search ran
+        for op in (subset_sums, is_behaving):
+            with pytest.raises(PreconditionError, match="over bound 1000000"):
+                op(IntSeq.of(10**7))
 
 
 class TestBehaving:
