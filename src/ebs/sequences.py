@@ -39,15 +39,19 @@ depths, so the counts are the full search's.
 
 The one-shot predicates read one walk, _walk, over the capped states of a
 sequence's subsequence sums, held as slices (_Slices).  The coordinate of
-smallest cap is dense: a slice holds one int bitmask of its capped totals,
-and is keyed by the capped totals of the other coordinates, which step by
-per-term lookup rows holding the capped x + v of each index x.  A mask
-steps by one shift, and the totals past the dense cap fold back onto their
-states by OR-ing period-wide blocks.  The slices are a sparse dict, not one
-bitset over the whole packed space: the dict grows with the keys actually
-reached (at most 2^len - 1), and a mask has at most cap + 1 bits, the
-smallest cap of the spec (12 terms over C(100;100)^3 reach at most 4,095
-of its 1,000,000 states, in at most 4,095 masks of 101 bits).
+smallest cap is dense when that cap is at most _Slices.DENSE_CAP: a slice
+holds one int bitmask of its capped totals, and is keyed by the capped
+totals of the other coordinates, which step by per-term lookup rows
+holding the capped x + v of each index x.  A mask steps by one shift, and
+the totals past the dense cap fold back onto their states by OR-ing
+period-wide blocks.  When every cap is larger, no coordinate is dense:
+every coordinate is in the key and each mask is the one bit 1.  The slices
+are a sparse dict, not one bitset over the whole packed space: the dict
+grows with the keys actually reached (at most 2^len - 1), and a mask has at
+most DENSE_CAP + 1 bits, so a slice costs at most a few words more than
+the one tuple per state it replaces (12 terms over C(100;100)^3 reach at
+most 4,095 of its 1,000,000 states, in at most 4,095 masks of 101 bits;
+C(10^9;1) walks one-bit masks, not masks of 10^9 bits).
 """
 
 from __future__ import annotations
@@ -201,20 +205,30 @@ class _Row(dict):
 
 class _Slices:
     """The layout of one walk's states over s.  The dense coordinate d has
-    the smallest cap (the first, if several tie); a slice is keyed by the
-    capped totals of the other coordinates and holds one int bitmask of
-    d's capped totals [0, cap_d].  A key steps by the other coordinates'
-    rows (_Row), a mask by one shift, folding the totals past cap_d back
-    onto their states."""
+    the smallest cap (the first, if several tie), if that cap is at most
+    DENSE_CAP; a slice is keyed by the capped totals of the other
+    coordinates and holds one int bitmask of d's capped totals [0, cap_d].
+    A key steps by the other coordinates' rows (_Row), a mask by one shift,
+    folding the totals past cap_d back onto their states.  With no dense
+    coordinate (d is None), every coordinate is in the key and a mask is
+    the one bit of a dense total that is always 0."""
 
-    __slots__ = ("s", "d", "cap", "n", "others", "rows", "target")
+    # the widest mask: 257 bits, a few words, so a slice that holds one
+    # state costs about what the tuple of one state would
+    DENSE_CAP = 256
+
+    __slots__ = ("s", "d", "cap", "n", "full", "others", "rows", "target")
 
     def __init__(self, s: ProductSpec):
         caps = s.caps
         self.s = s
-        self.d = d = caps.index(min(caps))
-        self.cap, self.n = caps[d], s.coords[d].n
-        self.others = [i for i in range(len(caps)) if i != d]
+        d = caps.index(min(caps))
+        if caps[d] <= self.DENSE_CAP:
+            self.d, self.cap, self.n = d, caps[d], s.coords[d].n
+        else:
+            self.d, self.cap, self.n = None, 0, 1
+        self.full = (2 << self.cap) - 1
+        self.others = [i for i in range(len(caps)) if i != self.d]
         self.rows: list[dict[int, _Row]] = [{} for _ in self.others]  # by value
         self.target = tuple(caps[i] for i in self.others)
 
@@ -234,14 +248,16 @@ class _Slices:
                 c = self.s.coords[i]
                 row = by_value[v] = _Row(c.cap, c.n, v)
             step.append(row)
+        if self.d is None:
+            return step, 0
         return step, _capped(self.cap, self.n, term[self.d])
 
     def add(self, src, into, term) -> int:
         """OR each state of the slices src, plus term, into the slices into;
         return the number of states new to into."""
         step, v = self._step(term)
-        cap, n = self.cap, self.n
-        full, base = (2 << cap) - 1, cap - n + 1
+        cap, n, full = self.cap, self.n, self.full
+        base = cap - n + 1
         added = 0
         for key, m in src.items():
             q = tuple(map(getitem, step, key))
@@ -276,15 +292,15 @@ class _Slices:
         raise RuntimeError(f"internal error: no state steps onto {key}, {bit}")
 
 
-def _walk(s: ProductSpec, t: Seq, state_cap: int):
+def _walk(s: ProductSpec, t: Seq, state_cap: int, keep: bool = False):
     """Walk the capped subset-sum states of t one term at a time.
 
-    Returns (layout, before, hit).  before[j] holds the slices (see
-    _Slices) of the states reached before term j, the empty sum included;
-    hit is the position of the first term at which the idempotent is
-    reachable, or None.  The walk stops after the hit, before it checks the
-    state cap; before runs up to it.  The states counted against state_cap
-    are those reached, the empty sum included."""
+    Returns (layout, before, hit).  hit is the position of the first term
+    at which the idempotent is reachable, or None.  With keep, before[j]
+    holds the slices (see _Slices) of the states reached before term j, the
+    empty sum included, up to the hit; without it, before is empty.  The
+    walk stops after the hit, before it checks the state cap.  The states
+    counted against state_cap are those reached, the empty sum included."""
     layout = _Slices(s)
     slices = {(0,) * len(layout.others): 1}  # the empty sum
     before = []
@@ -292,8 +308,10 @@ def _walk(s: ProductSpec, t: Seq, state_cap: int):
     for pos, term in enumerate(t.terms):
         check_element(s, term)
         # the states before this term, so that it is added at most once
-        before.append(slices.copy())
-        reached += layout.add(before[-1], slices, term)
+        prev = slices.copy()
+        if keep:
+            before.append(prev)
+        reached += layout.add(prev, slices, term)
         if layout.holds_target(slices):
             return layout, before, pos
         if reached > state_cap + 1:
@@ -319,7 +337,7 @@ def is_minimal_idempotent_sum(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_S
         raise SpecError("the empty sequence has no sum")
     if not is_idempotent_sum(s, t):
         return False
-    layout, before, hit = _walk(s, t, state_cap)
+    layout, before, hit = _walk(s, t, state_cap, True)
     if hit != len(t) - 1:
         return False
     proper: dict[tuple[int, ...], int] = {}
@@ -338,7 +356,7 @@ def idempotent_witness(s: ProductSpec, t: Seq, state_cap: int = DEFAULT_STATE_CA
     state before it, which the walk back continues from, down to the empty
     sum.
     """
-    layout, before, hit = _walk(s, t, state_cap)
+    layout, before, hit = _walk(s, t, state_cap, True)
     if hit is None:
         return None
     picked = []

@@ -3,6 +3,8 @@ import gc
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -58,6 +60,24 @@ def closing_term(s: ProductSpec, head) -> tuple[int, ...]:
     totals = [sum(col) for col in zip(*head)]
     return tuple((-v) % c.n or c.n if v >= c.cap else c.cap - v
                  for c, v in zip(s.coords, totals))
+
+
+def check_against_oracle(s: ProductSpec, terms) -> tuple[bool, bool]:
+    """Check the free and minimal verdicts on terms over s against the naive
+    oracle, and the witness for validity; return the two verdicts."""
+    pairs = coord_pairs(s)
+    t = Seq(tuple(terms))
+    free = oracle.naive_is_free(pairs, terms)
+    minimal = oracle.naive_is_minimal(pairs, terms)
+    assert is_idempotent_sum_free(s, t) == free, terms
+    assert is_minimal_idempotent_sum(s, t) == minimal, terms
+    w = idempotent_witness(s, t)
+    if free:
+        assert w is None, terms
+    else:
+        assert w is not None and Counter(w.terms) <= Counter(t.terms), (terms, w)
+        assert is_idempotent_sum(s, w), (terms, w)
+    return free, minimal
 
 
 def seq_strategy():
@@ -123,10 +143,11 @@ class TestSums:
 
 # the layouts of the walk's slices: the dense (smallest-cap) coordinate
 # first or in the middle, folds of many periods above the dense cap, rank
-# one, and one huge coordinate beside the dense one
+# one, one huge coordinate beside the dense one, and no cap small enough to
+# be dense
 SLICE_SPECS = [
     "C(2;2)xC(7;3)xC(5;5)", "C(7;3)xC(2;2)xC(5;5)", "C(40;1)", "C(37;3)xC(9;2)",
-    "C(13;5)", "C(1000000;1)xC(3;2)",
+    "C(13;5)", "C(1000000;1)xC(3;2)", "C(300;7)xC(500;1)",
 ]
 
 
@@ -164,14 +185,7 @@ class TestReachAgainstOracle:
         # draws almost never are one), so that the minimal walk runs
         if data.draw(st.booleans()):
             terms.append(closing_term(s, terms))
-        t = Seq(tuple(terms))
-        assert is_minimal_idempotent_sum(s, t) == oracle.naive_is_minimal(pairs, terms)
-        w = idempotent_witness(s, t)
-        if oracle.naive_is_free(pairs, terms):
-            assert w is None
-        else:
-            assert w is not None and Counter(w.terms) <= Counter(t.terms)
-            assert is_idempotent_sum(s, w)
+        check_against_oracle(s, terms)
 
     @pytest.mark.parametrize("label", SLICE_SPECS)
     def test_slices_match_oracle(self, label):
@@ -186,20 +200,33 @@ class TestReachAgainstOracle:
                      for _ in range(rng.randint(1, 7))]
             if rng.random() < 0.5:
                 terms.append(closing_term(s, terms))
-            t = Seq(tuple(terms))
-            free = oracle.naive_is_free(pairs, terms)
-            minimal = oracle.naive_is_minimal(pairs, terms)
-            assert is_idempotent_sum_free(s, t) == free, terms
-            assert is_minimal_idempotent_sum(s, t) == minimal, terms
-            w = idempotent_witness(s, t)
-            if free:
-                assert w is None
-            else:
-                assert w is not None and Counter(w.terms) <= Counter(t.terms), (terms, w)
-                assert is_idempotent_sum(s, w), (terms, w)
+            free, minimal = check_against_oracle(s, terms)
             free_seen.add(free)
             minimal_seen.add(minimal)
         assert free_seen == minimal_seen == {True, False}
+
+    @pytest.mark.parametrize("label", ["C(1000000000;1)", "C(100000000;1)xC(100000000;1)"])
+    def test_huge_caps_stay_small(self, label):
+        # every cap is too large to be dense, so each slice is one bit: a
+        # mask as wide as the cap would take over 10 MB a term here
+        s = parse_spec(label)
+        rng = random.Random(label)
+        free_seen = set()
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            for _ in range(30):
+                terms = [tuple(rng.randint(1, c.size) for c in s.coords)
+                         for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.5:
+                    terms.append(closing_term(s, terms))
+                free_seen.add(check_against_oracle(s, terms)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert time.perf_counter() - started < 5
+        assert free_seen == {True, False}
 
     @given(seq_strategy())
     @settings(max_examples=150, deadline=None)
