@@ -1,6 +1,7 @@
 """The value layer: _Frozen, the base that stores every value class's
-fields; ConstResult, the result of every constant (I(S), D(G), lhat, l);
-budget configuration; and progress metering for exhaustive searches."""
+fields; ConstResult, the result of every constant (I(S), D(G), lhat, l),
+and _solve, the one path that computes it by method; budget configuration;
+and progress metering for exhaustive searches."""
 
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ SEARCH_MEMO_ENTRIES = 10**6
 # the quantities a ConstResult may hold, and the rule tag of a brute value
 QUANTITIES = ("davenport", "erdos_burgess", "lhat", "l")
 BRUTE = "BRUTE"
+# the quantities whose closed form is a published table with a known gap
+TABLES = ("lhat", "l")
 
 
 def _ms(t0: float) -> int:
@@ -183,3 +186,43 @@ class SearchMeter:
     def _exceeded(self, message: str) -> BudgetExceeded:
         """The error a spent budget raises, with this search's progress."""
         return BudgetExceeded(message, nodes=self.nodes, elapsed_ms=self.elapsed_ms())
+
+
+def _solve(what: str, method: str, budget: Budget, formula, brute) -> ConstResult:
+    """A constant by method: formula(budget) or brute(budget), each a
+    ConstResult, or both, which runs them under one deadline (the brute
+    half gets the time the formula half left) and cross-checks them.
+
+    A both result is the brute value with the formula's interval, rule and
+    flags, the rule BRUTE where the formula leaves the value open, except
+    in a table.  A value off the formula is an internal error naming what,
+    or in a table the brute point flagged formula-brute-mismatch.  D(G)'s
+    formula interval says only that D(G) is unknown: the brute point
+    replaces it."""
+    if method == "formula":
+        return formula(budget)
+    if method == "brute":
+        return brute(budget)
+    if method != "both":
+        raise SpecError(f"unknown method {method!r}")
+    meter = SearchMeter(budget)
+    f = formula(budget)
+    left = budget.time_budget_s - (time.monotonic() - meter.started)
+    try:
+        b = brute(Budget(budget.node_budget, left, budget.state_cap, budget.threads))
+    except BudgetExceeded as exc:
+        meter.nodes = exc.nodes
+        meter.check_time()  # past the call's deadline: say so
+        exc.elapsed_ms = meter.elapsed_ms()
+        raise
+    v = b.value
+    gap = (f"formula {f.value} != brute {v}" if f.value not in (None, v)
+           else None if f.lower <= v <= f.upper
+           else f"brute {v} outside formula bounds [{f.lower}, {f.upper}]")
+    if gap and f.quantity not in TABLES:
+        raise RuntimeError(f"internal error: {what} {gap}")
+    r = b if gap or f.value is None and f.quantity == "davenport" else f
+    rule = r.rule if r.value is not None or r.quantity in TABLES else BRUTE
+    flags = r.flags + (("formula-brute-mismatch",) if gap else ())
+    return ConstResult(r.quantity, v, r.lower, r.upper, rule, "both", b.nodes,
+                       meter.elapsed_ms(), flags)

@@ -1,11 +1,11 @@
 """Davenport and Erdos-Burgess constants: closed-form rules, bounds,
 reduction, brute-force oracles, and a rank-two conjecture explorer.
 
-Every result is a config.ConstResult.  Closed-form results carry a rule
-tag naming the case that produced them; brute-force results carry the
-BRUTE tag (config's) plus search statistics.  Every value rule needs the
-Davenport constant of the attached group, which is resolved by formula
-where exact (rank <= 2 or p-group) and by exhaustive search otherwise.
+Every result is a config.ConstResult, by the method config._solve picks.
+Closed-form results carry a rule tag naming the case that produced them;
+brute-force results carry BRUTE (config's) plus search statistics.  Every
+value rule needs the Davenport constant of the attached group, resolved by
+formula where exact (rank <= 2 or p-group), by exhaustive search otherwise.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import math
 import time
 from typing import NamedTuple
 
-from .config import BRUTE, Budget, ConstResult, SearchMeter, _ms
-from .errors import BudgetExceeded, SpecError
+from .config import BRUTE, Budget, ConstResult, SearchMeter, _ms, _solve
+from .errors import BudgetExceeded
 from .semigroup import (
     CyclicSpec,
     GroupSpec,
@@ -110,37 +110,33 @@ def davenport(g: GroupSpec, method: str = "formula", budget: Budget = Budget()) 
     """D(G): least length forcing a nonempty zero-sum subsequence.
 
     formula: exact 1 + d*(G) for rank <= 2 or p-groups, otherwise the
-    [1 + d*, Meshulam] interval.  brute: exhaustive search.  both: brute,
-    cross-checked against the formula; disagreement is an internal error.
+    [1 + d*, Meshulam] interval.  brute: exhaustive search.  both
+    (config._solve): the brute value, cross-checked against the formula,
+    which it replaces where that gives only the interval.
     """
-    t0 = time.monotonic()
-    factors = invariant_factors(g)
-    lower = 1 + sum(d - 1 for d in factors)
-    if method == "formula":
-        if len(factors) <= 2:
-            return ConstResult("davenport", lower, lower, lower, THM_D_RANK2, "formula",
-                               elapsed_ms=_ms(t0))
-        if _prime_power_base(math.prod(factors)) is not None:
-            return ConstResult("davenport", lower, lower, lower, THM_D_PGROUP, "formula",
+    def formula(budget: Budget) -> ConstResult:
+        t0 = time.monotonic()
+        factors = invariant_factors(g)
+        lower = 1 + sum(d - 1 for d in factors)
+        order = math.prod(factors)
+        if len(factors) <= 2 or _prime_power_base(order) is not None:
+            rule = THM_D_RANK2 if len(factors) <= 2 else THM_D_PGROUP
+            return ConstResult("davenport", lower, lower, lower, rule, "formula",
                                elapsed_ms=_ms(t0))
         nr = factors[-1]
-        order = math.prod(factors)
         upper = math.floor(nr + nr * math.log(order / nr))
         if upper < lower:
             raise RuntimeError("internal error: Meshulam bound below 1 + d*")
         return ConstResult("davenport", None, lower, upper, D_BOUNDS, "formula",
                            elapsed_ms=_ms(t0), flags=("davenport-inexact",))
-    if method == "brute":
+
+    def brute(budget: Budget) -> ConstResult:
+        t0 = time.monotonic()
         value, _witness, nodes = _davenport_brute(g, budget)
         return ConstResult("davenport", value, value, value, BRUTE, "brute",
                            nodes=nodes, elapsed_ms=_ms(t0))
-    if method == "both":
-        f = davenport(g, "formula", budget)
-        b = davenport(g, "brute", budget)
-        rule = _cross_check("Davenport", f, b)
-        return ConstResult("davenport", b.value, b.value, b.value, rule, "both",
-                           nodes=b.nodes, elapsed_ms=_ms(t0))
-    raise SpecError(f"unknown method {method!r}")
+
+    return _solve("Davenport", method, budget, formula, brute)
 
 
 def _resolve_davenport(g: GroupSpec, budget: Budget) -> ConstResult:
@@ -155,20 +151,6 @@ def _resolve_davenport(g: GroupSpec, budget: Budget) -> ConstResult:
     except BudgetExceeded as exc:
         return ConstResult(res.quantity, None, res.lower, res.upper, res.rule, res.method,
                            exc.nodes, exc.elapsed_ms, res.flags)
-
-
-def _cross_check(what: str, f: ConstResult, b: ConstResult) -> str:
-    """The rule of a "both" result from its formula and brute results: the
-    formula's rule when it pins the value, else BRUTE.  A value disagreement
-    or a brute value outside the formula interval is an internal error."""
-    if f.value is not None and f.value != b.value:
-        raise RuntimeError(f"internal error: {what} formula {f.value} != brute {b.value}")
-    if not f.lower <= b.value <= f.upper:
-        raise RuntimeError(
-            f"internal error: {what} brute {b.value} outside formula bounds "
-            f"[{f.lower}, {f.upper}]"
-        )
-    return f.rule if f.value is not None else BRUTE
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +289,32 @@ def eb_exact(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
     and the same max term.
     """
     t0 = time.monotonic()
+
+    def found(lower: int, upper: int, rule: str, flags: tuple[str, ...] = ()) -> ConstResult:
+        """The formula result, its value pinned where lower == upper."""
+        return ConstResult("erdos_burgess", lower if lower == upper else None, lower, upper,
+                           rule, "formula", elapsed_ms=_ms(t0), flags=flags)
+
     if len(s.coords) == 1:
-        v = s.coords[0].cap
-        return ConstResult("erdos_burgess", v, v, v, COR31_R1, "formula", elapsed_ms=_ms(t0))
+        return found(s.coords[0].cap, s.coords[0].cap, COR31_R1)
 
     d_res = _resolve_davenport(group_of(s), budget)
     d_val = d_res.value
     maxterm = _max_nil_term(s)
     lead = _thm32_lead(s)
     if lead is not None and d_val is not None:
-        v = lead + d_val
-        return ConstResult("erdos_burgess", v, v, v, THM32_REDUCE, "formula",
-                           elapsed_ms=_ms(t0))
+        return found(lead + d_val, lead + d_val, THM32_REDUCE)
     s = _reduced_spec(s)
 
     if d_val is not None:
         rule = _equality_rule(s, d_val)
         if rule is not None:
-            v = maxterm + d_val
-            return ConstResult("erdos_burgess", v, v, v, rule, "formula", elapsed_ms=_ms(t0))
+            return found(maxterm + d_val, maxterm + d_val, rule)
 
     bounds = _eb_bounds(s, d_res)
     if d_val is not None and _coprime_periods(s):
-        hi = maxterm + d_val - 1
-        pinned = bounds.lower if bounds.lower == hi else None
-        return ConstResult("erdos_burgess", pinned, bounds.lower, hi, THM31_III_REFUTED,
-                           "formula", elapsed_ms=_ms(t0), flags=("formula-refuted",))
-    pinned = bounds.lower if bounds.lower == bounds.upper else None
-    return ConstResult("erdos_burgess", pinned, bounds.lower, bounds.upper, THM31_BOUNDS,
-                       "formula", elapsed_ms=_ms(t0), flags=bounds.flags)
+        return found(bounds.lower, maxterm + d_val - 1, THM31_III_REFUTED, ("formula-refuted",))
+    return found(bounds.lower, bounds.upper, THM31_BOUNDS, bounds.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +356,11 @@ def eb_bruteforce(s: ProductSpec, budget: Budget = Budget()) -> ConstResult:
 
 def erdos_burgess(s: ProductSpec, method: str = "formula",
                   budget: Budget = Budget()) -> ConstResult:
-    """I(S) by the requested method; both cross-checks brute against formula
-    (value disagreement or interval violation is an internal error) under
-    one deadline: the brute half gets the time the formula half left."""
-    if method == "formula":
-        return eb_exact(s, budget)
-    if method == "brute":
-        return eb_bruteforce(s, budget)
-    if method == "both":
-        meter = SearchMeter(budget)
-        f = eb_exact(s, budget)
-        left = budget.time_budget_s - (time.monotonic() - meter.started)
-        try:
-            b = eb_bruteforce(s, Budget(budget.node_budget, left, budget.state_cap,
-                                        budget.threads))
-        except BudgetExceeded as exc:
-            meter.nodes = exc.nodes
-            meter.check_time()  # past the call's deadline: say so
-            exc.elapsed_ms = meter.elapsed_ms()
-            raise
-        rule = _cross_check(f"I({format_spec(s)})", f, b)
-        return ConstResult("erdos_burgess", b.value, f.lower, f.upper, rule, "both",
-                           nodes=b.nodes, elapsed_ms=meter.elapsed_ms(), flags=f.flags)
-    raise SpecError(f"unknown method {method!r}")
+    """I(S) by eb_exact (formula), eb_bruteforce (brute) or both
+    (config._solve): the brute value with the formula's interval and flags."""
+    return _solve(f"I({format_spec(s)})", method, budget,
+                  lambda budget: eb_exact(s, budget),
+                  lambda budget: eb_bruteforce(s, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ whose total is capped by (free mode) or exactly equal to (minimal mode) the
 idempotent index.  lhat and l are the least lengths beyond which every free,
 respectively minimal idempotent-sum, sequence has structure; both have
 closed forms with known gaps and exhaustive brute-force counterparts.  Their
-results are config.ConstResult values; nothing here imports constants.
+results come from config._solve, which flags a gap of the published table;
+nothing here imports constants.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from collections.abc import Iterable
 from functools import cache
 
-from .config import BRUTE, SUBSET_SUM_BOUND, Budget, ConstResult, SearchMeter, _Frozen, _ms
+from .config import BRUTE, SUBSET_SUM_BOUND, Budget, ConstResult, SearchMeter, _Frozen, _ms, _solve
 from .errors import BudgetExceeded, PreconditionError, SpecError
 from .semigroup import CyclicSpec, format_spec
 from .sequences import (
@@ -507,26 +508,20 @@ def _brute_walk(c: CyclicSpec, budget: Budget, kinds) -> tuple[list[int], int]:
 
 
 def _structure_const(c: CyclicSpec, quantity: str, method: str, budget: Budget) -> ConstResult:
-    t0 = time.monotonic()
-    formula, watch = ((_lhat_formula, _lhat_watch) if quantity == "lhat"
-                      else (_l_formula, _l_watch))
-    value, lower, upper = formula(c)
-    if method == "formula":
-        return ConstResult(quantity, value, lower, upper, THM61, "formula",
-                           elapsed_ms=_ms(t0))
-    if method not in ("brute", "both"):
-        raise SpecError(f"unknown method {method!r}")
-    (bval,), nodes = _brute_walk(c, budget, (watch,))
-    if method == "brute":
-        return ConstResult(quantity, bval, bval, bval, BRUTE, "brute",
+    table, watch = ((_lhat_formula, _lhat_watch) if quantity == "lhat"
+                    else (_l_formula, _l_watch))
+
+    def formula(budget: Budget) -> ConstResult:
+        t0 = time.monotonic()
+        return ConstResult(quantity, *table(c), THM61, "formula", elapsed_ms=_ms(t0))
+
+    def brute(budget: Budget) -> ConstResult:
+        t0 = time.monotonic()
+        (value,), nodes = _brute_walk(c, budget, (watch,))
+        return ConstResult(quantity, value, value, value, BRUTE, "brute",
                            nodes=nodes, elapsed_ms=_ms(t0))
-    if (value == bval) if value is not None else (lower <= bval <= upper):
-        return ConstResult(quantity, bval, lower, upper, THM61, "both",
-                           nodes=nodes, elapsed_ms=_ms(t0))
-    # a genuine formula/brute gap is data, not an internal error
-    return ConstResult(quantity, bval, bval, bval, BRUTE, "both",
-                       nodes=nodes, elapsed_ms=_ms(t0),
-                       flags=("formula-brute-mismatch",))
+
+    return _solve(quantity, method, budget, formula, brute)
 
 
 def lhat(c: CyclicSpec, method: str = "formula", budget: Budget = Budget()) -> ConstResult:

@@ -119,6 +119,21 @@ class TestCache:
         store = json.loads(Path(cache).read_text())
         assert "C(3;2)xC(1;4)|eb|both" in store
 
+    def test_davenport_both_round_trip(self, capsys, tmp_path):
+        # the brute value replaces the inexact formula interval, so the
+        # result carries no davenport-inexact flag and is stored
+        cache = str(tmp_path / "cache.json")
+        argv = ("const", "davenport", "--group", "2,2,6", "--method", "both",
+                "--cache", cache, "--json")
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert json.loads(out1) == json.loads(out2)
+        stored = json.loads(Path(cache).read_text())["Z(2,2,6)|davenport|both"]["result"]
+        assert {k: stored[k] for k in ("value", "lower", "upper", "rule", "nodes")} == {
+            "value": 8, "lower": 8, "upper": 8, "rule": "BRUTE", "nodes": 249408}
+        assert "flags" not in stored
+
     def test_methods_cached_separately(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.json")
         run(capsys, "const", "eb", "--spec", "C(3;2)", "--cache", cache)

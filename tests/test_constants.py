@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from ebs import constants, sequences
+from ebs import constants, sequences, structure
 from ebs.config import Budget
 from ebs.constants import (
     BRUTE,
@@ -124,8 +124,13 @@ class TestDavenport:
         assert r.value == 8
 
     def test_both_cross_checks(self):
-        r = davenport(GroupSpec((2, 6)), "both")
-        assert r.value == 7 and r.method == "both"
+        # for Z2+Z2+Z6 the formula gives only an interval, which the brute
+        # value replaces
+        for periods, row in (((2, 6), (7, 7, 7, THM_D_RANK2, 2422, ())),
+                             ((2, 2, 6), (8, 8, 8, BRUTE, 249408, ()))):
+            r = davenport(GroupSpec(periods), "both")
+            assert r.method == "both"
+            assert (r.value, r.lower, r.upper, r.rule, r.nodes, r.flags) == row
 
     def test_witness_is_extremal_zero_sum_free(self):
         g = GroupSpec((2, 4))
@@ -486,10 +491,8 @@ class TestErdosBurgess:
 
     def test_both_on_refuted_keeps_formula_bounds(self):
         r = erdos_burgess(parse_spec("C(1;2)xC(4;3)"), "both")
-        assert r.value == 7
-        assert (r.lower, r.upper) == (7, 8)
-        assert r.rule == BRUTE
-        assert "formula-refuted" in r.flags
+        assert (r.value, r.lower, r.upper, r.rule, r.nodes, r.flags) == (
+            7, 7, 8, BRUTE, 1724, ("formula-refuted",))
 
     def test_both_runs_under_one_deadline(self, monkeypatch):
         # The formula half resolves D and the brute half builds its
@@ -539,6 +542,27 @@ class TestErdosBurgess:
     def test_const_result_rejects_value_outside_bounds(self):
         with pytest.raises(RuntimeError):
             ConstResult("erdos_burgess", 5, 1, 4, BRUTE, "brute")
+
+
+@pytest.mark.parametrize("const,arg,module,formula", [
+    (davenport, GroupSpec((2, 6)), constants, "invariant_factors"),
+    (lhat, CyclicSpec(7, 2), structure, "_lhat_formula"),
+    (l_const, CyclicSpec(7, 2), structure, "_l_formula"),
+], ids=["davenport", "lhat", "l"])
+def test_every_both_runs_under_one_deadline(monkeypatch, const, arg, module, formula):
+    # As for I(S): the formula half and the engine build take 0.2 s each,
+    # and the brute half gets only the 0.1 s the formula half left.
+    fast = getattr(module, formula)
+
+    def slow(*args):
+        time.sleep(0.2)
+        return fast(*args)
+
+    monkeypatch.setattr(module, formula, slow)
+    slow_build(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=r"time budget 0\.3s exhausted") as info:
+        const(arg, "both", Budget(time_budget_s=0.3))
+    assert info.value.elapsed_ms >= 400
 
 
 class TestWitnesses:

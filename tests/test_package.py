@@ -167,6 +167,31 @@ def test_only_frozen_stores_value_fields():
     assert [c for c in calls if c[:2] != ("config.py", "_Frozen")] == []
 
 
+def test_one_result_path():
+    """config alone decides the method of a constant and builds its "both"
+    result: one raise of SpecError("unknown method ..."), and one
+    ConstResult(...) whose method is the literal "both", both in config."""
+    raises, both = [], []
+    for path in sorted((ROOT / "src" / "ebs").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            text = node.args[0] if node.args else None
+            if isinstance(text, ast.JoinedStr):
+                text = text.values[0]
+            if (node.func.id == "SpecError" and isinstance(text, ast.Constant)
+                    and str(text.value).startswith("unknown method")):
+                raises.append(path.name)
+            fields = dict(zip(("quantity", "value", "lower", "upper", "rule", "method"),
+                              node.args))
+            fields.update((k.arg, k.value) for k in node.keywords)
+            method = fields.get("method")
+            if (node.func.id == "ConstResult" and isinstance(method, ast.Constant)
+                    and method.value == "both"):
+                both.append(path.name)
+    assert (raises, both) == (["config.py"], ["config.py"])
+
+
 def test_structure_does_not_import_constants():
     """structure builds its l-hat and l results from config: it imports
     nothing from constants, in function bodies and TYPE_CHECKING blocks

@@ -427,18 +427,20 @@ class TestLhatAndL:
 
     def test_published_table_gap_is_flagged(self):
         # the closed form disagrees with exhaustive search at n = 5 and 7
-        for n, true_value in ((5, 1), (7, 3)):
+        for n, v, nodes in ((5, 1, 58), (7, 3, 275)):
             r = lhat(CyclicSpec(1, n), "both")
-            assert r.value == true_value
-            assert "formula-brute-mismatch" in r.flags
+            assert (r.value, r.lower, r.upper, r.rule, r.nodes, r.flags) == (
+                v, v, v, BRUTE, nodes, ("formula-brute-mismatch",))
 
     def test_both_agreeing_keeps_formula_rule(self):
         r = lhat(CyclicSpec(5, 1), "both")
         assert r.value == 3 and r.rule == THM61 and not r.flags
 
     def test_both_interval_case(self):
+        # the table gives only an interval, and keeps its rule
         r = l_const(CyclicSpec(3, 2), "both")
-        assert r.value == 3 and (r.lower, r.upper) == (2, 3) and not r.flags
+        assert (r.value, r.lower, r.upper, r.rule, r.nodes, r.flags) == (
+            3, 2, 3, THM61, 18, ())
 
     def test_brute_is_k_independent_below_period(self):
         assert lhat(CyclicSpec(2, 6), "brute").value == lhat(CyclicSpec(6, 6), "brute").value

@@ -136,9 +136,9 @@ class TestDefaults:
         assert s.to_dict() == {"tag": "NONE", "c": None, "H": None, "threshold_met": False}
 
     def test_budget_takes_any_limits(self):
-        # erdos_burgess(..., "both") hands the brute half the time the
-        # formula half left, which may be spent: that is a budget exit
-        # inside the search, not an invalid Budget
+        # method "both" hands the brute half the time the formula half
+        # left, which may be spent: that is a budget exit inside the
+        # search, not an invalid Budget
         assert Budget(time_budget_s=-0.5).time_budget_s == -0.5
 
 
