@@ -56,9 +56,8 @@ C(10^9;1) walks one-bit masks, not masks of 10^9 bits).
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import getitem
+from operator import getitem, mul
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_STATE_CAP, SEARCH_MEMO_ENTRIES, SearchMeter, _Frozen
@@ -455,7 +454,8 @@ class ReachEngine:
     r in [0, n_i), size_i = n_i.  Each coordinate owns a field of bits,
     size_i padded by whole periods n_i to at least 2 size_i - 1 + o_i
     (o_i = 1 in a semigroup, whose digits d and e stand for indices summing
-    to digit d + e + 1, and 0 in a group), and mixed-radix packing over the
+    to digit d + e + 1, and 0 in a group; 0 for a one-element coordinate,
+    whose sums all cap to its one state), and mixed-radix packing over the
     fields, the last coordinate least significant, gives sorted elements
     increasing bit positions, so a set of elements is one int.  The
     elements own the window, win: num_states = prod(size_i) bits, under
@@ -497,14 +497,14 @@ class ReachEngine:
                  "tail", "off", "records", "room")
 
     @classmethod
-    def _build(cls, labels, digits, coords, target) -> "ReachEngine":
-        """Engine over `labels`, whose element digits are `digits` (one tuple
-        per label, in increasing packed order), with coords[i] = (size_i,
-        n_i, o_i): coordinate i has digits [0, size_i), whose states repeat
-        with period n_i from digit size_i - n_i on, and the digits d and e
-        sum to digit d + e + o_i before capping.  target: the idempotent's
-        digits.
-        """
+    def _build(cls, labels, coords, lift, target) -> "ReachEngine":
+        """Engine over `labels`, taken as they are: distinct elements in
+        increasing packed order, a value in coordinate i being its digit plus
+        lift.  coords[i] = (size_i, n_i, o_i): digits [0, size_i), whose
+        states repeat with period n_i from digit size_i - n_i on, and digits
+        d and e sum to digit d + e + o_i before capping.  target: the
+        idempotent.  A label's bit is its values dotted with the strides,
+        less lift times their sum."""
         self = cls.__new__(cls)
         fields = [size + n * -(-(size - 1 + o) // n) for size, n, o in coords]
         strides = [math.prod(fields[i + 1:]) for i in range(len(fields))]
@@ -523,17 +523,17 @@ class ReachEngine:
                 ext.append(((size - n) * stride, keep, copies))
         self.win, self.ext = win, tuple(ext)
         self.labels = tuple(labels)  # alphabet, in search order
-        self.pos = [sum(d * st for d, st in zip(ds, strides)) for ds in digits]
-        span = win.bit_length()
+        base = lift * sum(strides)
+        self.pos = pos = [sum(map(mul, a, strides)) - base for a in self.labels]
         self.off = sum(o * st for (_, _, o), st in zip(coords, strides))
-        # tail: the labels at or after each position, summed from the end;
-        # owned: every label's bit, marks read as a binary numeral
-        marks = [0] * (span + 1)
-        for p in self.pos:
-            marks[p] = 1
-        self.tail = list(itertools.accumulate(reversed(marks)))[::-1]
-        self.owned = int("".join(map(str, reversed(marks))), 2)
-        self.root = self.extend(1 << sum(d * st for d, st in zip(target, strides)))
+        # tail: the labels at or after each position, n - i up to label i's
+        # bit, then 0 up to the window's span
+        tail, n = [], len(pos)
+        for i, p in enumerate(pos):
+            tail += [n - i] * (p + 1 - len(tail))
+        self.tail = tail + [0] * (win.bit_length() + 1 - len(tail))
+        self.owned = sum(1 << p for p in pos)
+        self.root = self.extend(1 << sum(map(mul, target, strides)) - base)
         self.records: dict[int, list[int]] = {}
         self.room = SEARCH_MEMO_ENTRIES
         return self
@@ -541,11 +541,11 @@ class ReachEngine:
     @classmethod
     def for_spec(cls, s: ProductSpec, alphabet: Sequence[Element] | None = None) -> "ReachEngine":
         caps = s.caps  # a property that builds a new tuple at each read
-        if alphabet is None:
-            alphabet = [a for a in s.elements() if a != caps]
-        labels = sorted(set(alphabet))  # one bit per label: a repeat would share it
-        return cls._build(labels, [tuple(v - 1 for v in a) for a in labels],
-                          [(c.size, c.n, 1) for c in s.coords], [cap - 1 for cap in caps])
+        # the default alphabet comes in packed order; an explicit one is
+        # sorted, one bit per label (a repeat would share it)
+        labels = ([a for a in s.elements() if a != caps] if alphabet is None
+                  else sorted(set(alphabet)))
+        return cls._build(labels, [(c.size, c.n, int(c.size > 1)) for c in s.coords], 1, caps)
 
     @classmethod
     def for_group(cls, g: GroupSpec) -> "ReachEngine":
@@ -553,7 +553,7 @@ class ReachEngine:
         at bit 0."""
         zero = (0,) * len(g.periods)
         labels = [a for a in g.elements() if a != zero]
-        return cls._build(labels, labels, [(n, n, 0) for n in g.periods], zero)
+        return cls._build(labels, [(n, n, 0) for n in g.periods], 0, zero)
 
     def extend(self, window: int) -> int:
         """The forbidden set whose window is `window`: its padding filled."""
