@@ -37,6 +37,7 @@ from ebs.sequences import (
     sum_profile,
 )
 from ebs.structure import _search_engine, l_const, lhat
+from test_acceptance import rank2_grid
 
 SWEEP_SPECS = [
     "C(2;1)", "C(1;2)", "C(3;2)", "C(2;3)", "C(4;1)", "C(1;4)",
@@ -604,6 +605,54 @@ class TestReachEngine:
             meter = SearchMeter(Budget())
             runs.append((search_free(e, meter), meter.nodes))
         assert runs[0] == runs[1]
+
+    def test_explicit_alphabet_is_sorted_once(self):
+        # an alphabet given unsorted and with repeats builds the engine of
+        # its sorted, distinct form
+        s = parse_spec("C(3;2)xC(1;1)xC(2;3)")
+        elements = list(s.elements())
+        once = elements[1::2]
+        given = once[::-1] + once[::3]
+        random.Random(38).shuffle(given)
+        assert given != once
+        engines = [ReachEngine.for_spec(s, given), ReachEngine.for_spec(s, once)]
+        assert engines[0].labels == tuple(once)
+        shapes = {(e.labels, tuple(e.pos), e.owned, e.root, tuple(e.tail)) for e in engines}
+        assert len(shapes) == 1
+
+    def test_default_alphabet_is_sorted_non_idempotents(self):
+        # the default alphabet is taken in the order s.elements() gives,
+        # not sorted: that order is the sorted one, each element once
+        for s in rank2_grid(20):
+            expected = sorted(set(s.elements()) - {idempotent(s)})
+            assert list(ReachEngine.for_spec(s).labels) == expected, s
+
+    @pytest.mark.parametrize("label,value,nodes", [
+        ("C(2;19)", 19, 180_170), ("C(1;5)xC(1;4)", 20, 154_525), ("C(4;2)", 4, 28),
+    ])
+    def test_one_element_factor_costs_nothing(self, label, value, nodes):
+        # C(1;1) is the one-element semigroup, and S x C(1;1) = S.  Its
+        # coordinate packs in a one-digit field with no extension step, as
+        # Z_1 does in a group, so T with C(1;1) factors on either side
+        # searches on T's layout, in T's label order, with T's value and
+        # node counts
+        t = parse_spec(label)
+        one = CyclicSpec(1, 1)
+        shapes = set()
+        for coords in (t.coords, (one, *t.coords), (*t.coords, one), (one, *t.coords, one)):
+            s = ProductSpec(coords)
+            engine = ReachEngine.for_spec(s)
+            shapes.add((engine.width, len(engine.ext), engine.win.bit_length(),
+                        tuple(engine.pos), engine.off))
+            r = eb_bruteforce(s, Budget())
+            assert (r.value, r.nodes) == (value, nodes), s
+        assert len(shapes) == 1
+
+    def test_one_element_group_factor_costs_nothing(self):
+        # the rule the semigroup side copies: Z_1 x Z_6 packs as Z_6
+        engines = [ReachEngine.for_group(GroupSpec(p)) for p in ((1, 6), (6,))]
+        assert len({(e.width, e.ext, e.win, tuple(e.pos), e.root, e.off)
+                    for e in engines}) == 1
 
     def test_idempotent_label_rejected_alone(self):
         s = parse_spec("C(3;2)xC(1;3)")
