@@ -526,13 +526,13 @@ class ReachEngine:
         base = lift * sum(strides)
         self.pos = pos = [sum(map(mul, a, strides)) - base for a in self.labels]
         self.off = sum(o * st for (_, _, o), st in zip(coords, strides))
-        # tail: the labels at or after each position, n - i up to label i's
-        # bit, then 0 up to the window's span
-        tail, n = [], len(pos)
+        # tail: n - i labels at or after each bit up to label i's; owned: their bits
+        tail, n, marks = [], len(pos), bytearray(win.bit_length() // 8 + 1)
         for i, p in enumerate(pos):
             tail += [n - i] * (p + 1 - len(tail))
+            marks[p >> 3] |= 1 << (p & 7)
         self.tail = tail + [0] * (win.bit_length() + 1 - len(tail))
-        self.owned = sum(1 << p for p in pos)
+        self.owned = int.from_bytes(marks, "little")
         self.root = self.extend(1 << sum(map(mul, target, strides)) - base)
         self.records: dict[int, list[int]] = {}
         self.room = SEARCH_MEMO_ENTRIES

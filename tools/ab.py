@@ -1,23 +1,22 @@
 """Paired benchmark of two commits: parent against change, in fresh copies.
 
-    python3 tools/ab.py --parent REF [--change REF] [--workloads rank2_sweep,deep_search]
-                        [--pairs 10] [--seconds 15] [--seed 901]
+    python3 tools/ab.py --parent REF [--change REF]
 
 Both commits are extracted with `git archive REF | tar -x` into .ab-work/
 (the run reads their committed files only), and each runs its own
-perfbench/run.py --trace 0, one fresh process per run.  Pair i runs both
-sides on seed --seed + i, the parent first in even pairs and the change
-first in odd ones.  The figures are the scaled end-to-end metrics that
-run.py prints on its last line.  The result goes to
-.benchmarks/BENCH_<change short sha>.json, which a later run of the same
-two commits adds its workloads to: per workload and metric the
+perfbench/run.py --trace 0 for BENCHMARK.json's run_seconds, one fresh
+process per run.  Every workload in BENCHMARK.json runs 10 pairs; pair i
+runs both sides on seed 901 + i, the parent first in even pairs and the
+change first in odd ones.  The figures are the scaled end-to-end metrics
+that run.py prints on its last line.  The whole result is written to
+.benchmarks/BENCH_<change short sha>.json: per workload and metric the
 parent's median and quartiles, the change's median and quartiles, the
 pairs the change won (ties count for neither side), every run's figure,
 and correct, failed and the pass digests of each side, with nproc and the
 Python version.  One verdict line per metric compares the medians with
 the bound in BENCHMARK.json:
   worse  the change's median is worse than the parent's by more than the bound;
-  gain   over at least 10 pairs, the change won at least nine tenths of them and
+  gain   the change won at least nine tenths of them and
          its median is better by more than the parent's interquartile range;
   unresolved  the parent's interquartile range, relative to its median, is wider
          than the bound, and not every run of the change is better than every
@@ -42,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".ab-work"
 OUT = ROOT / ".benchmarks"
+PAIRS, SEED = 10, 901
 
 
 def git(*args: str) -> str:
@@ -94,7 +94,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     spread = (pq[2] - pq[0]) / pq[1] if pq[1] else 0.0
     if worse_by > metric["bound"]:
         verdict = "worse"
-    elif len(parent) >= 10 and 10 * won >= 9 * len(parent) and -worse_by > spread:
+    elif 10 * won >= 9 * len(parent) and -worse_by > spread:
         verdict = "gain"
     elif spread > metric["bound"] and not (
             max(change) < min(parent) if lower else min(change) > max(parent)):
@@ -113,34 +113,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--change", default="HEAD", help="the commit measured (default HEAD)")
-    ap.add_argument("--workloads", help="comma-separated (default: all in BENCHMARK.json)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--seed", type=int, default=901, help="the first pair's seed")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    seconds, seeds = spec["run_seconds"], [SEED + i for i in range(PAIRS)]
     parent_sha, parent_copy = extract(args.parent)
     change_sha, change_copy = extract(args.change)
     sides = {"parent": parent_copy, "change": change_copy}
     path = OUT / f"BENCH_{change_sha}.json"
     report = {"parent": parent_sha, "change": change_sha, "nproc": os.cpu_count(),
               "python": platform.python_version(), "workloads": {}}
-    if path.exists():  # keep the workloads of an earlier run of the same pair of commits
-        old = json.loads(path.read_text())
-        if (old["parent"], old["change"]) == (parent_sha, change_sha):
-            report["workloads"] = old["workloads"]
     ok = True
-    for wl in workloads:
+    for wl in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run(sides[side], wl, args.seed + i, args.seconds))
-            print(f"{wl} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        entry = {"pairs": args.pairs, "seconds": args.seconds,
-                 "seeds": [args.seed + i for i in range(args.pairs)]}
+                runs[side].append(run(sides[side], wl, seed, seconds))
+            print(f"{wl} pair {i + 1}/{PAIRS} done", file=sys.stderr)
+        entry = {"pairs": PAIRS, "seconds": seconds, "seeds": seeds}
         for side, rs in runs.items():
             entry[side] = {"correct": all(r["correct"] for r in rs),
                            "failed": sum(r["failed"] for r in rs),
