@@ -16,8 +16,8 @@ and correct, failed and the pass digests of each side, with nproc and the
 Python version.  One verdict line per metric compares the medians with
 the bound in BENCHMARK.json:
   worse  the change's median is worse than the parent's by more than the bound;
-  gain   the change won at least nine tenths of them and
-         its median is better by more than the parent's interquartile range;
+  gain   the change won at least 9 of the 10 pairs and its median is better
+         by more than the parent's interquartile range;
   unresolved  the parent's interquartile range, relative to its median, is wider
          than the bound, and not every run of the change is better than every
          run of the parent;
