@@ -4,14 +4,6 @@ Subcommands mirror the library: spec parsing, constants (with an optional
 JSON result cache), sequence predicates, structure tools, and batch
 explorers.  Exit codes: 0 success, 1 usage or input error, 2 budget
 exhausted, 3 an explore report with soundness bugs or anomalies.
-
-Only config, errors and semigroup are imported up front; each handler
-imports the library layers it runs, so that a short command such as
---version, spec parse or a cache hit starts without the search code, and
-const lhat and const l load structure and sequences but not constants.  No
-module imports dataclasses (and with it inspect, ast, dis and tokenize): the
-value classes are slotted, on config._Frozen.  Median of 21 fresh processes,
-2 CPUs, Python 3.11: bare interpreter 44 ms, `ebs --version` 68-70 ms.
 """
 
 from __future__ import annotations
@@ -22,6 +14,12 @@ import json
 import os
 import sys
 
+# Only config, errors and semigroup are imported up front; each handler
+# imports the library layers it runs, so that a short command such as
+# --version, spec parse or a cache hit starts without the search code, and
+# const lhat and const l load structure and sequences but not constants.  No
+# module imports dataclasses (and with it inspect, ast, dis and tokenize):
+# the value classes are slotted, on config._Frozen.
 from . import __version__
 from .config import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET_S, Budget
 from .errors import BudgetExceeded, PreconditionError, SeqFileError, SpecError
@@ -317,9 +315,12 @@ def _add_options(p: argparse.ArgumentParser, json_flag: bool = True, budget: boo
         p.add_argument("--json", action="store_true", help="emit one JSON object")
     if budget:
         p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       dest="node_budget")
+                       dest="node_budget",
+                       help="the most extensions a search may attempt, counted as by a "
+                            "search that adds one element at a time")
         p.add_argument("--time-budget", type=int, default=int(DEFAULT_TIME_BUDGET_S),
-                       dest="time_budget", help="seconds")
+                       dest="time_budget",
+                       help="wall-clock seconds for a search, its setup included")
     if cache:
         p.add_argument("--cache", default=None, help="path to a JSON result cache")
 

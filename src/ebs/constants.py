@@ -424,7 +424,6 @@ def explore_conjecture(max_k: int, max_n: int, budget: Budget = Budget()) -> dic
     """
     singles = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
     rows = []
-    summary = {"rows": 0, "equality": 0, "counterexamples": 0, "soundness_bugs": 0, "skipped": 0}
     for a in range(len(singles)):
         for b in range(a, len(singles)):
             (k1, n1), (k2, n2) = singles[a], singles[b]
@@ -432,13 +431,11 @@ def explore_conjecture(max_k: int, max_n: int, budget: Budget = Budget()) -> dic
             maxterm = _max_nil_term(s)
             d_val = davenport(GroupSpec((n1, n2)), "formula", budget).value
             row = {"spec": format_spec(s), "bound_value": maxterm + d_val}
-            summary["rows"] += 1
+            rows.append(row)
             try:
                 brute = eb_bruteforce(s, budget).value
             except BudgetExceeded as exc:
                 row["skipped"] = str(exc)
-                summary["skipped"] += 1
-                rows.append(row)
                 continue
             cond_i = _thm41_condition_i(*s.coords)
             cond_ii = _thm41_condition_ii(*s.coords)
@@ -451,8 +448,11 @@ def explore_conjecture(max_k: int, max_n: int, budget: Budget = Budget()) -> dic
                 counterexample=equality and not (cond_i or cond_ii),
                 soundness_bug=(cond_i or cond_ii) and not equality,
             )
-            summary["equality"] += int(equality)
-            summary["counterexamples"] += int(row["counterexample"])
-            summary["soundness_bugs"] += int(row["soundness_bug"])
-            rows.append(row)
+    summary = {
+        "rows": len(rows),
+        "equality": sum(1 for r in rows if r.get("equality")),
+        "counterexamples": sum(1 for r in rows if r.get("counterexample")),
+        "soundness_bugs": sum(1 for r in rows if r.get("soundness_bug")),
+        "skipped": sum(1 for r in rows if "skipped" in r),
+    }
     return {"rows": rows, "summary": summary}

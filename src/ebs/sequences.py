@@ -665,10 +665,9 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         if known is not None:
             k = live.bit_count()
             if 2 * k <= len(known):
-                depth = max(known[-k:])
+                depth = max(known[1 - 2 * k::2])
                 if depth < left:  # it fails: count it from its record
-                    half = len(known) >> 1
-                    count += tail[start] + sum(known[half - k:half])
+                    count += tail[start] + sum(known[-2 * k::2])
                     if count >= mark:
                         mark = meter.settle(count)
                     return depth
@@ -676,8 +675,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
         if stack:  # a free node below the root, reported on entry
             care = on_free(stack) or 0
             rest = care - len(stack)
-        sizes, depths = [], []  # per child, in live order
-        deepest = 1  # the greatest of depths
+        rec = []  # per child, in live order: its node count, its depth
+        deepest = 1  # the greatest of the children's depths
         F = W
         for drop, keep, copies in ext:  # ReachEngine.extend, inline
             F |= (F >> drop & keep) * copies
@@ -695,8 +694,7 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     stack.pop()
                     rest = care - len(stack)
                 count += tail[b]
-                sizes.append(tail[b])
-                depths.append(1)
+                rec += (tail[b], 1)
                 continue
             if count >= mark:
                 mark = meter.settle(count)
@@ -711,20 +709,17 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 depth = walk(W | t & win, kids, b, rest)
                 stack.pop()
                 rest = care - len(stack)
-            sizes.append(count - before)
-            depths.append(1 + depth)
+            rec += (count - before, 1 + depth)
             if depth >= deepest:
                 deepest = 1 + depth
         count += tail[start]
         if count >= mark:
             mark = meter.settle(count)
-        # a record holds its children's node counts, then their depths; a
-        # forbidden set keeps its first record
-        cost = key_cost + 2 * len(sizes)
+        # a forbidden set keeps its first record
+        cost = key_cost + len(rec)
         if known is None and cost <= room:
             room -= cost
-            sizes += depths
-            records[W] = sizes
+            records[W] = rec
         return deepest
 
     W = (forbidden | engine.root) & win

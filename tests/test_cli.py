@@ -452,6 +452,21 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert "unrecognized arguments" in err
 
+    def test_help_states_the_contract(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert exit_.value.code == 0
+        assert ("Exit codes: 0 success, 1 usage or input error, 2 budget exhausted, "
+                "3 an explore report with soundness bugs or anomalies.") in text
+        for note in ("import", "_Frozen", "dataclasses", " ms", "CPUs"):
+            assert note not in text, note
+        with pytest.raises(SystemExit):
+            main(["const", "eb", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--node-budget NODE_BUDGET the most extensions a search may attempt" in text
+        assert "--time-budget TIME_BUDGET wall-clock seconds for a search, its setup" in text
+
 
 class TestCliConfig:
     """The arguments are the whole configuration of a run."""

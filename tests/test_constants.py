@@ -1,4 +1,6 @@
+import itertools
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,39 @@ class TestMemoOracle:
         """Every 40th spec of the acceptance grid, 20 in all."""
         coords = tuple((c.k, c.n) for c in s.coords)
         assert eb_bruteforce(s).value == 1 + oracle.memo_longest_free(coords)
+
+
+class TestRankThreeGrid:
+    """The 165 unordered triples C(k1;n1)xC(k2;n2)xC(k3;n3) with every k_i,
+    n_i <= 3, where most branches of the rule cascade apply."""
+
+    GRID = [ProductSpec.of(*t) for t in itertools.combinations_with_replacement(
+        [(k, n) for k in range(1, 4) for n in range(1, 4)], 3)]
+
+    def test_formula_rules(self):
+        assert len(self.GRID) == 165
+        assert Counter(eb_exact(s).rule for s in self.GRID) == {
+            THM32_REDUCE: 94, THM31_BOUNDS: 36, COR31_PPOW: 26, THM31_III_REFUTED: 6,
+            COR31_DIV: 3}
+
+    def test_both_agrees_or_stops_on_the_budget(self):
+        # a disagreement of the two halves raises an internal error, which
+        # fails the test; no triple needs a Davenport fallback, so which
+        # ones stop depends on node counts alone
+        rules, stopped = Counter(), 0
+        for s in self.GRID:
+            try:
+                rules[erdos_burgess(s, "both", Budget(node_budget=10**7)).rule] += 1
+            except BudgetExceeded:
+                stopped += 1
+        assert rules == {THM32_REDUCE: 93, COR31_PPOW: 18, THM31_BOUNDS: 17, BRUTE: 7,
+                         THM31_III_REFUTED: 6, COR31_DIV: 3}
+        assert stopped == 21
+
+    def test_brute_row_matches_oracle(self):
+        r = erdos_burgess(parse_spec("C(1;2)xC(1;3)xC(3;2)"), "both")
+        assert (r.rule, r.lower, r.upper) == (BRUTE, 8, 9)
+        assert r.value == 9 == 1 + oracle.memo_longest_free(((1, 2), (1, 3), (3, 2)))
 
 
 class TestDavenportOnce:

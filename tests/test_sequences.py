@@ -129,6 +129,10 @@ class TestSums:
         with pytest.raises(SpecError):
             sigma(parse_spec("C(2;3)"), Seq(()))
 
+    def test_minimal_of_empty_sequence_rejected(self):
+        with pytest.raises(SpecError, match="the empty sequence has no sum"):
+            is_minimal_idempotent_sum(parse_spec("C(3;2)"), Seq(()))
+
     def test_psi_reduces_mod_period(self):
         s = parse_spec("C(3;4)")
         assert psi(s, Seq.of(5, 6)).terms == ((1,), (2,))

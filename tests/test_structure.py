@@ -182,6 +182,10 @@ class TestClassify:
             classify_free_sequence(CyclicSpec(9, 1), Seq.of(1, 2))
         with pytest.raises(PreconditionError, match="free"):
             classify_free_sequence(CyclicSpec(5, 1), Seq.of(2, 3))
+        with pytest.raises(SpecError, match="one cyclic semigroup"):
+            classify_free_sequence(CyclicSpec(3, 2), Seq(((1, 1),)))
+        with pytest.raises(SpecError, match=r"outside \[1, 4\]"):
+            classify_free_sequence(CyclicSpec(3, 2), Seq.of(9))
 
     def test_serialization(self):
         d = classify_free_sequence(CyclicSpec(5, 1), Seq.of(2, 2)).to_dict()
@@ -222,6 +226,10 @@ class TestHasStructure:
             has_structure(c, Seq.of(1), "loose")
         with pytest.raises(PreconditionError):
             has_structure(c, Seq(()), "free")
+        with pytest.raises(SpecError, match="one cyclic semigroup"):
+            has_structure(c, Seq(((1, 1),)), "free")
+        with pytest.raises(SpecError, match=r"outside \[1, 4\]"):
+            has_structure(c, Seq.of(9), "free")
 
 
 LHAT_TABLE = [

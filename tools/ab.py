@@ -8,13 +8,18 @@ perfbench/run.py --trace 0 for BENCHMARK.json's run_seconds, one fresh
 process per run.  Every workload in BENCHMARK.json runs 10 pairs; pair i
 runs both sides on seed 901 + i, the parent first in even pairs and the
 change first in odd ones.  The figures are the scaled end-to-end metrics
-that run.py prints on its last line.  The whole result is written to
+that run.py prints on its last line, and beside them the unscaled ones its
+record holds under "raw".  Before the runs, each copy runs the tier-1
+suite once (PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors).  The whole result is written to
 .benchmarks/BENCH_<change short sha>.json: per workload and metric the
 parent's median and quartiles, the change's median and quartiles, the
 pairs the change won (ties count for neither side), every run's figure,
-and correct, failed and the pass digests of each side, with nproc and the
-Python version.  One verdict line per metric compares the medians with
-the bound in BENCHMARK.json:
+and the medians and runs of the raw figures; per workload correct, failed
+and the pass digests of each side; per side the tier-1 wall seconds,
+passed and failed counts and summary line; nproc and the Python version.
+One verdict line per metric compares the scaled medians with the bound in
+BENCHMARK.json:
   worse  the change's median is worse than the parent's by more than the bound;
   gain   the change won at least 9 of the 10 pairs and its median is better
          by more than the parent's interquartile range;
@@ -32,10 +37,12 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,7 +82,22 @@ def run(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads((copy / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json")
                         .read_text())
     result["digests"] = sorted({p["digest"] for p in record["passes"]})
+    result["raw"] = record["raw"]
     return result
+
+
+def tier1(copy: Path) -> dict:
+    """One tier-1 run in copy: its wall seconds, counts and summary line."""
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    t0 = time.monotonic()
+    proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    wall = time.monotonic() - t0
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "summary": summary}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -109,6 +131,12 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
             "parent_runs": parent, "change_runs": change}
 
 
+def raw_figures(parent: list[float], change: list[float]) -> dict:
+    return {"parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_runs": parent, "change_runs": change}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
@@ -121,7 +149,10 @@ def main(argv=None) -> int:
     sides = {"parent": parent_copy, "change": change_copy}
     path = OUT / f"BENCH_{change_sha}.json"
     report = {"parent": parent_sha, "change": change_sha, "nproc": os.cpu_count(),
-              "python": platform.python_version(), "workloads": {}}
+              "python": platform.python_version(), "tier1": {}, "workloads": {}}
+    for side, copy in sides.items():
+        t = report["tier1"][side] = tier1(copy)
+        print(f"tier-1 {side}: {t['summary']} ({t['wall_s']:.1f} s wall)", file=sys.stderr)
     ok = True
     for wl in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -141,6 +172,8 @@ def main(argv=None) -> int:
             name = metric["name"]
             s = summarize(metric, *([r["metrics"][name]["value"] for r in runs[side]]
                                     for side in ("parent", "change")))
+            s["raw"] = raw_figures(*([r["raw"][name] for r in runs[side]]
+                                     for side in ("parent", "change")))
             entry["metrics"][name] = s
             ok &= s["verdict"] != "worse"
             print(f"{wl} {name}: {s['parent_median']:.4g} [{s['parent_quartiles'][0]:.4g}, "
