@@ -694,7 +694,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                     stack.pop()
                     rest = care - len(stack)
                 count += tail[b]
-                rec += (tail[b], 1)
+                rec.append(tail[b])
+                rec.append(1)
                 continue
             if count >= mark:
                 mark = meter.settle(count)
@@ -709,7 +710,8 @@ def search_free(engine: ReachEngine, meter: SearchMeter, length: int | None = No
                 depth = walk(W | t & win, kids, b, rest)
                 stack.pop()
                 rest = care - len(stack)
-            rec += (count - before, 1 + depth)
+            rec.append(count - before)
+            rec.append(1 + depth)
             if depth >= deepest:
                 deepest = 1 + depth
         count += tail[start]
